@@ -64,6 +64,7 @@ from .query import (
 )
 from .engine import (
     QueryResult,
+    StaleSourceError,
     candidate_docs,
     compile_query,
     evaluate,
@@ -87,6 +88,6 @@ __all__ = [
     "save_index", "tokenize",
     "And", "Block", "LowPass", "Minus", "Or", "OrderedAnd",
     "QuerySyntaxError", "Term", "parse_query",
-    "QueryResult", "candidate_docs", "compile_query", "evaluate",
+    "QueryResult", "StaleSourceError", "candidate_docs", "compile_query", "evaluate",
     "evaluate_with_profile", "rank", "search", "snippets",
 ]

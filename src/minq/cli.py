@@ -10,8 +10,15 @@ document in descending score order:
 
 followed, when requested, by indented snippet lines (interval, words) and
 read-profile lines (output number, reads per input of the root operator).
+Snippets are extracted only for the printed documents; the source files of
+other matches are never opened.
+
 Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
-I/O or index-format trouble.
+I/O or index-format trouble. Exit 2 also covers a negative ``--top`` or
+``--snippets`` (rejected before evaluation, whether or not anything
+matches) and a printed document whose source file is missing or no longer
+matches its indexed word count. These errors print one ``minq: ...`` line
+on stderr.
 """
 
 import argparse
@@ -93,7 +100,7 @@ def main(argv=None) -> int:
     except IndexFormatError as exc:
         print(f"minq: bad index file: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"minq: {exc}", file=sys.stderr)
         return 2
 

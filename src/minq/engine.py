@@ -11,6 +11,12 @@ Document-level filtering is conservative: it may admit documents without
 witnesses (evaluation weeds them out) but never drops one with witnesses.
 Evaluation is document-at-a-time; distinct documents are independent and
 may be processed in parallel.
+
+:func:`search` ranks every match and cuts to ``top`` before it extracts
+snippets, so snippets are extracted only for the returned results and the
+source files of the other matches are never opened. A returned document's
+source that is missing raises :class:`OSError`; one whose word count no
+longer matches the index raises :class:`StaleSourceError`.
 """
 
 from dataclasses import dataclass
@@ -193,10 +199,25 @@ class QueryResult:
     profile: RhoProfile | None = None
 
 
+class StaleSourceError(ValueError):
+    """A source file no longer tokenizes to the word count the index holds."""
+
+
 def document_words(index, doc_id: int) -> list[str]:
-    """Re-tokenized words of a document, read back from its source path."""
-    with open(index.docs[doc_id].path, "r", encoding="utf-8") as src:
-        return [term for term, _ in tokenize(src.read())]
+    """Re-tokenized words of a document, read back from its source path.
+
+    Raises :class:`StaleSourceError` if the file's word count differs from
+    the indexed one, since positions would then point at the wrong words.
+    """
+    path = index.docs[doc_id].path
+    with open(path, "r", encoding="utf-8") as src:
+        words = [term for term, _ in tokenize(src.read())]
+    expected = index.word_count(doc_id)
+    if len(words) != expected:
+        raise StaleSourceError(
+            f"stale source {path}: {len(words)} words, index has {expected}; re-index it"
+        )
+    return words
 
 
 def search(
@@ -206,7 +227,18 @@ def search(
     snippet_count: int = 0,
     with_profile: bool = False,
 ) -> list[QueryResult]:
-    """Evaluate a query over every candidate document, best score first."""
+    """Evaluate a query over every candidate document, best score first.
+
+    Every candidate is evaluated and ranked, the matches are sorted by
+    ``(-score, doc_id)`` and cut to ``top``, and only then are snippets
+    extracted, so only the returned documents' source files are read.
+    Raises :class:`ValueError` for a negative ``top`` or ``snippet_count``
+    before evaluating anything.
+    """
+    if top is not None and top < 0:
+        raise ValueError(f"top must not be negative, got {top}")
+    if snippet_count < 0:
+        raise ValueError(f"snippet count must not be negative, got {snippet_count}")
     results = []
     for doc_id in candidate_docs(ast, index):
         if with_profile:
@@ -216,21 +248,23 @@ def search(
         if not witnesses:
             continue
         score = rank(witnesses, index.word_count(doc_id))
-        extracts = []
-        if snippet_count:
-            words = document_words(index, doc_id)
-            for window in snippets(ListStream(witnesses), snippet_count):
-                extracts.append((window, words[window.left : window.right + 1]))
         results.append(
             QueryResult(
                 doc_id=doc_id,
                 score=score,
                 witnesses=witnesses,
-                snippets=extracts,
+                snippets=[],
                 profile=prof,
             )
         )
     results.sort(key=lambda r: (-r.score, r.doc_id))
     if top is not None:
         results = results[:top]
+    if snippet_count:
+        for result in results:
+            words = document_words(index, result.doc_id)
+            result.snippets = [
+                (window, words[window.left : window.right + 1])
+                for window in snippets(ListStream(result.witnesses), snippet_count)
+            ]
     return results

@@ -161,7 +161,7 @@ class _Parser:
         while self.peek()[:2] == ("punct", "~"):
             self.take()
             kind, value, offset = self.take()
-            if kind != "word" or not value.isdigit():
+            if kind != "word" or not value.isdecimal():
                 raise QuerySyntaxError(offset, "proximity filter needs an integer")
             k = int(value)
             if k <= 0:

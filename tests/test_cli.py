@@ -109,3 +109,51 @@ def test_snippets_read_source_at_query_time(tmp_path):
     doc.unlink()
     proc = run_cli("query", str(idx), "bee", "--snippets", "1")
     assert proc.returncode == 2
+
+
+def test_non_decimal_width_exit_one(rhyme_idx):
+    proc = run_cli("query", str(rhyme_idx), "pease~²")
+    assert proc.returncode == 1
+    assert proc.stderr.decode().startswith("minq: query error: offset 6:")
+
+
+@pytest.mark.parametrize("flag", ["--top", "--snippets"])
+@pytest.mark.parametrize("query", ["pease", "unicorn"])
+def test_negative_count_exit_two(rhyme_idx, flag, query):
+    proc = run_cli("query", str(rhyme_idx), query, flag, "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("minq: ")
+    assert "negative" in lines[0]
+
+
+@pytest.fixture()
+def two_doc_idx(tmp_path):
+    """Doc 0 outranks doc 1 on 'ape & bee'."""
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("ape bee ape bee")
+    b.write_text("ape bee")
+    idx = tmp_path / "idx.ivx"
+    assert run_cli("index", str(a), str(b), "-o", str(idx)).returncode == 0
+    return idx, a, b
+
+
+def test_stale_returned_source_exit_two(two_doc_idx):
+    idx, a, _ = two_doc_idx
+    a.write_text("ape bee")
+    proc = run_cli("query", str(idx), "ape & bee", "--top", "1", "--snippets", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("minq: stale source ")
+    assert str(a) in lines[0]
+
+
+def test_missing_source_outside_top_is_never_opened(two_doc_idx):
+    idx, _, b = two_doc_idx
+    b.unlink()
+    proc = run_cli("query", str(idx), "ape & bee", "--top", "1", "--snippets", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "0\t3.0000\t[0..1] [1..2] [2..3]\n\t[0..1]\tape bee\n"

@@ -29,6 +29,7 @@ from minq import (
     snippets,
 )
 
+import minq.engine as engine
 from helpers import RHYME_ANTICHAIN, singletons
 
 iv = lambda l, r: Interval(l, r)
@@ -222,3 +223,43 @@ def test_evaluate_with_profile_term_root(rhyme_index):
     witnesses, prof = evaluate_with_profile(Term("pease"), rhyme_index, 0)
     assert witnesses == singletons((0, 3, 6, 31, 34))
     assert prof.rho == [(1,), (2,), (3,), (4,), (5,)]
+
+
+def result_key(result):
+    return (result.doc_id, result.score, result.witnesses, result.snippets)
+
+
+def test_top_cut_equals_full_search_prefix_and_reads_only_returned(tmp_path, monkeypatch):
+    rng = random.Random(2024)
+    vocab = ["a", "b", "c", "d", "e"]
+    corpus = []
+    for i in range(12):
+        path = tmp_path / f"d{i}.txt"
+        path.write_text(" ".join(rng.choice(vocab) for _ in range(rng.randint(0, 30))))
+        corpus.append((str(path), path.read_text()))
+    index = build_index(corpus)
+    opened = []
+    real = engine.document_words
+
+    def counting(index, doc_id):
+        opened.append(doc_id)
+        return real(index, doc_id)
+
+    monkeypatch.setattr(engine, "document_words", counting)
+    for _ in range(60):
+        ast = random_ast(rng, vocab)
+        s = rng.randint(0, 3)
+        full = search(index, ast, snippet_count=s)
+        for k in (0, 1, 3, len(full), len(full) + 2):
+            opened.clear()
+            cut = search(index, ast, top=k, snippet_count=s)
+            assert [result_key(r) for r in cut] == [result_key(r) for r in full[:k]]
+            assert opened == ([r.doc_id for r in cut] if s else [])
+
+
+def test_search_rejects_negative_counts_before_evaluating(monkeypatch):
+    index = build_index([("missing.txt", "ape bee")])
+    monkeypatch.setattr(engine, "candidate_docs", lambda *args: pytest.fail("evaluated"))
+    for kwargs in ({"top": -1}, {"snippet_count": -1}):
+        with pytest.raises(ValueError, match="negative"):
+            search(index, parse_query("ape"), **kwargs)
