@@ -28,7 +28,7 @@ from .streams import (
     profile,
     star_compose,
 )
-from .queue import EmptyQueueError, IndirectQueue, LinearScanQueue, advance
+from .queue import EmptyQueueError, IndirectQueue, advance
 from .operators import and_span, block, difference, lowpass, or_merge, ordered_and
 from .oracle import (
     NotProducible,
@@ -79,7 +79,7 @@ __all__ = [
     "length", "span", "strictly_before",
     "CountingStream", "IntervalStream", "ListStream", "OrderViolation",
     "RhoProfile", "from_positions", "materialize", "profile", "star_compose",
-    "EmptyQueueError", "IndirectQueue", "LinearScanQueue", "advance",
+    "EmptyQueueError", "IndirectQueue", "advance",
     "and_span", "block", "difference", "lowpass", "or_merge", "ordered_and",
     "NotProducible", "ReadBoundReport", "check_read_bounds",
     "leftmost_sequences", "minimal_filter", "oracle_and", "oracle_block",

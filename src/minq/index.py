@@ -16,8 +16,13 @@ The on-disk format is diffable text, fixed so golden files stay bit-exact:
     ...
 
 Terms are sorted, and posting lines within a term come in document order.
+A save replaces the file whole (temporary file, then rename), so a reader
+never sees a partial index and a failed save leaves the old one in place.
+The file is not fsynced: a power loss just after a save can still lose it.
 """
 
+import contextlib
+import os
 import re
 from dataclasses import dataclass
 
@@ -88,16 +93,35 @@ def build_index(documents) -> PositionalIndex:
 
 
 def save_index(index: PositionalIndex, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"{_MAGIC} {index.doc_count()}\n")
-        for doc_id, doc in enumerate(index.docs):
-            out.write(f"D {doc_id} {doc.word_count} {doc.path}\n")
-        for term in sorted(index.postings):
-            out.write(f"T {term}\n")
-            docs = index.postings[term]
-            for doc_id in sorted(docs):
-                positions = " ".join(str(p) for p in docs[doc_id])
-                out.write(f"P {doc_id} {positions}\n")
+    r"""Write ``index`` to ``path``, replacing it whole or leaving it as it was.
+
+    The file is written under a temporary name in the same directory and
+    renamed into place. A document path that :meth:`str.splitlines` would
+    break (``\n``, ``\r``, ``\x85``, ``\u2028``, ...) cannot be stored in
+    its one-line ``D`` record, so it raises :class:`ValueError` before
+    anything is written.
+    """
+    for doc in index.docs:
+        if doc.path.splitlines() not in ([], [doc.path]):
+            raise ValueError(f"document path {doc.path!r} contains a line break")
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8") as out:
+            out.write(f"{_MAGIC} {index.doc_count()}\n")
+            for doc_id, doc in enumerate(index.docs):
+                out.write(f"D {doc_id} {doc.word_count} {doc.path}\n")
+            for term in sorted(index.postings):
+                out.write(f"T {term}\n")
+                docs = index.postings[term]
+                for doc_id in sorted(docs):
+                    positions = " ".join(str(p) for p in docs[doc_id])
+                    out.write(f"P {doc_id} {positions}\n")
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
 
 
 def load_index(path) -> PositionalIndex:

@@ -15,6 +15,9 @@ Two total orders drive the merge machinery:
   ties broken toward the larger right extreme.
 
 All values here are immutable and freely shareable between threads.
+``Interval`` is built on every posting read, so its constructor writes the
+two slots through the slot descriptors' setters; ``__setattr__`` still
+refuses every later write.
 """
 
 NEG_INF = float("-inf")
@@ -31,8 +34,8 @@ class Interval:
     def __init__(self, left: Position, right: Position):
         if left > right:
             raise ValueError(f"empty interval [{left}..{right}]")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
 
     def __setattr__(self, name, value):
         raise AttributeError("Interval is immutable")
@@ -49,6 +52,11 @@ class Interval:
 
     def __repr__(self):
         return f"[{self.left}..{self.right}]"
+
+
+# The slot descriptors' setters; only Interval.__init__ writes through them.
+_set_left = Interval.left.__set__
+_set_right = Interval.right.__set__
 
 
 def singleton(position: int) -> Interval:

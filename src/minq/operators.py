@@ -48,7 +48,33 @@ def _require_inputs(streams):
     return list(streams)
 
 
-class OrMerge(IntervalStream):
+class _QueueOperator(IntervalStream):
+    """Inputs, queue and output state shared by the two queue-driven operators.
+
+    The first pull loads every input's first interval into the queue,
+    leaving out inputs that are already exhausted. ``next`` reads the
+    queue's ``_heap`` and ``reference`` directly, since the top test runs
+    once per posting read.
+    """
+
+    def __init__(self, streams, order):
+        self._streams = _require_inputs(streams)
+        self.queue = IndirectQueue(len(self._streams), order)
+        self._last_left = NEG_INF
+        self._started = False
+        self._done = False
+
+    def _start(self):
+        queue = self.queue
+        for i, stream in enumerate(self._streams):
+            first = stream.next()
+            if first is not None:
+                queue.load(i, first)
+                queue.enqueue(i)
+        self._started = True
+
+
+class OrMerge(_QueueOperator):
     """Minimal intervals of the union of the inputs, merged lazily.
 
     Keeps the last returned interval and advances the queue while the top
@@ -57,19 +83,7 @@ class OrMerge(IntervalStream):
     """
 
     def __init__(self, streams):
-        self._streams = _require_inputs(streams)
-        self.queue = IndirectQueue(len(self._streams), cmp_end)
-        self._last = _BOTTOM
-        self._started = False
-        self._done = False
-
-    def _start(self):
-        for i, stream in enumerate(self._streams):
-            first = stream.next()
-            if first is not None:
-                self.queue.load(i, first)
-                self.queue.enqueue(i)
-        self._started = True
+        super().__init__(streams, cmp_end)
 
     def next(self):
         if self._done:
@@ -77,16 +91,19 @@ class OrMerge(IntervalStream):
         if not self._started:
             self._start()
         q = self.queue
-        while q.size() > 0 and q.top().left <= self._last.left:
-            advance(q, self._streams)
-        if q.size() == 0:
+        heap, ref, streams = q._heap, q.reference, self._streams
+        last_left = self._last_left
+        while heap and ref[heap[0]].left <= last_left:
+            advance(q, streams)
+        if not heap:
             self._done = True
             return None
-        self._last = q.top()
-        return self._last
+        top = ref[heap[0]]
+        self._last_left = top.left
+        return top
 
 
-class AndSpan(IntervalStream):
+class AndSpan(_QueueOperator):
     """Minimal intervals spanned by one interval per input.
 
     The queue is ordered by start; the candidate is the interval from the
@@ -98,19 +115,7 @@ class AndSpan(IntervalStream):
     """
 
     def __init__(self, streams):
-        self._streams = _require_inputs(streams)
-        self.queue = IndirectQueue(len(self._streams), cmp_start)
-        self._last = _BOTTOM
-        self._started = False
-        self._done = False
-
-    def _start(self):
-        for i, stream in enumerate(self._streams):
-            first = stream.next()
-            if first is not None:
-                self.queue.load(i, first)
-                self.queue.enqueue(i)
-        self._started = True
+        super().__init__(streams, cmp_start)
 
     def next(self):
         if self._done:
@@ -118,20 +123,27 @@ class AndSpan(IntervalStream):
         if not self._started:
             self._start()
         q = self.queue
-        m = len(self._streams)
-        while q.size() == m and q.top().left == self._last.left:
-            advance(q, self._streams)
-        if q.size() < m:
+        heap, ref, streams = q._heap, q.reference, self._streams
+        m = len(streams)
+        last_left = self._last_left
+        while len(heap) == m and ref[heap[0]].left == last_left:
+            advance(q, streams)
+        if len(heap) < m:
             self._done = True
             return None
         while True:
-            candidate = q.span_of()
-            if candidate == q.top():
+            # The candidate spans the top's left to the queue's right
+            # extreme; it is the top itself when their right extremes meet.
+            top = ref[heap[0]]
+            right = q.right_extreme
+            if top.right == right:
+                candidate = top
                 break
-            advance(q, self._streams)
-            if not (q.size() == m and q.right_extreme == candidate.right):
+            advance(q, streams)
+            if len(heap) < m or q.right_extreme != right:
+                candidate = Interval(top.left, right)
                 break
-        self._last = candidate
+        self._last_left = candidate.left
         return candidate
 
 

@@ -11,7 +11,8 @@ Grammar, loosest binding first:
 
 '&' and '<' do not mix at one level; parenthesize to combine them. Quoted
 phrases become exact-adjacency blocks over their words. Query words are
-tokenized exactly like document text.
+tokenized exactly like document text. Queries nested deeper than
+:data:`MAX_DEPTH` levels are rejected with an offset.
 """
 
 import re
@@ -65,6 +66,11 @@ class Minus:
     subtrahend: object
 
 
+MAX_DEPTH = 100
+"""Deepest nesting a query may have. Each parenthesized group and each
+operator node is one level, so a chain ``a-b-c`` or ``a~5~5`` is as deep as
+it is long. Evaluation and the AST's own methods recurse once per level."""
+
 _TOKEN = re.compile(
     r"""\s*(?:
         (?P<word>[^\W_]+)
@@ -98,10 +104,13 @@ def _lex(text: str):
 
 
 class _Parser:
+    """Recursive descent; each rule returns its node and that node's depth."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _lex(text)
         self.pos = 0
+        self.open = 0  # parentheses entered and not yet closed
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -113,53 +122,55 @@ class _Parser:
         self.pos += 1
         return token
 
-    def fail(self, message):
-        raise QuerySyntaxError(self.peek()[2], message)
+    def nest(self, offset, depth):
+        """The depth one level above ``depth``, rejected past MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise QuerySyntaxError(offset, f"query nests deeper than {MAX_DEPTH} levels")
+        return depth + 1
 
     def parse(self):
-        node = self.or_expr()
+        node, _ = self.or_expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise QuerySyntaxError(offset, f"unexpected {value!r}")
         return node
 
-    def or_expr(self):
-        children = [self.diff_expr()]
-        while self.peek()[:2] == ("punct", "|"):
+    def variadic(self, first, operator, operand, make):
+        """``first`` followed by ``operator operand`` repeats, if any."""
+        node, depth = first
+        if self.peek()[:2] != ("punct", operator):
+            return node, depth
+        offset = self.peek()[2]
+        children = [node]
+        while self.peek()[:2] == ("punct", operator):
             self.take()
-            children.append(self.diff_expr())
-        if len(children) == 1:
-            return children[0]
-        return Or(tuple(children))
+            child, child_depth = operand()
+            children.append(child)
+            depth = max(depth, child_depth)
+        return make(tuple(children)), self.nest(offset, depth)
+
+    def or_expr(self):
+        return self.variadic(self.diff_expr(), "|", self.diff_expr, Or)
 
     def diff_expr(self):
-        node = self.conj_expr()
+        node, depth = self.conj_expr()
         while self.peek()[:2] == ("punct", "-"):
-            self.take()
-            node = Minus(node, self.conj_expr())
-        return node
+            offset = self.take()[2]
+            subtrahend, sub_depth = self.conj_expr()
+            node = Minus(node, subtrahend)
+            depth = self.nest(offset, max(depth, sub_depth))
+        return node, depth
 
     def conj_expr(self):
         first = self.postfix_expr()
-        kind, value, _ = self.peek()
-        if (kind, value) == ("punct", "&"):
-            children = [first]
-            while self.peek()[:2] == ("punct", "&"):
-                self.take()
-                children.append(self.postfix_expr())
-            return And(tuple(children))
-        if (kind, value) == ("punct", "<"):
-            children = [first]
-            while self.peek()[:2] == ("punct", "<"):
-                self.take()
-                children.append(self.postfix_expr())
-            return OrderedAnd(tuple(children))
-        return first
+        if self.peek()[:2] == ("punct", "<"):
+            return self.variadic(first, "<", self.postfix_expr, OrderedAnd)
+        return self.variadic(first, "&", self.postfix_expr, And)
 
     def postfix_expr(self):
-        node = self.primary()
+        node, depth = self.primary()
         while self.peek()[:2] == ("punct", "~"):
-            self.take()
+            tilde = self.take()[2]
             kind, value, offset = self.take()
             if kind != "word" or not value.isdecimal():
                 raise QuerySyntaxError(offset, "proximity filter needs an integer")
@@ -167,26 +178,35 @@ class _Parser:
             if k <= 0:
                 raise QuerySyntaxError(offset, f"proximity width must be positive, got {k}")
             node = LowPass(node, k)
-        return node
+            depth = self.nest(tilde, depth)
+        return node, depth
 
     def primary(self):
         kind, value, offset = self.take()
         if kind == "word":
-            return Term(value)
+            return Term(value), 0
         if kind == "phrase":
             words = [term for term, _ in tokenize(value)]
             if not words:
                 raise QuerySyntaxError(offset, "empty phrase")
-            return Block(tuple(Term(w) for w in words))
+            return Block(tuple(Term(w) for w in words)), 1
         if (kind, value) == ("punct", "("):
-            node = self.or_expr()
-            kind, value, offset = self.take()
+            # Checked on the way in, so the recursion below stays shallow;
+            # the group's own depth is at least its nesting anyway.
+            self.nest(offset, self.open)
+            self.open += 1
+            node, depth = self.or_expr()
+            kind, value, close = self.take()
             if (kind, value) != ("punct", ")"):
-                raise QuerySyntaxError(offset, "expected ')'")
-            return node
+                raise QuerySyntaxError(close, "expected ')'")
+            self.open -= 1
+            return node, self.nest(offset, depth)
         raise QuerySyntaxError(offset, f"expected a term, got {value!r}" if value else "expected a term")
 
 
 def parse_query(text: str):
-    """Parse query text into an AST; raises QuerySyntaxError with offset."""
+    """Parse query text into an AST; raises QuerySyntaxError with offset.
+
+    A query nested deeper than :data:`MAX_DEPTH` levels is a syntax error.
+    """
     return _Parser(text).parse()

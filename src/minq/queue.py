@@ -14,8 +14,14 @@ left extreme to that maximum.
 The backing structure is a binary min-heap over indices plus an inverse
 position map, giving O(log m) mutations and O(1) top access. Mutation and
 comparison counts are tracked so tests can pin the operation-count bounds.
-:class:`LinearScanQueue` is the deliberately naive reference used for
-differential testing. Instances are single-threaded.
+Instances are single-threaded.
+
+:func:`advance` is the operators' per-read step, so it works on ``_heap``
+and ``reference`` directly: it reads the top list's next interval, stores
+it and sifts it down in one pass (the comparator called inline, the
+comparisons counted once per sift), with the same heap moves and counts
+that :meth:`load` plus :meth:`change` make. ``_heap`` is never rebound, so
+operators may hold on to it and test ``heap[0]`` and ``len(heap)``.
 """
 
 from .intervals import Interval, NEG_INF
@@ -61,137 +67,110 @@ class IndirectQueue:
         return Interval(self.top().left, self.right_extreme)
 
     def enqueue(self, index: int) -> None:
-        before = self.comparisons
-        self._pos[index] = len(self._heap)
-        self._heap.append(index)
-        self._sift_up(len(self._heap) - 1)
-        self._account(before)
+        heap, pos = self._heap, self._pos
+        pos[index] = len(heap)
+        heap.append(index)
+        self._account(self._sift_up(len(heap) - 1))
 
     def dequeue(self) -> int:
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise EmptyQueueError("dequeue of empty queue")
-        before = self.comparisons
-        result = self._heap[0]
+        result = heap[0]
         self._pos[result] = -1
-        last = self._heap.pop()
-        if self._heap:
-            self._heap[0] = last
+        last = heap.pop()
+        used = 0
+        if heap:
+            heap[0] = last
             self._pos[last] = 0
-            self._sift_down(0)
-        self._account(before)
+            used = self._sift_down(0)
+        self._account(used)
         return result
 
     def change(self) -> None:
         """Restore heap order after the top slot's value was replaced."""
         if not self._heap:
             raise EmptyQueueError("change on empty queue")
-        before = self.comparisons
-        self._sift_down(0)
-        self._account(before)
+        self._account(self._sift_down(0))
 
-    def _account(self, before):
-        used = self.comparisons - before
+    def _account(self, used):
+        self.comparisons += used
         if used > self.max_mutation_comparisons:
             self.max_mutation_comparisons = used
         self.mutations += 1
 
     def _slot_less(self, a: int, b: int) -> bool:
         c = self._cmp(self.reference[a], self.reference[b])
-        self.comparisons += 1
         return c < 0 or (c == 0 and a < b)
 
-    def _sift_up(self, slot: int) -> None:
+    def _sift_up(self, slot: int) -> int:
+        """Move the index at ``slot`` up into place; returns the comparisons made."""
         heap, pos = self._heap, self._pos
+        used = 0
         while slot > 0:
             parent = (slot - 1) // 2
+            used += 1
             if not self._slot_less(heap[slot], heap[parent]):
                 break
             heap[slot], heap[parent] = heap[parent], heap[slot]
             pos[heap[slot]] = slot
             pos[heap[parent]] = parent
             slot = parent
+        return used
 
-    def _sift_down(self, slot: int) -> None:
-        heap, pos = self._heap, self._pos
+    def _sift_down(self, slot: int) -> int:
+        """Move the index at ``slot`` down into place; returns the comparisons made.
+
+        The moving index is held aside while smaller children shift up into
+        the hole, so each level costs the same one or two comparisons as a
+        swap-based sift but writes each moved index once.
+        """
+        heap, pos, ref, cmp = self._heap, self._pos, self.reference, self._cmp
         n = len(heap)
-        while True:
-            child = 2 * slot + 1
-            if child >= n:
+        index = heap[slot]
+        item = ref[index]
+        used = 0
+        child = 2 * slot + 1
+        while child < n:
+            best = heap[child]
+            best_item = ref[best]
+            if child + 1 < n:
+                other = heap[child + 1]
+                other_item = ref[other]
+                c = cmp(other_item, best_item)
+                used += 1
+                if c < 0 or (c == 0 and other < best):
+                    child += 1
+                    best, best_item = other, other_item
+            c = cmp(best_item, item)
+            used += 1
+            if c > 0 or (c == 0 and best > index):
                 break
-            if child + 1 < n and self._slot_less(heap[child + 1], heap[child]):
-                child += 1
-            if not self._slot_less(heap[child], heap[slot]):
-                break
-            heap[slot], heap[child] = heap[child], heap[slot]
-            pos[heap[slot]] = slot
-            pos[heap[child]] = child
+            heap[slot] = best
+            pos[best] = slot
             slot = child
+            child = 2 * slot + 1
+        heap[slot] = index
+        pos[index] = slot
+        return used
 
 
-class LinearScanQueue:
-    """Array-backed variant: O(1) mutations, O(m) top retrieval.
-
-    Same contract and tie-breaking as :class:`IndirectQueue`; kept as the
-    obviously-correct reference for differential tests.
-    """
-
-    def __init__(self, size: int, compare):
-        self.reference: list[Interval | None] = [None] * size
-        self.right_extreme = NEG_INF
-        self._cmp = compare
-        self._members: list[int] = []
-
-    def load(self, index, interval):
-        self.reference[index] = interval
-        if interval.right > self.right_extreme:
-            self.right_extreme = interval.right
-
-    def size(self):
-        return len(self._members)
-
-    def __len__(self):
-        return len(self._members)
-
-    def top_index(self):
-        if not self._members:
-            raise EmptyQueueError("top of empty queue")
-        best = self._members[0]
-        for index in self._members[1:]:
-            c = self._cmp(self.reference[index], self.reference[best])
-            if c < 0 or (c == 0 and index < best):
-                best = index
-        return best
-
-    def top(self):
-        return self.reference[self.top_index()]
-
-    def span_of(self):
-        return Interval(self.top().left, self.right_extreme)
-
-    def enqueue(self, index):
-        self._members.append(index)
-
-    def dequeue(self):
-        result = self.top_index()
-        self._members.remove(result)
-        return result
-
-    def change(self):
-        if not self._members:
-            raise EmptyQueueError("change on empty queue")
-
-
-def advance(queue, streams) -> None:
+def advance(queue: IndirectQueue, streams) -> None:
     """Replace the top slot with its list's next interval, or drop the list.
 
     Reads exactly one element from the list bound to the top index: a real
-    interval lands in the reference array (notifying the queue), a terminal
-    dequeues the index for good.
+    interval lands in the reference array and is sifted into place (one
+    mutation), a terminal dequeues the index for good.
     """
-    index = queue.top_index()
+    heap = queue._heap
+    if not heap:
+        raise EmptyQueueError("advance on empty queue")
+    index = heap[0]
     item = streams[index].next()
     if item is None:
         queue.dequeue()
-    else:
-        queue.load(index, item)
-        queue.change()
+        return
+    queue.reference[index] = item
+    if item.right > queue.right_extreme:
+        queue.right_extreme = item.right
+    queue._account(queue._sift_down(0))

@@ -4,6 +4,8 @@ A stream hands out the intervals of an antichain in natural order (strictly
 increasing left *and* right extremes) through :meth:`IntervalStream.next`,
 and returns ``None`` forever once exhausted. Streams are single-consumer
 and hold no locks; a stream may be handed between threads between calls.
+Every operator also stops pulling an input once that input has returned
+``None``, and stops pulling all inputs once it has returned ``None`` itself.
 
 :class:`CountingStream` records how many elements (the terminal ``None``
 included) were pulled from a source, and :func:`profile` snapshots those
@@ -17,6 +19,14 @@ algorithm: the check reads (and caches) a short prefix of every input and
 may short-circuit the whole computation; otherwise the main algorithm runs
 over the cached prefix followed by the live remainder, so the composite
 reads exactly what the main algorithm would have read on its own.
+
+Wrappers get out of the per-read path once they have nothing left to add:
+a leaf stream steps a plain iterator over its positions, a replay rebinds
+its ``next`` to the live source's once the cached prefix is served, and a
+composed stream rebinds its ``next`` to the chosen inner stream's after the
+check. A rebound replay no longer guards against reads past the end; the
+end-of-stream contract above is what keeps those reads from happening, so
+the composite's read counts stay those of ``main``.
 """
 
 from dataclasses import dataclass, field
@@ -56,15 +66,12 @@ class ListStream(IntervalStream):
 
 class _PositionStream(IntervalStream):
     def __init__(self, positions):
-        self._positions = positions
-        self._cursor = 0
+        self._positions = iter(positions)
 
     def next(self):
-        if self._cursor >= len(self._positions):
-            return None
-        p = self._positions[self._cursor]
-        self._cursor += 1
-        return Interval(p, p)
+        for p in self._positions:
+            return Interval(p, p)
+        return None
 
 
 def from_positions(positions) -> IntervalStream:
@@ -157,31 +164,40 @@ class _PrefixCache(IntervalStream):
 
 
 class _ReplayStream(IntervalStream):
-    """Yields a cached prefix, then continues from the live source."""
+    """Yields a cached prefix, then continues from the live source.
+
+    Once the prefix is served and the source has not ended, ``next`` is
+    rebound to the source's own ``next``, so later reads pay for no replay
+    hop.
+    """
 
     def __init__(self, cache: _PrefixCache):
         self._cache = cache
         self._cursor = 0
-        self._done = False
 
     def next(self):
-        if self._done:
-            return None
         cached = self._cache.items
         if self._cursor < len(cached):
             item = cached[self._cursor]
             self._cursor += 1
             return item
         if self._cache.saw_terminal:
-            self._done = True
             return None
-        item = self._cache._source.next()
-        if item is None:
-            self._done = True
+        source = self._cache._source
+        item = source.next()
+        # Bound after the read: a source that rebinds its own next on its
+        # first pull (a star stream the check never read) is then skipped too.
+        self.next = source.next
         return item
 
 
 class _StarStream(IntervalStream):
+    """Runs the check on the first pull, then hands ``next`` to the result.
+
+    A caller that took the class-level ``next`` before the first pull may
+    keep calling it: it stays valid after the rebinding, one hop slower.
+    """
+
     def __init__(self, check, main, streams):
         self._check = check
         self._main = main
@@ -196,6 +212,7 @@ class _StarStream(IntervalStream):
                 self._inner = ListStream(short)
             else:
                 self._inner = self._main([c.replay() for c in caches])
+            self.next = self._inner.next
         return self._inner.next()
 
 

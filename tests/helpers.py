@@ -1,8 +1,9 @@
-"""Shared fixtures-in-spirit: worked-example data and random generators."""
+"""Shared fixtures-in-spirit: worked-example data, random generators and
+the linear-scan reference queue."""
 
 import random
 
-from minq import Interval
+from minq import EmptyQueueError, Interval, NEG_INF
 from minq.streams import IntervalStream
 
 # Term positions of the rhyme corpus (tests/data/rhyme.txt).
@@ -80,3 +81,56 @@ class CountedSingletons(IntervalStream):
         value = self._next
         self._next += self._step
         return Interval(value, value)
+
+
+class LinearScanQueue:
+    """Array-backed variant: O(1) mutations, O(m) top retrieval.
+
+    Same contract and tie-breaking as :class:`minq.IndirectQueue`; kept as
+    the obviously-correct reference for differential tests.
+    """
+
+    def __init__(self, size: int, compare):
+        self.reference: list[Interval | None] = [None] * size
+        self.right_extreme = NEG_INF
+        self._cmp = compare
+        self._members: list[int] = []
+
+    def load(self, index, interval):
+        self.reference[index] = interval
+        if interval.right > self.right_extreme:
+            self.right_extreme = interval.right
+
+    def size(self):
+        return len(self._members)
+
+    def __len__(self):
+        return len(self._members)
+
+    def top_index(self):
+        if not self._members:
+            raise EmptyQueueError("top of empty queue")
+        best = self._members[0]
+        for index in self._members[1:]:
+            c = self._cmp(self.reference[index], self.reference[best])
+            if c < 0 or (c == 0 and index < best):
+                best = index
+        return best
+
+    def top(self):
+        return self.reference[self.top_index()]
+
+    def span_of(self):
+        return Interval(self.top().left, self.right_extreme)
+
+    def enqueue(self, index):
+        self._members.append(index)
+
+    def dequeue(self):
+        result = self.top_index()
+        self._members.remove(result)
+        return result
+
+    def change(self):
+        if not self._members:
+            raise EmptyQueueError("change on empty queue")

@@ -157,3 +157,33 @@ def test_missing_source_outside_top_is_never_opened(two_doc_idx):
     proc = run_cli("query", str(idx), "ape & bee", "--top", "1", "--snippets", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode() == "0\t3.0000\t[0..1] [1..2] [2..3]\n\t[0..1]\tape bee\n"
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "(" * 250 + "pease" + ")" * 250,
+        "-".join(["pease"] * 1200),
+        "pease~5" + "~5" * 1199,
+    ],
+    ids=["parentheses", "difference-chain", "width-chain"],
+)
+def test_too_deep_query_exit_one_without_traceback(rhyme_idx, query):
+    proc = run_cli("query", str(rhyme_idx), query)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("minq: query error: offset ")
+    assert "deeper than" in lines[0]
+
+
+def test_index_path_with_newline_exit_two_and_no_file(tmp_path):
+    doc = tmp_path / "two\nlines.txt"
+    doc.write_text("ape bee")
+    idx = tmp_path / "idx.ivx"
+    proc = run_cli("index", str(doc), "-o", str(idx))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("minq: document path ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [doc.name]

@@ -31,6 +31,7 @@ from minq import (
 
 import minq.engine as engine
 from helpers import RHYME_ANTICHAIN, singletons
+from minq.query import MAX_DEPTH
 
 iv = lambda l, r: Interval(l, r)
 
@@ -123,6 +124,22 @@ def test_evaluate_matches_oracle_composition_on_random_corpora():
             ast = random_ast(rng, vocab)
             for doc_id in range(index.doc_count()):
                 assert evaluate(ast, index, doc_id) == oracle_eval(ast, index, doc_id)
+
+
+@pytest.mark.parametrize(
+    "deep,shallow",
+    [
+        ("(" * MAX_DEPTH + "pease" + ")" * MAX_DEPTH, "pease"),
+        ("-".join(["pease"] + ["hot"] * MAX_DEPTH), "pease - hot"),
+        ('"pease porridge"' + "~5" * (MAX_DEPTH - 1), '"pease porridge"'),
+    ],
+)
+def test_queries_at_the_depth_limit_evaluate(rhyme_index, deep, shallow):
+    ast = parse_query(deep)
+    assert evaluate(ast, rhyme_index, 0) == oracle_eval(ast, rhyme_index, 0)
+    expected = search(rhyme_index, parse_query(shallow))
+    assert expected
+    assert search(rhyme_index, ast) == expected
 
 
 def test_candidate_docs_is_sound():

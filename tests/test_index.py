@@ -69,6 +69,32 @@ def test_path_with_spaces_round_trips(tmp_path):
     assert load_index(target).docs[0].path == "dir with spaces/a doc.txt"
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_path_with_line_break_rejected_before_writing(tmp_path, brk):
+    # load_index splits the file with str.splitlines, so such a path would
+    # save fine and then break every load of the index
+    path = f"a{brk}b.txt"
+    target = tmp_path / "idx.ivx"
+    target.write_text("old contents")
+    with pytest.raises(ValueError) as err:
+        save_index(build_index([("fine.txt", "ape"), (path, "bee")]), target)
+    assert repr(path) in str(err.value)
+    assert target.read_text() == "old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
+
+
+def test_failed_save_leaves_old_file_and_no_temp(tmp_path):
+    target = tmp_path / "idx.ivx"
+    save_index(build_index([("a.txt", "ape bee")]), target)
+    before = target.read_bytes()
+    index = build_index([("b.txt", "cow")])
+    index.postings["cow"][0] = None  # not iterable: the write fails midway
+    with pytest.raises(TypeError):
+        save_index(index, target)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
+
+
 @pytest.mark.parametrize(
     "content,line",
     [

@@ -3,6 +3,7 @@ import random
 from minq import (
     CountingStream,
     Interval,
+    ListStream,
     and_span,
     block,
     check_read_bounds,
@@ -11,8 +12,14 @@ from minq import (
     or_merge,
     ordered_and,
     profile,
+    star_compose,
 )
-from minq.streams import _PrefixCache
+from minq.streams import (
+    _PrefixCache,
+    check_all_empty,
+    check_any_empty,
+    check_minuend_empty,
+)
 
 from helpers import CountedSingletons, random_inputs, singletons
 
@@ -99,3 +106,35 @@ def test_and_prefix_of_huge_inputs_costs_a_few_reads():
     spans = and_span(counted)
     assert spans.next() == iv(0, 1)
     assert all(c.reads <= 2 for c in counted)
+
+
+def test_ended_operators_stay_ended_without_reading():
+    # star_compose hands next() over to the live inputs once a replay or a
+    # check is done, which is only sound if an operator that has returned
+    # None never pulls an input again.
+    operators = {
+        "or": or_merge,
+        "and": and_span,
+        "block": block,
+        "ordered_and": ordered_and,
+        "lowpass": lambda ss: lowpass(ss[0], 3),
+        "difference": lambda ss: difference(ss[0], ss[1]),
+    }
+    forms = dict(operators)
+    for name, op in operators.items():
+        for check in (check_all_empty, check_any_empty, check_minuend_empty):
+            forms[f"{name}*{check.__name__}"] = star_compose(check, op)
+    rng = random.Random(404)
+    for _ in range(300):
+        inputs = random_inputs(rng)
+        if len(inputs) < 2:
+            inputs.append(inputs[0])
+        for name, form in forms.items():
+            counted = [CountingStream(ListStream(a)) for a in inputs]
+            stream = form(counted)
+            while stream.next() is not None:
+                pass
+            reads = [c.reads for c in counted]
+            for _ in range(10):
+                assert stream.next() is None, name
+            assert [c.reads for c in counted] == reads, name

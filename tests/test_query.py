@@ -11,6 +11,7 @@ from minq import (
     Term,
     parse_query,
 )
+from minq.query import MAX_DEPTH
 
 
 def test_caption_query_shape():
@@ -81,3 +82,43 @@ def test_nonpositive_width_rejected():
         parse_query("a~0")
     with pytest.raises(QuerySyntaxError):
         parse_query("a~-1")
+
+
+def nested_queries(levels):
+    """Parentheses, a difference chain and a width chain, ``levels`` deep."""
+    return [
+        "(" * levels + "a" + ")" * levels,
+        "-".join(["a"] * (levels + 1)),
+        "a" + "~5" * levels,
+    ]
+
+
+def test_depth_limit_admits_queries_at_the_limit():
+    parens, chain, widths = map(parse_query, nested_queries(MAX_DEPTH))
+    assert parens == Term("a")
+    node, depth = chain, 0
+    while isinstance(node, Minus):
+        node, depth = node.minuend, depth + 1
+    assert depth == MAX_DEPTH
+    node, depth = widths, 0
+    while isinstance(node, LowPass):
+        node, depth = node.child, depth + 1
+    assert depth == MAX_DEPTH
+    # groups and operator nodes count alike
+    parse_query("(" * (MAX_DEPTH - 1) + "a & b" + ")" * (MAX_DEPTH - 1))
+    with pytest.raises(QuerySyntaxError):
+        parse_query("(" * MAX_DEPTH + "a & b" + ")" * MAX_DEPTH)
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 1_199])
+def test_depth_limit_rejects_deeper_queries_with_offset(levels):
+    parens, chain, widths = nested_queries(levels)
+    for text, offset in (
+        (parens, MAX_DEPTH),  # the first '(' past the limit
+        (chain, 2 * MAX_DEPTH + 1),  # the '-' that makes the 101st level
+        (widths, 2 * MAX_DEPTH + 1),  # the '~' that makes the 101st level
+    ):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        assert err.value.offset == offset
+        assert "deeper than" in str(err.value)

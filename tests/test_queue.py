@@ -7,12 +7,15 @@ from minq import (
     EmptyQueueError,
     IndirectQueue,
     Interval,
-    LinearScanQueue,
     ListStream,
     advance,
+    and_span,
     cmp_end,
     cmp_start,
+    or_merge,
 )
+
+from helpers import LinearScanQueue, random_inputs
 
 iv = lambda l, r: Interval(l, r)
 
@@ -202,3 +205,22 @@ def test_mutation_comparison_budget():
                 q.load(top, iv(left, right))
                 q.change()
         assert q.max_mutation_comparisons <= limit
+
+
+def test_operation_counts_pinned_on_criterion_5_inputs():
+    # Criterion 5 only bounds these counts; the exact totals pin the heap's
+    # behaviour, so a faster sift or advance must make the very same moves.
+    rng = random.Random(5)
+    totals = {or_merge: [0, 0, 0], and_span: [0, 0, 0]}
+    for _ in range(2000):
+        inputs = random_inputs(rng)
+        for op, total in totals.items():
+            stream = op([ListStream(a) for a in inputs])
+            while stream.next() is not None:
+                pass
+            queue = stream.queue
+            total[0] += queue.mutations
+            total[1] += queue.comparisons
+            total[2] = max(total[2], queue.max_mutation_comparisons)
+    assert totals[or_merge] == [33_565, 41_510, 4]
+    assert totals[and_span] == [17_281, 24_982, 4]
