@@ -1,11 +1,12 @@
 """Per-document query evaluation, snippets, ranking and search.
 
 A query AST compiles, per document, into a tree of lazy operators over
-singleton-interval streams built from term positions. Every operator is
-wrapped with a one-read-per-list emptiness check through
-:func:`~minq.streams.star_compose`, so empty operands (absent terms
-included) short-circuit without disturbing the main algorithms' read
-discipline.
+singleton-interval streams built from term positions. One table maps each
+operator node type to its operands, its operator and its candidate-document
+rule. Only block and ordered conjunction are wrapped with the one-read-per-list
+emptiness check (:func:`~minq.streams.star_compose`): the other operators
+first read every operand once (difference: the minuend), so an empty operand
+(an absent term, say) already stops them after exactly the check's reads.
 
 Document-level filtering is conservative: it may admit documents without
 witnesses (evaluation weeds them out) but never drops one with witnesses.
@@ -30,9 +31,7 @@ from .streams import (
     IntervalStream,
     ListStream,
     RhoProfile,
-    check_all_empty,
     check_any_empty,
-    check_minuend_empty,
     from_positions,
     materialize,
     star_compose,
@@ -41,44 +40,50 @@ from .streams import (
 SATURATION_LENGTH = 8
 
 
-def _compile_children(node, index, doc_id):
-    return [compile_query(child, index, doc_id) for child in node.children]
+def _children(node):
+    return node.children
+
+
+def _union(doc_sets):
+    return set().union(*doc_sets)
+
+
+def _intersection(doc_sets):
+    return set.intersection(*doc_sets)
+
+
+def _first(doc_sets):
+    return next(doc_sets)
+
+
+# node type -> (its operand nodes, operator over their streams, rule over an
+# iterator of their doc-id sets). Operators are module globals looked up when
+# called, so they can be rebound from outside. Only block and ordered
+# conjunction take the emptiness check: the others' first reads are the check's.
+_NODES = {
+    Or: (_children, lambda n, s: or_merge(s), _union),
+    And: (_children, lambda n, s: and_span(s), _intersection),
+    Block: (
+        _children,
+        lambda n, s: star_compose(check_any_empty, block)(s),
+        _intersection,
+    ),
+    OrderedAnd: (
+        _children,
+        lambda n, s: star_compose(check_any_empty, ordered_and)(s),
+        _intersection,
+    ),
+    LowPass: (lambda n: (n.child,), lambda n, s: lowpass(s[0], n.k), _first),
+    Minus: (lambda n: (n.minuend, n.subtrahend), lambda n, s: difference(*s), _first),
+}
 
 
 def compile_query(ast, index, doc_id: int) -> IntervalStream:
     """Build the lazy operator tree for one document."""
     if isinstance(ast, Term):
         return from_positions(index.positions(ast.term, doc_id))
-    if isinstance(ast, Or):
-        return star_compose(check_all_empty, or_merge)(
-            _compile_children(ast, index, doc_id)
-        )
-    if isinstance(ast, And):
-        return star_compose(check_any_empty, and_span)(
-            _compile_children(ast, index, doc_id)
-        )
-    if isinstance(ast, Block):
-        return star_compose(check_any_empty, block)(
-            _compile_children(ast, index, doc_id)
-        )
-    if isinstance(ast, OrderedAnd):
-        return star_compose(check_any_empty, ordered_and)(
-            _compile_children(ast, index, doc_id)
-        )
-    if isinstance(ast, LowPass):
-        return star_compose(
-            check_any_empty, lambda streams: lowpass(streams[0], ast.k)
-        )([compile_query(ast.child, index, doc_id)])
-    if isinstance(ast, Minus):
-        return star_compose(
-            check_minuend_empty, lambda streams: difference(streams[0], streams[1])
-        )(
-            [
-                compile_query(ast.minuend, index, doc_id),
-                compile_query(ast.subtrahend, index, doc_id),
-            ]
-        )
-    raise TypeError(f"not a query node: {ast!r}")
+    operands, operator, _ = _NODES[type(ast)]
+    return operator(ast, [compile_query(node, index, doc_id) for node in operands(ast)])
 
 
 def evaluate(ast, index, doc_id: int) -> list[Interval]:
@@ -87,34 +92,17 @@ def evaluate(ast, index, doc_id: int) -> list[Interval]:
 
 
 def evaluate_with_profile(ast, index, doc_id: int):
-    """Witnesses plus the read profile of the root operator's inputs."""
+    """Witnesses plus the read profile of the root operator's inputs.
+
+    A term root is profiled as the single input of an identity operator.
+    """
     if isinstance(ast, Term):
-        children = [from_positions(index.positions(ast.term, doc_id))]
-        rebuild = lambda streams: streams[0]
-    elif isinstance(ast, Minus):
-        children = [
-            compile_query(ast.minuend, index, doc_id),
-            compile_query(ast.subtrahend, index, doc_id),
-        ]
-        rebuild = star_compose(
-            check_minuend_empty, lambda streams: difference(streams[0], streams[1])
-        )
-    elif isinstance(ast, LowPass):
-        children = [compile_query(ast.child, index, doc_id)]
-        rebuild = star_compose(
-            check_any_empty, lambda streams: lowpass(streams[0], ast.k)
-        )
+        inputs, operator = (ast,), lambda n, s: s[0]
     else:
-        children = _compile_children(ast, index, doc_id)
-        op = {
-            Or: star_compose(check_all_empty, or_merge),
-            And: star_compose(check_any_empty, and_span),
-            Block: star_compose(check_any_empty, block),
-            OrderedAnd: star_compose(check_any_empty, ordered_and),
-        }[type(ast)]
-        rebuild = op
-    counters = [CountingStream(child) for child in children]
-    out = rebuild(counters)
+        operands, operator, _ = _NODES[type(ast)]
+        inputs = operands(ast)
+    counters = [CountingStream(compile_query(node, index, doc_id)) for node in inputs]
+    out = operator(ast, counters)
     witnesses = []
     prof = RhoProfile(m=len(counters))
     while (item := out.next()) is not None:
@@ -127,24 +115,11 @@ def evaluate_with_profile(ast, index, doc_id: int):
 def candidate_docs(ast, index) -> list[int]:
     """Sorted ids of documents that could possibly hold witnesses."""
 
-    def docs(node) -> set[int]:
-        if isinstance(node, Term):
-            return index.term_docs(node.term)
-        if isinstance(node, Or):
-            out = set()
-            for child in node.children:
-                out |= docs(child)
-            return out
-        if isinstance(node, (And, Block, OrderedAnd)):
-            out = docs(node.children[0])
-            for child in node.children[1:]:
-                out &= docs(child)
-            return out
-        if isinstance(node, LowPass):
-            return docs(node.child)
-        if isinstance(node, Minus):
-            return docs(node.minuend)
-        raise TypeError(f"not a query node: {node!r}")
+    def docs(ast) -> set[int]:
+        if isinstance(ast, Term):
+            return index.term_docs(ast.term)
+        operands, _, combine = _NODES[type(ast)]
+        return combine(docs(node) for node in operands(ast))
 
     return sorted(docs(ast))
 
@@ -180,12 +155,11 @@ def snippets(witnesses, k: int) -> list[Interval]:
     return chosen
 
 
-def rank(witnesses, word_count: int) -> float:
+def rank(witnesses) -> float:
     """Sum of per-witness credits, each saturating at 1 for short spans.
 
     A witness of length at most :data:`SATURATION_LENGTH` contributes 1,
-    longer ones proportionally less. ``word_count`` is accepted so
-    alternative schemes can normalize by document size; this one does not.
+    longer ones proportionally less.
     """
     return float(sum(min(1.0, SATURATION_LENGTH / length(iv)) for iv in witnesses))
 
@@ -247,7 +221,7 @@ def search(
             witnesses, prof = evaluate(ast, index, doc_id), None
         if not witnesses:
             continue
-        score = rank(witnesses, index.word_count(doc_id))
+        score = rank(witnesses)
         results.append(
             QueryResult(
                 doc_id=doc_id,

@@ -11,20 +11,16 @@ its inputs as little as possible per emitted interval:
 * :func:`lowpass` is a plain length filter.
 
 Inputs must be valid antichain streams; outputs are again antichains in
-natural order, duplicate-free. Empty inputs are tolerated (the merge drops
-them, everything else terminates), though the evaluation layer normally
-rules them out up front with :func:`~minq.streams.star_compose` and an
-emptiness check. Construction reads nothing; the first pull does.
+natural order, duplicate-free. Empty inputs are tolerated: the merge drops
+them and everything else terminates. Block and ordered conjunction may
+read later inputs before they reach an empty one, so the evaluation layer
+puts a :func:`~minq.streams.star_compose` emptiness check in front of those
+two only. Construction reads nothing; the first pull does.
 
 Operator state is one reference slot plus a few scalars per input list, so
 space stays linear in the operand count no matter how long the inputs are.
 Instances are single-consumer and own their input streams; independent
 operator trees can run on different threads.
-
-The integer-position shortcuts of ``block`` (first-list fast-forward) and
-``ordered_and`` (tightened barrier checks) sit behind constructor flags,
-default off, so that read profiles of the plain algorithms stay pinned;
-they never change what is emitted, only how soon advancing stops.
 """
 
 from .intervals import (
@@ -153,18 +149,12 @@ class BlockConcat(IntervalStream):
     Advances the first list once per attempt, then aligns each later list
     until its interval starts past the previous one's right extreme; an
     exact +1 adjacency extends the chain, a gap restarts from the first
-    list. With ``fast_forward`` the restart also skips first-list intervals
-    ending more than one position before the second list's current start:
-    no remaining chain can touch them, since second components at or past
-    that start are all that is left. (Sharper skips keyed to deeper lists
-    are only sound when every input is made of single positions, so they
-    are not attempted.)
+    list.
     """
 
-    def __init__(self, streams, fast_forward: bool = False):
+    def __init__(self, streams):
         self._streams = _require_inputs(streams)
         self._cur = [_BOTTOM] * len(self._streams)
-        self._fast_forward = fast_forward
         self._done = False
 
     def next(self):
@@ -189,14 +179,11 @@ class BlockConcat(IntervalStream):
             if cur[i].left == cur[i - 1].right + 1:
                 i += 1
             else:
-                while True:
-                    head = streams[0].next()
-                    if head is None:
-                        self._done = True
-                        return None
-                    cur[0] = head
-                    if not self._fast_forward or cur[0].right >= cur[1].left - 1:
-                        break
+                head = streams[0].next()
+                if head is None:
+                    self._done = True
+                    return None
+                cur[0] = head
                 i = 1
         return Interval(cur[0].left, cur[m - 1].right)
 
@@ -210,17 +197,12 @@ class OrderedSpan(IntervalStream):
     returned) as soon as any aligning read would have to land at or past
     the barrier, or an input runs dry. A candidate refines only while new
     chains keep the same right extreme.
-
-    ``tight_bounds`` sharpens the barrier checks by the minimum room the
-    remaining chain components need, never loosening them past the plain
-    checks, so outputs are identical and reads can only drop.
     """
 
-    def __init__(self, streams, tight_bounds: bool = False):
+    def __init__(self, streams):
         self._streams = _require_inputs(streams)
         self._cur = [_BOTTOM] * len(self._streams)
         self._i = 1
-        self._tight = tight_bounds
         self._started = False
         self._done = False
 
@@ -248,14 +230,12 @@ class OrderedSpan(IntervalStream):
         try:
             while True:
                 while True:
-                    bound = barrier - (max(0, m - i - 1) if self._tight else 0)
-                    if cur[i - 1].right >= bound:
+                    if cur[i - 1].right >= barrier:
                         return self._emit(candidate)
                     if i == m or cur[i].left > cur[i - 1].right:
                         break
                     while True:
-                        bound = barrier - (max(0, m - i - 2) if self._tight else 0)
-                        if cur[i].right >= bound:
+                        if cur[i].right >= barrier:
                             return self._emit(candidate)
                         item = streams[i].next()
                         if item is None:
@@ -343,11 +323,11 @@ def or_merge(streams) -> IntervalStream:
 def and_span(streams) -> IntervalStream:
     return AndSpan(streams)
 
-def block(streams, fast_forward: bool = False) -> IntervalStream:
-    return BlockConcat(streams, fast_forward=fast_forward)
+def block(streams) -> IntervalStream:
+    return BlockConcat(streams)
 
-def ordered_and(streams, tight_bounds: bool = False) -> IntervalStream:
-    return OrderedSpan(streams, tight_bounds=tight_bounds)
+def ordered_and(streams) -> IntervalStream:
+    return OrderedSpan(streams)
 
 def lowpass(stream, k: int) -> IntervalStream:
     return LowPassFilter(stream, k)

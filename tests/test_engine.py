@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from minq import (
     And,
     Block,
+    CountingStream,
     Interval,
     ListStream,
     LowPass,
@@ -13,25 +15,34 @@ from minq import (
     Or,
     OrderedAnd,
     Term,
+    and_span,
+    block,
     build_index,
     candidate_docs,
+    difference,
     evaluate,
     evaluate_with_profile,
+    lowpass,
+    materialize,
+    or_merge,
     oracle_and,
     oracle_block,
     oracle_difference,
     oracle_lowpass,
     oracle_or,
     oracle_ordered_and,
+    ordered_and,
     parse_query,
     rank,
     search,
     snippets,
+    star_compose,
 )
 
 import minq.engine as engine
 from helpers import RHYME_ANTICHAIN, singletons
 from minq.query import MAX_DEPTH
+from minq.streams import check_all_empty, check_any_empty, check_minuend_empty
 
 iv = lambda l, r: Interval(l, r)
 
@@ -192,16 +203,16 @@ def test_snippets_are_nonoverlapping_members():
 
 
 def test_rank_examples():
-    assert rank([iv(0, 3)], 100) == 1.0
-    assert rank([iv(0, 15)], 100) == 0.5
-    assert rank([], 100) == 0.0
+    assert rank([iv(0, 3)]) == 1.0
+    assert rank([iv(0, 15)]) == 0.5
+    assert rank([]) == 0.0
 
 
 def test_rank_properties():
     witnesses = [iv(0, 2), iv(4, 20), iv(30, 30)]
     shuffled = [witnesses[2], witnesses[0], witnesses[1]]
-    assert rank(witnesses, 50) == rank(shuffled, 50)
-    assert rank(witnesses, 50) > rank(witnesses[:2], 50)
+    assert rank(witnesses) == rank(shuffled)
+    assert rank(witnesses) > rank(witnesses[:2])
 
 
 def test_search_orders_by_score(rhyme_index):
@@ -240,6 +251,117 @@ def test_evaluate_with_profile_term_root(rhyme_index):
     witnesses, prof = evaluate_with_profile(Term("pease"), rhyme_index, 0)
     assert witnesses == singletons((0, 3, 6, 31, 34))
     assert prof.rho == [(1,), (2,), (3,), (4,), (5,)]
+
+
+def star_operands(ast):
+    """Operand nodes of ``ast`` and its operator behind an emptiness check."""
+    if isinstance(ast, Or):
+        return ast.children, star_compose(check_all_empty, or_merge)
+    if isinstance(ast, And):
+        return ast.children, star_compose(check_any_empty, and_span)
+    if isinstance(ast, Block):
+        return ast.children, star_compose(check_any_empty, block)
+    if isinstance(ast, OrderedAnd):
+        return ast.children, star_compose(check_any_empty, ordered_and)
+    if isinstance(ast, LowPass):
+        return (ast.child,), star_compose(
+            check_any_empty, lambda streams: lowpass(streams[0], ast.k)
+        )
+    if isinstance(ast, Minus):
+        return (ast.minuend, ast.subtrahend), star_compose(
+            check_minuend_empty, lambda streams: difference(streams[0], streams[1])
+        )
+    raise TypeError(ast)
+
+
+def star_compile(ast, index, doc_id):
+    """Reference compile with an emptiness check in front of every operator."""
+    if isinstance(ast, Term):
+        return engine.from_positions(index.positions(ast.term, doc_id))
+    operands, operator = star_operands(ast)
+    return operator([star_compile(node, index, doc_id) for node in operands])
+
+
+def star_profile(ast, index, doc_id):
+    """Root rho rows of :func:`star_compile`'s tree."""
+    if isinstance(ast, Term):
+        counters = [CountingStream(star_compile(ast, index, doc_id))]
+        out = counters[0]
+    else:
+        operands, operator = star_operands(ast)
+        counters = [CountingStream(star_compile(n, index, doc_id)) for n in operands]
+        out = operator(counters)
+    rows = []
+    while out.next() is not None:
+        rows.append(tuple(c.reads for c in counters))
+    return rows
+
+
+def test_emptiness_checks_left_out_change_no_read(monkeypatch):
+    # Only block and ordered conjunction keep the check; for every node type
+    # the outputs, root rho rows and per-leaf reads must be those of a tree
+    # with the check in front of every operator.
+    leaves = []
+    real = engine.from_positions
+
+    def counted_leaf(positions):
+        leaves.append(CountingStream(real(positions)))
+        return leaves[-1]
+
+    def leaf_reads(run):
+        leaves.clear()
+        result = run()
+        return result, [leaf.reads for leaf in leaves]
+
+    monkeypatch.setattr(engine, "from_positions", counted_leaf)
+    rng = random.Random(4711)
+    vocab = ["a", "b", "c", "d"]
+    roots = set()
+    for _ in range(25):
+        corpus = [
+            (f"d{i}.txt", " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 25))))
+            for i in range(4)
+        ]
+        index = build_index(corpus)
+        for _ in range(12):
+            ast = random_ast(rng, vocab + ["absent"])
+            roots.add(type(ast))
+            for doc_id in range(index.doc_count()):
+                expected = leaf_reads(
+                    lambda: materialize(star_compile(ast, index, doc_id))
+                )
+                assert leaf_reads(lambda: evaluate(ast, index, doc_id)) == expected
+                expected_rho = leaf_reads(lambda: star_profile(ast, index, doc_id))
+                (witnesses, prof), reads = leaf_reads(
+                    lambda: evaluate_with_profile(ast, index, doc_id)
+                )
+                assert witnesses == expected[0]
+                assert (prof.rho, reads) == expected_rho
+    assert roots == {Term, Or, And, Block, OrderedAnd, LowPass, Minus}
+
+
+def test_engine_looks_up_its_collaborators_when_called(rhyme_index, monkeypatch):
+    # Tracing rebinds these module globals; a table that captured them at
+    # import time would bypass the rebound names.
+    calls = Counter()
+    names = (
+        "or_merge", "and_span", "block", "ordered_and", "lowpass", "difference",
+        "from_positions", "star_compose", "compile_query",
+    )
+    for name in names:
+        real = getattr(engine, name)
+
+        def proxy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, proxy)
+    ast = parse_query('("pease porridge" | hot & cold | pease < hot)~12 - unicorn')
+    assert search(rhyme_index, ast)
+    assert calls == {
+        "or_merge": 1, "and_span": 1, "block": 1, "ordered_and": 1, "lowpass": 1,
+        "difference": 1, "from_positions": 7, "star_compose": 2, "compile_query": 13,
+    }
 
 
 def result_key(result):
