@@ -3,10 +3,9 @@
 A query AST compiles, per document, into a tree of lazy operators over
 singleton-interval streams built from term positions. One table maps each
 operator node type to its operands, its operator and its candidate-document
-rule. Only block and ordered conjunction are wrapped with the one-read-per-list
-emptiness check (:func:`~minq.streams.star_compose`): the other operators
-first read every operand once (difference: the minuend), so an empty operand
-(an absent term, say) already stops them after exactly the check's reads.
+rule. The operators are used bare: each first reads every operand once
+(difference: the minuend), so an empty operand (an absent term, say) ends
+it at once unless the operator is the merge or the operand a subtrahend.
 
 Document-level filtering is conservative: it may admit documents without
 witnesses (evaluation weeds them out) but never drops one with witnesses.
@@ -31,10 +30,9 @@ from .streams import (
     IntervalStream,
     ListStream,
     RhoProfile,
-    check_any_empty,
     from_positions,
     materialize,
-    star_compose,
+    star_compose,  # not called; bench/tracer.py rebinds it at install
 )
 
 SATURATION_LENGTH = 8
@@ -58,21 +56,12 @@ def _first(doc_sets):
 
 # node type -> (its operand nodes, operator over their streams, rule over an
 # iterator of their doc-id sets). Operators are module globals looked up when
-# called, so they can be rebound from outside. Only block and ordered
-# conjunction take the emptiness check: the others' first reads are the check's.
+# called, so they can be rebound from outside.
 _NODES = {
     Or: (_children, lambda n, s: or_merge(s), _union),
     And: (_children, lambda n, s: and_span(s), _intersection),
-    Block: (
-        _children,
-        lambda n, s: star_compose(check_any_empty, block)(s),
-        _intersection,
-    ),
-    OrderedAnd: (
-        _children,
-        lambda n, s: star_compose(check_any_empty, ordered_and)(s),
-        _intersection,
-    ),
+    Block: (_children, lambda n, s: block(s), _intersection),
+    OrderedAnd: (_children, lambda n, s: ordered_and(s), _intersection),
     LowPass: (lambda n: (n.child,), lambda n, s: lowpass(s[0], n.k), _first),
     Minus: (lambda n: (n.minuend, n.subtrahend), lambda n, s: difference(*s), _first),
 }

@@ -59,10 +59,6 @@ _set_left = Interval.left.__set__
 _set_right = Interval.right.__set__
 
 
-def singleton(position: int) -> Interval:
-    return Interval(position, position)
-
-
 def contains(a: Interval, b: Interval) -> bool:
     """True iff ``b`` lies entirely within ``a``."""
     return a.left <= b.left and b.right <= a.right

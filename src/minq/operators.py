@@ -12,10 +12,11 @@ its inputs as little as possible per emitted interval:
 
 Inputs must be valid antichain streams; outputs are again antichains in
 natural order, duplicate-free. Empty inputs are tolerated: the merge drops
-them and everything else terminates. Block and ordered conjunction may
-read later inputs before they reach an empty one, so the evaluation layer
-puts a :func:`~minq.streams.star_compose` emptiness check in front of those
-two only. Construction reads nothing; the first pull does.
+them and everything else terminates. Construction reads nothing; the first
+pull reads one element from every input (difference: from the minuend), so
+an empty operand ends the span conjunction, block and ordered conjunction
+after exactly those reads, without touching the later elements of any other
+operand.
 
 Operator state is one reference slot plus a few scalars per input list, so
 space stays linear in the operand count no matter how long the inputs are.
@@ -44,13 +45,23 @@ def _require_inputs(streams):
     return list(streams)
 
 
+def _first_reads(streams):
+    """The first element of every input, or ``None`` if any input is empty.
+
+    Reads exactly one element from every input, also from those after an
+    empty one, so a conjunction-style operator that ends on an empty
+    operand has read the same from each input whichever one was empty.
+    """
+    firsts = [stream.next() for stream in streams]
+    return None if None in firsts else firsts
+
+
 class _QueueOperator(IntervalStream):
     """Inputs, queue and output state shared by the two queue-driven operators.
 
-    The first pull loads every input's first interval into the queue,
-    leaving out inputs that are already exhausted. ``next`` reads the
-    queue's ``_heap`` and ``reference`` directly, since the top test runs
-    once per posting read.
+    The first pull reads every input's first interval and loads the queue
+    with those that exist. ``next`` reads the queue's ``_heap`` and
+    ``reference`` directly, since the top test runs once per posting read.
     """
 
     def __init__(self, streams, order):
@@ -60,10 +71,9 @@ class _QueueOperator(IntervalStream):
         self._started = False
         self._done = False
 
-    def _start(self):
+    def _start(self, firsts):
         queue = self.queue
-        for i, stream in enumerate(self._streams):
-            first = stream.next()
+        for i, first in enumerate(firsts):
             if first is not None:
                 queue.load(i, first)
                 queue.enqueue(i)
@@ -85,7 +95,7 @@ class OrMerge(_QueueOperator):
         if self._done:
             return None
         if not self._started:
-            self._start()
+            self._start([stream.next() for stream in self._streams])
         q = self.queue
         heap, ref, streams = q._heap, q.reference, self._streams
         last_left = self._last_left
@@ -107,7 +117,8 @@ class AndSpan(_QueueOperator):
     advances keep the span inside it. Both monotonicity shortcuts apply:
     the skip-past-last-output test compares left extremes only, and the
     still-contained test compares right extremes only. Output ends for good
-    the moment the queue stops being full.
+    the moment the queue stops being full; with an empty operand the queue
+    is never loaded.
     """
 
     def __init__(self, streams):
@@ -117,7 +128,11 @@ class AndSpan(_QueueOperator):
         if self._done:
             return None
         if not self._started:
-            self._start()
+            firsts = _first_reads(self._streams)
+            if firsts is None:
+                self._done = True
+                return None
+            self._start(firsts)
         q = self.queue
         heap, ref, streams = q._heap, q.reference, self._streams
         m = len(streams)
@@ -146,7 +161,8 @@ class AndSpan(_QueueOperator):
 class BlockConcat(IntervalStream):
     """Spans of chains of exactly adjacent intervals, one per input.
 
-    Advances the first list once per attempt, then aligns each later list
+    The first attempt starts from every list's first interval; each later
+    one advances the first list once. An attempt aligns each later list
     until its interval starts past the previous one's right extreme; an
     exact +1 adjacency extends the chain, a gap restarts from the first
     list.
@@ -154,7 +170,7 @@ class BlockConcat(IntervalStream):
 
     def __init__(self, streams):
         self._streams = _require_inputs(streams)
-        self._cur = [_BOTTOM] * len(self._streams)
+        self._cur = None
         self._done = False
 
     def next(self):
@@ -163,11 +179,17 @@ class BlockConcat(IntervalStream):
         cur = self._cur
         streams = self._streams
         m = len(streams)
-        head = streams[0].next()
-        if head is None:
-            self._done = True
-            return None
-        cur[0] = head
+        if cur is None:
+            cur = self._cur = _first_reads(streams)
+            if cur is None:
+                self._done = True
+                return None
+        else:
+            head = streams[0].next()
+            if head is None:
+                self._done = True
+                return None
+            cur[0] = head
         i = 1
         while i < m:
             while cur[i].left <= cur[i - 1].right:
@@ -197,19 +219,17 @@ class OrderedSpan(IntervalStream):
     returned) as soon as any aligning read would have to land at or past
     the barrier, or an input runs dry. A candidate refines only while new
     chains keep the same right extreme.
+
+    The first pull aligns the first chain from every list's first interval
+    on its own: the loop's shortcut of taking an aligned ``cur[i]`` as the
+    end of a chain holds only once ``cur[i:]`` has been aligned before.
     """
 
     def __init__(self, streams):
         self._streams = _require_inputs(streams)
-        self._cur = [_BOTTOM] * len(self._streams)
-        self._i = 1
-        self._started = False
+        self._cur = None
+        self._i = len(self._streams)  # the first chain is aligned up front
         self._done = False
-
-    def _emit(self, candidate):
-        if candidate is None:
-            self._done = True
-        return candidate
 
     def next(self):
         if self._done:
@@ -217,13 +237,19 @@ class OrderedSpan(IntervalStream):
         cur = self._cur
         streams = self._streams
         m = len(streams)
-        if not self._started:
-            self._started = True
-            head = streams[0].next()
-            if head is None:
+        if cur is None:
+            cur = self._cur = _first_reads(streams)
+            if cur is None:
                 self._done = True
                 return None
-            cur[0] = head
+            # No barrier stands before the first candidate.
+            for i in range(1, m):
+                while cur[i].left <= cur[i - 1].right:
+                    item = streams[i].next()
+                    if item is None:
+                        self._done = True
+                        return None
+                    cur[i] = item
         candidate = None
         barrier = POS_INF
         i = self._i
@@ -231,12 +257,12 @@ class OrderedSpan(IntervalStream):
             while True:
                 while True:
                     if cur[i - 1].right >= barrier:
-                        return self._emit(candidate)
+                        return candidate
                     if i == m or cur[i].left > cur[i - 1].right:
                         break
                     while True:
                         if cur[i].right >= barrier:
-                            return self._emit(candidate)
+                            return candidate
                         item = streams[i].next()
                         if item is None:
                             self._done = True

@@ -51,9 +51,6 @@ class IndirectQueue:
     def size(self) -> int:
         return len(self._heap)
 
-    def __len__(self):
-        return len(self._heap)
-
     def top_index(self) -> int:
         if not self._heap:
             raise EmptyQueueError("top of empty queue")

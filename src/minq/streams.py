@@ -18,15 +18,8 @@ throughout the test harness.
 algorithm: the check reads (and caches) a short prefix of every input and
 may short-circuit the whole computation; otherwise the main algorithm runs
 over the cached prefix followed by the live remainder, so the composite
-reads exactly what the main algorithm would have read on its own.
-
-Wrappers get out of the per-read path once they have nothing left to add:
-a leaf stream steps a plain iterator over its positions, a replay rebinds
-its ``next`` to the live source's once the cached prefix is served, and a
-composed stream rebinds its ``next`` to the chosen inner stream's after the
-check. A rebound replay no longer guards against reads past the end; the
-end-of-stream contract above is what keeps those reads from happening, so
-the composite's read counts stay those of ``main``.
+reads exactly what the main algorithm would have read on its own. The
+query engine uses none of this: each operator makes its own emptiness check.
 """
 
 from dataclasses import dataclass, field
@@ -164,12 +157,7 @@ class _PrefixCache(IntervalStream):
 
 
 class _ReplayStream(IntervalStream):
-    """Yields a cached prefix, then continues from the live source.
-
-    Once the prefix is served and the source has not ended, ``next`` is
-    rebound to the source's own ``next``, so later reads pay for no replay
-    hop.
-    """
+    """Yields a cached prefix, then continues from the live source."""
 
     def __init__(self, cache: _PrefixCache):
         self._cache = cache
@@ -183,20 +171,11 @@ class _ReplayStream(IntervalStream):
             return item
         if self._cache.saw_terminal:
             return None
-        source = self._cache._source
-        item = source.next()
-        # Bound after the read: a source that rebinds its own next on its
-        # first pull (a star stream the check never read) is then skipped too.
-        self.next = source.next
-        return item
+        return self._cache._source.next()
 
 
 class _StarStream(IntervalStream):
-    """Runs the check on the first pull, then hands ``next`` to the result.
-
-    A caller that took the class-level ``next`` before the first pull may
-    keep calling it: it stays valid after the rebinding, one hop slower.
-    """
+    """Runs the check on the first pull, then reads from its result."""
 
     def __init__(self, check, main, streams):
         self._check = check
@@ -212,7 +191,6 @@ class _StarStream(IntervalStream):
                 self._inner = ListStream(short)
             else:
                 self._inner = self._main([c.replay() for c in caches])
-            self.next = self._inner.next
         return self._inner.next()
 
 

@@ -9,7 +9,9 @@ from minq import (
     check_read_bounds,
     difference,
     lowpass,
+    materialize,
     or_merge,
+    oracle_or,
     ordered_and,
     profile,
     star_compose,
@@ -91,6 +93,27 @@ def test_read_bounds_hold_on_randomized_inputs():
         assert check_read_bounds(prof, [inputs[0]], "lowpass").ok
 
 
+def test_an_empty_operand_costs_one_read_per_input():
+    # The bare operators make their own emptiness check: a conjunction-style
+    # operator reads each input once and ends, the span conjunction without
+    # touching its queue, and an empty minuend leaves the subtrahend unread.
+    rng = random.Random(606)
+    for _ in range(300):
+        inputs = random_inputs(rng)
+        inputs[rng.randrange(len(inputs))] = []
+        for op in (and_span, block, ordered_and):
+            counted = [CountingStream(ListStream(a)) for a in inputs]
+            stream = op(counted)
+            assert stream.next() is None
+            assert [c.reads for c in counted] == [1] * len(inputs)
+            if op is and_span:
+                assert stream.queue.mutations == 0
+        counted = [CountingStream(ListStream([])), CountingStream(ListStream(inputs[0]))]
+        assert difference(*counted).next() is None
+        assert [c.reads for c in counted] == [1, 0]
+        assert materialize(or_merge([ListStream(a) for a in inputs])) == oracle_or(inputs)
+
+
 def test_prefix_of_huge_inputs_costs_a_few_reads():
     sources = [CountedSingletons(start=offset, step=3) for offset in range(3)]
     counted = [CountingStream(s) for s in sources]
@@ -109,9 +132,9 @@ def test_and_prefix_of_huge_inputs_costs_a_few_reads():
 
 
 def test_ended_operators_stay_ended_without_reading():
-    # star_compose hands next() over to the live inputs once a replay or a
-    # check is done, which is only sound if an operator that has returned
-    # None never pulls an input again.
+    # A replay reads its live source directly once the cached prefix is
+    # served, with no end guard of its own, which is only sound if an
+    # operator that has returned None never pulls an input again.
     operators = {
         "or": or_merge,
         "and": and_span,

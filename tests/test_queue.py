@@ -210,6 +210,7 @@ def test_mutation_comparison_budget():
 def test_operation_counts_pinned_on_criterion_5_inputs():
     # Criterion 5 only bounds these counts; the exact totals pin the heap's
     # behaviour, so a faster sift or advance must make the very same moves.
+    # The span conjunction loads nothing when an operand is empty.
     rng = random.Random(5)
     totals = {or_merge: [0, 0, 0], and_span: [0, 0, 0]}
     for _ in range(2000):
@@ -223,4 +224,4 @@ def test_operation_counts_pinned_on_criterion_5_inputs():
             total[1] += queue.comparisons
             total[2] = max(total[2], queue.max_mutation_comparisons)
     assert totals[or_merge] == [33_565, 41_510, 4]
-    assert totals[and_span] == [17_281, 24_982, 4]
+    assert totals[and_span] == [16_252, 24_253, 4]
