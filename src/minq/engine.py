@@ -10,7 +10,9 @@ it at once unless the operator is the merge or the operand a subtrahend.
 Document-level filtering is conservative: it may admit documents without
 witnesses (evaluation weeds them out) but never drops one with witnesses.
 Evaluation is document-at-a-time; distinct documents are independent and
-may be processed in parallel.
+may be processed in parallel. The query path creates no reference cycles,
+so everything a query builds, and an index dropped afterwards, is freed by
+reference counting even while the cyclic collector is paused.
 
 :func:`search` ranks every match and cuts to ``top`` before it extracts
 snippets, so snippets are extracted only for the returned results and the
@@ -21,7 +23,7 @@ longer matches the index raises :class:`StaleSourceError`.
 
 from dataclasses import dataclass
 
-from .index import tokenize
+from .index import words
 from .intervals import Interval, length
 from .operators import and_span, block, difference, lowpass, or_merge, ordered_and
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
@@ -101,16 +103,18 @@ def evaluate_with_profile(ast, index, doc_id: int):
     return witnesses, prof
 
 
+def _docs(ast, index) -> set[int]:
+    # Not a closure in candidate_docs: a recursive closure holds itself and
+    # the index in a reference cycle, which only the cyclic collector frees.
+    if isinstance(ast, Term):
+        return index.term_docs(ast.term)
+    operands, _, combine = _NODES[type(ast)]
+    return combine(_docs(node, index) for node in operands(ast))
+
+
 def candidate_docs(ast, index) -> list[int]:
     """Sorted ids of documents that could possibly hold witnesses."""
-
-    def docs(ast) -> set[int]:
-        if isinstance(ast, Term):
-            return index.term_docs(ast.term)
-        operands, _, combine = _NODES[type(ast)]
-        return combine(docs(node) for node in operands(ast))
-
-    return sorted(docs(ast))
+    return sorted(_docs(ast, index))
 
 
 def snippets(witnesses, k: int) -> list[Interval]:
@@ -174,13 +178,13 @@ def document_words(index, doc_id: int) -> list[str]:
     """
     path = index.docs[doc_id].path
     with open(path, "r", encoding="utf-8") as src:
-        words = [term for term, _ in tokenize(src.read())]
+        found = words(src.read())
     expected = index.word_count(doc_id)
-    if len(words) != expected:
+    if len(found) != expected:
         raise StaleSourceError(
-            f"stale source {path}: {len(words)} words, index has {expected}; re-index it"
+            f"stale source {path}: {len(found)} words, index has {expected}; re-index it"
         )
-    return words
+    return found
 
 
 def search(

@@ -1,10 +1,16 @@
 """Positional inverted index with a line-oriented text persistence format.
 
 Documents are plain text; tokenization lowercases and splits on any run of
-non-alphanumeric characters, numbering words from 0. The index maps each
-term to per-document strictly increasing position lists, plus a document
-table of source path and word count. Once built (or loaded) an index is
-never mutated by queries, so it can be shared freely across threads.
+non-alphanumeric characters, numbering words from 0 (:func:`words` is the
+one splitter, also used for query phrases and snippets). The index maps
+each term to per-document strictly increasing position lists, plus a
+document table of source path and word count. Once built (or loaded) an
+index is never mutated by queries, so it can be shared freely across
+threads. Building and loading pause the cyclic garbage collector, which is
+process-wide, and restore the state they found; other threads meanwhile
+run without cyclic collection. The pause is safe because an index holds
+no reference cycles, and it pays: otherwise collections triggered by
+set-up's allocations walk every list already built.
 
 The on-disk format is diffable text, fixed so golden files stay bit-exact:
 
@@ -22,9 +28,12 @@ The file is not fsynced: a power loss just after a save can still lose it.
 """
 
 import contextlib
+import gc
 import os
 import re
 from dataclasses import dataclass
+from itertools import count
+from operator import lt
 
 _WORD = re.compile(r"[^\W_]+")
 
@@ -39,9 +48,14 @@ class IndexFormatError(ValueError):
         self.line = line
 
 
+def words(text: str) -> list[str]:
+    """Lowercased words in text order; a word is a run of letters and digits."""
+    return [word.lower() for word in _WORD.findall(text)]
+
+
 def tokenize(text: str):
     """Lowercased (term, position) pairs; words are alphanumeric runs."""
-    return [(m.group().lower(), pos) for pos, m in enumerate(_WORD.finditer(text))]
+    return list(zip(words(text), count()))
 
 
 @dataclass
@@ -57,10 +71,14 @@ class PositionalIndex:
 
     def add_document(self, path: str, text: str) -> int:
         doc_id = len(self.docs)
-        tokens = tokenize(text)
-        self.docs.append(DocInfo(path=path, word_count=len(tokens)))
-        for term, pos in tokens:
-            self.postings.setdefault(term, {}).setdefault(doc_id, []).append(pos)
+        terms = words(text)
+        self.docs.append(DocInfo(path=path, word_count=len(terms)))
+        grouped = {}
+        for pos, term in enumerate(terms):
+            grouped.setdefault(term, []).append(pos)
+        postings = self.postings
+        for term, positions in grouped.items():
+            postings.setdefault(term, {})[doc_id] = positions
         return doc_id
 
     def doc_count(self) -> int:
@@ -84,6 +102,22 @@ class PositionalIndex:
         )
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off, then restore the state found.
+
+    Why this is safe and pays is in the module docstring.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_index(documents) -> PositionalIndex:
     """Index an iterable of (path, text) pairs in order."""
     index = PositionalIndex()
@@ -124,6 +158,7 @@ def save_index(index: PositionalIndex, path) -> None:
         raise
 
 
+@_collector_paused()
 def load_index(path) -> PositionalIndex:
     index = PositionalIndex()
     with open(path, "r", encoding="utf-8") as src:
@@ -137,49 +172,54 @@ def load_index(path) -> PositionalIndex:
         doc_count = int(header[1])
     except ValueError:
         raise IndexFormatError(1, f"bad document count {header[1]!r}") from None
-    term = None
+    docs, postings = index.docs, index.postings
+    term_docs = None  # the current term's postings, None before the first T
     for number, line in enumerate(lines[1:], start=2):
         kind, _, rest = line.partition(" ")
-        if kind == "D":
-            fields = rest.split(" ", 2)
-            if len(fields) != 3:
-                raise IndexFormatError(number, "document line needs id, count, path")
-            try:
-                doc_id, words = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise IndexFormatError(number, f"bad document fields {rest!r}") from None
-            if doc_id != len(index.docs):
-                raise IndexFormatError(number, f"document id {doc_id} out of order")
-            index.docs.append(DocInfo(path=fields[2], word_count=words))
-        elif kind == "T":
-            if not rest:
-                raise IndexFormatError(number, "empty term")
-            if rest in index.postings:
-                raise IndexFormatError(number, f"duplicate term {rest!r}")
-            term = rest
-            index.postings[term] = {}
-        elif kind == "P":
-            if term is None:
+        if kind == "P":
+            if term_docs is None:
                 raise IndexFormatError(number, "postings before any term")
-            fields = rest.split()
             try:
-                values = [int(f) for f in fields]
+                values = list(map(int, rest.split()))
             except ValueError:
                 raise IndexFormatError(number, f"bad posting fields {rest!r}") from None
             if len(values) < 2:
                 raise IndexFormatError(number, "posting line needs doc id and positions")
             doc_id, positions = values[0], values[1:]
-            if not 0 <= doc_id < len(index.docs):
+            if not 0 <= doc_id < len(docs):
                 raise IndexFormatError(number, f"unknown document id {doc_id}")
-            if doc_id in index.postings[term]:
+            if doc_id in term_docs:
                 raise IndexFormatError(number, f"duplicate postings for doc {doc_id}")
-            limit = index.docs[doc_id].word_count
-            for prev, cur in zip([-1] + positions, positions):
-                if cur <= prev:
-                    raise IndexFormatError(number, "positions not strictly increasing")
-                if cur >= limit:
-                    raise IndexFormatError(number, f"position {cur} beyond word count {limit}")
-            index.postings[term][doc_id] = positions
+            limit = docs[doc_id].word_count
+            if not (
+                positions[0] >= 0
+                and positions[-1] < limit
+                and all(map(lt, positions, positions[1:]))
+            ):
+                # Rescan to name the first fault in line order.
+                for prev, cur in zip([-1] + positions, positions):
+                    if cur <= prev:
+                        raise IndexFormatError(number, "positions not strictly increasing")
+                    if cur >= limit:
+                        raise IndexFormatError(number, f"position {cur} beyond word count {limit}")
+            term_docs[doc_id] = positions
+        elif kind == "T":
+            if not rest:
+                raise IndexFormatError(number, "empty term")
+            if rest in postings:
+                raise IndexFormatError(number, f"duplicate term {rest!r}")
+            term_docs = postings[rest] = {}
+        elif kind == "D":
+            fields = rest.split(" ", 2)
+            if len(fields) != 3:
+                raise IndexFormatError(number, "document line needs id, count, path")
+            try:
+                doc_id, word_count = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise IndexFormatError(number, f"bad document fields {rest!r}") from None
+            if doc_id != len(docs):
+                raise IndexFormatError(number, f"document id {doc_id} out of order")
+            docs.append(DocInfo(path=fields[2], word_count=word_count))
         else:
             raise IndexFormatError(number, f"unknown record {line!r}")
     if len(index.docs) != doc_count:

@@ -18,7 +18,7 @@ tokenized exactly like document text. Queries nested deeper than
 import re
 from dataclasses import dataclass
 
-from .index import tokenize
+from .index import words
 
 
 class QuerySyntaxError(ValueError):
@@ -186,10 +186,10 @@ class _Parser:
         if kind == "word":
             return Term(value), 0
         if kind == "phrase":
-            words = [term for term, _ in tokenize(value)]
-            if not words:
+            terms = words(value)
+            if not terms:
                 raise QuerySyntaxError(offset, "empty phrase")
-            return Block(tuple(Term(w) for w in words)), 1
+            return Block(tuple(Term(w) for w in terms)), 1
         if (kind, value) == ("punct", "("):
             # Checked on the way in, so the recursion below stays shallow;
             # the group's own depth is at least its nesting anyway.

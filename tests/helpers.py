@@ -1,9 +1,11 @@
-"""Shared fixtures-in-spirit: worked-example data, random generators and
-the linear-scan reference queue."""
+"""Shared fixtures-in-spirit: worked-example data, random generators, the
+linear-scan reference queue and the per-token reference index build."""
 
 import random
+import re
 
-from minq import EmptyQueueError, Interval, NEG_INF
+from minq import EmptyQueueError, Interval, NEG_INF, PositionalIndex
+from minq.index import DocInfo
 from minq.streams import IntervalStream
 
 # Term positions of the rhyme corpus (tests/data/rhyme.txt).
@@ -134,3 +136,25 @@ class LinearScanQueue:
     def change(self):
         if not self._members:
             raise EmptyQueueError("change on empty queue")
+
+
+_REFERENCE_WORD = re.compile(r"[^\W_]+")
+
+
+def reference_tokenize(text):
+    """Tokenization one match at a time: lowercase each alphanumeric run."""
+    return [
+        (m.group().lower(), pos) for pos, m in enumerate(_REFERENCE_WORD.finditer(text))
+    ]
+
+
+def reference_build(documents):
+    """Index built one token at a time, as the obviously-correct reference."""
+    index = PositionalIndex()
+    for path, text in documents:
+        doc_id = len(index.docs)
+        tokens = reference_tokenize(text)
+        index.docs.append(DocInfo(path=path, word_count=len(tokens)))
+        for term, pos in tokens:
+            index.postings.setdefault(term, {}).setdefault(doc_id, []).append(pos)
+    return index

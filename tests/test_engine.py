@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -236,6 +238,33 @@ def test_search_snippets_extract_words(tmp_path):
     index = build_index([(str(doc), doc.read_text())])
     results = search(index, parse_query('"two three"'), snippet_count=2)
     assert results[0].snippets == [(iv(1, 2), ["two", "three"])]
+
+
+def test_search_leaves_no_reference_cycles(tmp_path):
+    # With the collector off, anything a query leaves in a cycle stays
+    # allocated; a cycle through the index would also keep a dropped index.
+    texts = ["pease porridge hot pease porridge cold", "cold porridge nine days old pease"]
+    documents = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"{i}.txt"
+        path.write_text(text)
+        documents.append((str(path), text))
+    index = build_index(documents)
+    query = "pease | porridge & hot | \"porridge hot\" | (pease < porridge) | pease~3 | cold - nine"
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ast = parse_query(query)
+        assert search(index, ast, top=1, snippet_count=2)
+        assert search(index, ast, with_profile=True)
+        dropped = weakref.ref(index)
+        del index
+        assert dropped() is None
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_evaluate_with_profile_matches_plain(rhyme_index):

@@ -1,11 +1,15 @@
+import gc
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from minq import IndexFormatError, build_index, load_index, save_index, tokenize
+from minq.index import words
 
-from helpers import PEASE, PORRIDGE
+from helpers import PEASE, PORRIDGE, reference_build, reference_tokenize
 
 RHYME = Path(__file__).parent / "data" / "rhyme.txt"
 
@@ -108,6 +112,14 @@ def test_failed_save_leaves_old_file_and_no_temp(tmp_path):
         ("IVX1 1\nD 0 3 x.txt\nT a\nP 1 0\n", 4),
         ("IVX1 1\nD 0 3 x.txt\nZ what\n", 3),
         ("IVX1 2\nD 0 3 x.txt\n", 2),
+        ("IVX1 1\nD 0 3 x.txt\nT a\nP\n", 4),
+        ("IVX1 1\nD 0 3 x.txt\nT a\nP 0\n", 4),
+        ("IVX1 1\nD 0 3 x.txt\nT a\nP 0 -1 2\n", 4),
+        ("IVX1 1\nD 0 3 x.txt\nT a\nP 0 1 3\n", 4),
+        ("IVX1 1\nD 0 3 x.txt\nT a\nP 0 1\nP 0 2\n", 5),
+        ("IVX1 1\nD 0 3 x.txt\nT \n", 3),
+        ("IVX1 1\nD x 3 x.txt\n", 2),
+        ("IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1 9\n", 4),
     ],
 )
 def test_malformed_files_report_line(tmp_path, content, line):
@@ -117,6 +129,78 @@ def test_malformed_files_report_line(tmp_path, content, line):
         load_index(target)
     assert err.value.line == line
     assert f"line {line}:" in str(err.value)
+    assert POSITION_FAULTS.get(content, "") in str(err.value)
+
+
+# The loader checks a posting line's positions in one pass and rescans only
+# a faulty line, so these pin which fault the rescan names: the first in line
+# order, with an order fault before a range fault at the same position.
+POSITION_FAULTS = {
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1\n": "positions not strictly increasing",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 9\n": "position 9 beyond word count 3",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 -1 2\n": "positions not strictly increasing",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 1 3\n": "position 3 beyond word count 3",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1 9\n": "positions not strictly increasing",
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_and_load_restore_collector_state(tmp_path, enabled):
+    seen = []
+
+    def documents():
+        seen.append(gc.isenabled())
+        yield "a.txt", "ape bee ape"
+
+    target = tmp_path / "idx.ivx"
+    bad = tmp_path / "bad.ivx"
+    bad.write_text("IVX1 1\nD 0 3 x.txt\nT a\nP 0 1\nP 0 9\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        index = build_index(documents())
+        assert gc.isenabled() is enabled
+        save_index(index, target)
+        assert load_index(target) == index
+        assert gc.isenabled() is enabled
+        with pytest.raises(IndexFormatError):
+            load_index(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
+# Letters, digits, the underscore, the benchmark corpus's accented letters,
+# a dotted capital I (it lowercases to two code points), combining marks,
+# punctuation and whitespace, plus any other encodable character.
+_TEXT = st.text(
+    st.sampled_from("aZ09_éèüöåøñçÉÜİ\u0301\u0307-.,'!? \t\n") | st.characters(codec="utf-8"),
+    max_size=60,
+)
+_PATH = st.text(st.characters(codec="utf-8"), max_size=12).filter(
+    lambda p: p.splitlines() in ([], [p])
+)
+
+
+@given(_TEXT)
+def test_tokenizers_equal_the_per_match_reference(text):
+    expected = reference_tokenize(text)
+    assert tokenize(text) == expected
+    assert words(text) == [term for term, _ in expected]
+
+
+@given(st.lists(st.tuples(_PATH, _TEXT), max_size=5))
+def test_build_equals_the_per_token_reference_and_round_trips(documents):
+    index = build_index(documents)
+    reference = reference_build(documents)
+    assert index == reference
+    with tempfile.TemporaryDirectory() as directory:
+        target, expected = Path(directory) / "idx.ivx", Path(directory) / "ref.ivx"
+        save_index(index, target)
+        save_index(reference, expected)
+        assert target.read_bytes() == expected.read_bytes()
+        assert load_index(target) == index
 
 
 def test_missing_file_surfaces_os_error(tmp_path):
