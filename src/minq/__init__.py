@@ -26,7 +26,6 @@ from .streams import (
     from_positions,
     materialize,
     profile,
-    star_compose,
 )
 from .queue import EmptyQueueError, IndirectQueue, advance
 from .operators import and_span, block, difference, lowpass, or_merge, ordered_and
@@ -78,7 +77,7 @@ __all__ = [
     "Interval", "NEG_INF", "POS_INF", "cmp_end", "cmp_start", "contains",
     "length", "span", "strictly_before",
     "CountingStream", "IntervalStream", "ListStream", "OrderViolation",
-    "RhoProfile", "from_positions", "materialize", "profile", "star_compose",
+    "RhoProfile", "from_positions", "materialize", "profile",
     "EmptyQueueError", "IndirectQueue", "advance",
     "and_span", "block", "difference", "lowpass", "or_merge", "ordered_and",
     "NotProducible", "ReadBoundReport", "check_read_bounds",

@@ -28,14 +28,15 @@ from .intervals import Interval, length
 from .operators import and_span, block, difference, lowpass, or_merge, ordered_and
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
 from .streams import (
-    CountingStream,
     IntervalStream,
     ListStream,
     RhoProfile,
     from_positions,
     materialize,
-    star_compose,  # not called; bench/tracer.py rebinds it at install
+    profile_streams,
 )
+
+star_compose = None  # placeholder: bench/tracer.py rebinds this name at install
 
 SATURATION_LENGTH = 8
 
@@ -92,15 +93,11 @@ def evaluate_with_profile(ast, index, doc_id: int):
     else:
         operands, operator, _ = _NODES[type(ast)]
         inputs = operands(ast)
-    counters = [CountingStream(compile_query(node, index, doc_id)) for node in inputs]
-    out = operator(ast, counters)
-    witnesses = []
-    prof = RhoProfile(m=len(counters))
-    while (item := out.next()) is not None:
-        witnesses.append(item)
-        prof.outputs.append(item)
-        prof.rho.append(tuple(c.reads for c in counters))
-    return witnesses, prof
+    prof = profile_streams(
+        lambda streams: operator(ast, streams),
+        [compile_query(node, index, doc_id) for node in inputs],
+    )
+    return prof.outputs, prof
 
 
 def _docs(ast, index) -> set[int]:

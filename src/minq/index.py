@@ -172,6 +172,8 @@ def load_index(path) -> PositionalIndex:
         doc_count = int(header[1])
     except ValueError:
         raise IndexFormatError(1, f"bad document count {header[1]!r}") from None
+    if doc_count < 0:
+        raise IndexFormatError(1, f"negative document count {doc_count}")
     docs, postings = index.docs, index.postings
     term_docs = None  # the current term's postings, None before the first T
     for number, line in enumerate(lines[1:], start=2):
@@ -219,6 +221,8 @@ def load_index(path) -> PositionalIndex:
                 raise IndexFormatError(number, f"bad document fields {rest!r}") from None
             if doc_id != len(docs):
                 raise IndexFormatError(number, f"document id {doc_id} out of order")
+            if word_count < 0:
+                raise IndexFormatError(number, f"negative word count {word_count}")
             docs.append(DocInfo(path=fields[2], word_count=word_count))
         else:
             raise IndexFormatError(number, f"unknown record {line!r}")

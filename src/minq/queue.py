@@ -11,10 +11,11 @@ extreme over every interval ever loaded into the reference array, so that
 :meth:`span_of` can produce the interval stretching from the current top's
 left extreme to that maximum.
 
-The backing structure is a binary min-heap over indices plus an inverse
-position map, giving O(log m) mutations and O(1) top access. Mutation and
-comparison counts are tracked so tests can pin the operation-count bounds.
-Instances are single-threaded.
+The backing structure is a binary min-heap over indices, giving O(log m)
+mutations and O(1) top access. Only the top is ever changed or removed, so
+no index is ever looked up by its heap position. Mutation and comparison
+counts are tracked so tests can pin the operation-count bounds. Instances
+are single-threaded.
 
 :func:`advance` is the operators' per-read step, so it works on ``_heap``
 and ``reference`` directly: it reads the top list's next interval, stores
@@ -37,7 +38,6 @@ class IndirectQueue:
         self.right_extreme = NEG_INF
         self._cmp = compare
         self._heap: list[int] = []
-        self._pos = [-1] * size
         self.mutations = 0
         self.comparisons = 0
         self.max_mutation_comparisons = 0
@@ -64,8 +64,7 @@ class IndirectQueue:
         return Interval(self.top().left, self.right_extreme)
 
     def enqueue(self, index: int) -> None:
-        heap, pos = self._heap, self._pos
-        pos[index] = len(heap)
+        heap = self._heap
         heap.append(index)
         self._account(self._sift_up(len(heap) - 1))
 
@@ -74,12 +73,10 @@ class IndirectQueue:
         if not heap:
             raise EmptyQueueError("dequeue of empty queue")
         result = heap[0]
-        self._pos[result] = -1
         last = heap.pop()
         used = 0
         if heap:
             heap[0] = last
-            self._pos[last] = 0
             used = self._sift_down(0)
         self._account(used)
         return result
@@ -102,7 +99,7 @@ class IndirectQueue:
 
     def _sift_up(self, slot: int) -> int:
         """Move the index at ``slot`` up into place; returns the comparisons made."""
-        heap, pos = self._heap, self._pos
+        heap = self._heap
         used = 0
         while slot > 0:
             parent = (slot - 1) // 2
@@ -110,8 +107,6 @@ class IndirectQueue:
             if not self._slot_less(heap[slot], heap[parent]):
                 break
             heap[slot], heap[parent] = heap[parent], heap[slot]
-            pos[heap[slot]] = slot
-            pos[heap[parent]] = parent
             slot = parent
         return used
 
@@ -122,7 +117,7 @@ class IndirectQueue:
         the hole, so each level costs the same one or two comparisons as a
         swap-based sift but writes each moved index once.
         """
-        heap, pos, ref, cmp = self._heap, self._pos, self.reference, self._cmp
+        heap, ref, cmp = self._heap, self.reference, self._cmp
         n = len(heap)
         index = heap[slot]
         item = ref[index]
@@ -144,11 +139,9 @@ class IndirectQueue:
             if c > 0 or (c == 0 and best > index):
                 break
             heap[slot] = best
-            pos[best] = slot
             slot = child
             child = 2 * slot + 1
         heap[slot] = index
-        pos[index] = slot
         return used
 
 

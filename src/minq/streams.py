@@ -12,14 +12,9 @@ included) were pulled from a source, and :func:`profile` snapshots those
 counters each time a downstream operator emits an output, yielding a
 :class:`RhoProfile`: row ``p`` holds the per-input read counts at the
 moment output ``p`` appeared. This is the measurable form of laziness used
-throughout the test harness.
-
-:func:`star_compose` splices a cheap prefix check in front of a stream
-algorithm: the check reads (and caches) a short prefix of every input and
-may short-circuit the whole computation; otherwise the main algorithm runs
-over the cached prefix followed by the live remainder, so the composite
-reads exactly what the main algorithm would have read on its own. The
-query engine uses none of this: each operator makes its own emptiness check.
+throughout the test harness; :func:`profile_streams` is the same recording
+over live streams, which the engine's per-document profiles (``minq query
+--show-rho``) use.
 """
 
 from dataclasses import dataclass, field
@@ -125,116 +120,15 @@ def profile(op, antichains) -> RhoProfile:
     ``op`` takes a list of streams and returns a stream; ``antichains`` is
     a list of materialized inputs.
     """
-    counters = [CountingStream(ListStream(a)) for a in antichains]
+    return profile_streams(op, [ListStream(a) for a in antichains])
+
+
+def profile_streams(op, streams) -> RhoProfile:
+    """:func:`profile` over live input streams rather than materialized lists."""
+    counters = [CountingStream(s) for s in streams]
     out = op(counters)
     result = RhoProfile(m=len(counters))
     while (item := out.next()) is not None:
         result.outputs.append(item)
         result.rho.append(tuple(c.reads for c in counters))
     return result
-
-
-class _PrefixCache(IntervalStream):
-    """Records everything read from a source so it can be replayed."""
-
-    def __init__(self, source: IntervalStream):
-        self._source = source
-        self.items: list[Interval] = []
-        self.saw_terminal = False
-
-    def next(self):
-        if self.saw_terminal:
-            return None
-        item = self._source.next()
-        if item is None:
-            self.saw_terminal = True
-        else:
-            self.items.append(item)
-        return item
-
-    def replay(self) -> IntervalStream:
-        return _ReplayStream(self)
-
-
-class _ReplayStream(IntervalStream):
-    """Yields a cached prefix, then continues from the live source."""
-
-    def __init__(self, cache: _PrefixCache):
-        self._cache = cache
-        self._cursor = 0
-
-    def next(self):
-        cached = self._cache.items
-        if self._cursor < len(cached):
-            item = cached[self._cursor]
-            self._cursor += 1
-            return item
-        if self._cache.saw_terminal:
-            return None
-        return self._cache._source.next()
-
-
-class _StarStream(IntervalStream):
-    """Runs the check on the first pull, then reads from its result."""
-
-    def __init__(self, check, main, streams):
-        self._check = check
-        self._main = main
-        self._streams = list(streams)
-        self._inner = None
-
-    def next(self):
-        if self._inner is None:
-            caches = [_PrefixCache(s) for s in self._streams]
-            short = self._check(caches)
-            if short is not None:
-                self._inner = ListStream(short)
-            else:
-                self._inner = self._main([c.replay() for c in caches])
-        return self._inner.next()
-
-
-def star_compose(check, main):
-    """Compose a prefix check with a stream algorithm.
-
-    ``check`` receives one readable cache per input; it returns a complete
-    output list to short-circuit, or ``None`` to defer. ``main`` then runs
-    over cached-prefix-then-live inputs. Nothing is read until the first
-    pull on the composed stream, and when ``check`` defers, the composite's
-    reads (hence its profile) match ``main`` run directly, provided the
-    check reads no more from any input than ``main`` needs for its first
-    output.
-    """
-
-    def composed(streams) -> IntervalStream:
-        return _StarStream(check, main, streams)
-
-    return composed
-
-
-def check_any_empty(caches):
-    """Short-circuit to the empty result if any input is empty.
-
-    Reads exactly one element from every input. Suits operators whose
-    result is empty as soon as one operand is (span-style conjunctions,
-    concatenations, ordered conjunctions, length filters).
-    """
-    empty = False
-    for cache in caches:
-        if cache.next() is None:
-            empty = True
-    return [] if empty else None
-
-
-def check_all_empty(caches):
-    """Short-circuit to the empty result only if every input is empty."""
-    nonempty = False
-    for cache in caches:
-        if cache.next() is not None:
-            nonempty = True
-    return None if nonempty else []
-
-
-def check_minuend_empty(caches):
-    """Difference-shaped check: reads one element from the minuend only."""
-    return [] if caches[0].next() is None else None

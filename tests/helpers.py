@@ -1,12 +1,13 @@
 """Shared fixtures-in-spirit: worked-example data, random generators, the
-linear-scan reference queue and the per-token reference index build."""
+linear-scan reference queue, prefix-check composition and the per-token
+reference index build."""
 
 import random
 import re
 
 from minq import EmptyQueueError, Interval, NEG_INF, PositionalIndex
 from minq.index import DocInfo
-from minq.streams import IntervalStream
+from minq.streams import IntervalStream, ListStream
 
 # Term positions of the rhyme corpus (tests/data/rhyme.txt).
 PEASE = (0, 3, 6, 31, 34)
@@ -136,6 +137,117 @@ class LinearScanQueue:
     def change(self):
         if not self._members:
             raise EmptyQueueError("change on empty queue")
+
+
+# Prefix-check composition: the general form of the empty-operand check
+# that and_span, block and ordered_and make themselves. Star transparency
+# (acceptance criterion 7) and the engine's reference compile run on it.
+
+
+class _PrefixCache(IntervalStream):
+    """Records everything read from a source so it can be replayed."""
+
+    def __init__(self, source: IntervalStream):
+        self._source = source
+        self.items: list[Interval] = []
+        self.saw_terminal = False
+
+    def next(self):
+        if self.saw_terminal:
+            return None
+        item = self._source.next()
+        if item is None:
+            self.saw_terminal = True
+        else:
+            self.items.append(item)
+        return item
+
+    def replay(self) -> IntervalStream:
+        return _ReplayStream(self)
+
+
+class _ReplayStream(IntervalStream):
+    """Yields a cached prefix, then continues from the live source."""
+
+    def __init__(self, cache: _PrefixCache):
+        self._cache = cache
+        self._cursor = 0
+
+    def next(self):
+        cached = self._cache.items
+        if self._cursor < len(cached):
+            item = cached[self._cursor]
+            self._cursor += 1
+            return item
+        if self._cache.saw_terminal:
+            return None
+        return self._cache._source.next()
+
+
+class _StarStream(IntervalStream):
+    """Runs the check on the first pull, then reads from its result."""
+
+    def __init__(self, check, main, streams):
+        self._check = check
+        self._main = main
+        self._streams = list(streams)
+        self._inner = None
+
+    def next(self):
+        if self._inner is None:
+            caches = [_PrefixCache(s) for s in self._streams]
+            short = self._check(caches)
+            if short is not None:
+                self._inner = ListStream(short)
+            else:
+                self._inner = self._main([c.replay() for c in caches])
+        return self._inner.next()
+
+
+def star_compose(check, main):
+    """Compose a prefix check with a stream algorithm.
+
+    ``check`` receives one readable cache per input; it returns a complete
+    output list to short-circuit, or ``None`` to defer. ``main`` then runs
+    over cached-prefix-then-live inputs. Nothing is read until the first
+    pull on the composed stream, and when ``check`` defers, the composite's
+    reads (hence its profile) match ``main`` run directly, provided the
+    check reads no more from any input than ``main`` needs for its first
+    output.
+    """
+
+    def composed(streams) -> IntervalStream:
+        return _StarStream(check, main, streams)
+
+    return composed
+
+
+def check_any_empty(caches):
+    """Short-circuit to the empty result if any input is empty.
+
+    Reads exactly one element from every input. Suits operators whose
+    result is empty as soon as one operand is (span-style conjunctions,
+    concatenations, ordered conjunctions, length filters).
+    """
+    empty = False
+    for cache in caches:
+        if cache.next() is None:
+            empty = True
+    return [] if empty else None
+
+
+def check_all_empty(caches):
+    """Short-circuit to the empty result only if every input is empty."""
+    nonempty = False
+    for cache in caches:
+        if cache.next() is not None:
+            nonempty = True
+    return None if nonempty else []
+
+
+def check_minuend_empty(caches):
+    """Difference-shaped check: reads one element from the minuend only."""
+    return [] if caches[0].next() is None else None
 
 
 _REFERENCE_WORD = re.compile(r"[^\W_]+")

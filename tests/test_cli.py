@@ -1,8 +1,13 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from minq import build_index, cli, save_index
 
 DATA = Path(__file__).parent / "data"
 RHYME = DATA / "rhyme.txt"
@@ -187,3 +192,59 @@ def test_index_path_with_newline_exit_two_and_no_file(tmp_path):
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("minq: document path ")
     assert sorted(p.name for p in tmp_path.iterdir()) == [doc.name]
+
+
+@pytest.fixture(scope="module")
+def rhyme_index_file(tmp_path_factory):
+    idx = tmp_path_factory.mktemp("fuzz") / "rhyme.ivx"
+    save_index(build_index([(str(RHYME), RHYME.read_text())]), idx)
+    return idx
+
+
+# Half the queries alternate words with the other pieces, so that many parse
+# and reach evaluation, snippets and read profiles.
+WORDS = st.sampled_from(
+    ["pease", "Porridge", "hot", "cold", "pot", "unicorn", "i\u0307stanbul", "12"]
+)
+OTHERS = st.sampled_from(
+    ["&", "|", "<", "-", "(", ")", '"', "~", "~3", "~0", "0", "²", "İ", "\u0307",
+     " ", "\t", "\n", " & ", " | ", " < ", " - ", "~12 "]
+)
+QUERY_TEXT = st.builds(
+    lambda first, pairs: first + "".join(a + b for a, b in pairs),
+    WORDS,
+    st.lists(st.tuples(OTHERS, WORDS), max_size=5),
+) | st.lists(OTHERS | WORDS, max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    query=QUERY_TEXT,
+    top=st.none() | st.integers(-2, 3),
+    snippets=st.none() | st.integers(-2, 3),
+    show_rho=st.booleans(),
+)
+def test_query_text_and_options_exit_0_1_or_2(rhyme_index_file, query, top, snippets, show_rho):
+    argv = ["query", str(rhyme_index_file), query]
+    if top is not None:
+        argv += ["--top", str(top)]
+    if snippets is not None:
+        argv += ["--snippets", str(snippets)]
+    if show_rho:
+        argv.append("--show-rho")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            # argparse takes a query starting with an option-like "-" as an
+            # unknown option and exits 2 with its usage message
+            assert exc.code == 2 and query.startswith("-")
+            return
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("minq: ")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""

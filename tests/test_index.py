@@ -120,6 +120,8 @@ def test_failed_save_leaves_old_file_and_no_temp(tmp_path):
         ("IVX1 1\nD 0 3 x.txt\nT \n", 3),
         ("IVX1 1\nD x 3 x.txt\n", 2),
         ("IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1 9\n", 4),
+        ("IVX1 1\nD 0 -3 a.txt\n", 2),
+        ("IVX1 -1\nD 0 3 x.txt\n", 1),
     ],
 )
 def test_malformed_files_report_line(tmp_path, content, line):

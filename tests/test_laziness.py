@@ -14,16 +14,18 @@ from minq import (
     oracle_or,
     ordered_and,
     profile,
-    star_compose,
 )
-from minq.streams import (
+
+from helpers import (
+    CountedSingletons,
     _PrefixCache,
     check_all_empty,
     check_any_empty,
     check_minuend_empty,
+    random_inputs,
+    singletons,
+    star_compose,
 )
-
-from helpers import CountedSingletons, random_inputs, singletons
 
 iv = lambda l, r: Interval(l, r)
 

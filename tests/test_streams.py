@@ -14,11 +14,15 @@ from minq import (
     materialize,
     or_merge,
     profile,
+)
+
+from helpers import (
+    check_all_empty,
+    check_any_empty,
+    check_minuend_empty,
+    random_inputs,
     star_compose,
 )
-from minq.streams import check_all_empty, check_any_empty, check_minuend_empty
-
-from helpers import random_inputs
 
 iv = lambda l, r: Interval(l, r)
 
