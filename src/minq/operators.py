@@ -3,12 +3,18 @@
 Each operator is an :class:`~minq.streams.IntervalStream` that pulls from
 its inputs as little as possible per emitted interval:
 
-* :func:`or_merge` / :func:`and_span` ride an indirect priority queue (end
-  order for the merge, start order for the span conjunction) and advance it
-  one element at a time.
-* :func:`block`, :func:`ordered_and` and :func:`difference` advance their
-  inputs greedily, keeping one current interval per list.
-* :func:`lowpass` is a plain length filter.
+* ``or_merge`` / ``and_span`` ride an indirect priority queue (end order
+  for the merge, start order for the span conjunction) and advance it one
+  element at a time.
+* ``block``, ``ordered_and`` and ``difference`` advance their inputs
+  greedily, keeping one current interval per list.
+* ``lowpass`` is a plain length filter.
+
+The six names are the operator classes themselves (``or_merge`` is
+:class:`OrMerge`, ``and_span`` :class:`AndSpan`, ``block``
+:class:`BlockConcat`, ``ordered_and`` :class:`OrderedSpan`, ``lowpass``
+:class:`LowPassFilter`, ``difference`` :class:`Difference`), so calling a
+name constructs the operator.
 
 Inputs must be valid antichain streams; outputs are again antichains in
 natural order, duplicate-free. Empty inputs are tolerated: the merge drops
@@ -59,8 +65,8 @@ def _first_reads(streams):
 class _QueueOperator(IntervalStream):
     """Inputs, queue and output state shared by the two queue-driven operators.
 
-    The first pull reads every input's first interval and loads the queue
-    with those that exist. ``next`` reads the queue's ``_heap`` and
+    The first pull reads every input's first interval and enqueues those
+    that exist. ``next`` reads the queue's ``_heap`` and
     ``reference`` directly, since the top test runs once per posting read.
     """
 
@@ -75,8 +81,7 @@ class _QueueOperator(IntervalStream):
         queue = self.queue
         for i, first in enumerate(firsts):
             if first is not None:
-                queue.load(i, first)
-                queue.enqueue(i)
+                queue.enqueue(i, first)
         self._started = True
 
 
@@ -117,8 +122,8 @@ class AndSpan(_QueueOperator):
     advances keep the span inside it. Both monotonicity shortcuts apply:
     the skip-past-last-output test compares left extremes only, and the
     still-contained test compares right extremes only. Output ends for good
-    the moment the queue stops being full; with an empty operand the queue
-    is never loaded.
+    the moment the queue stops being full; with an empty operand nothing is
+    enqueued.
     """
 
     def __init__(self, streams):
@@ -343,20 +348,9 @@ class Difference(IntervalStream):
                 return item
 
 
-def or_merge(streams) -> IntervalStream:
-    return OrMerge(streams)
-
-def and_span(streams) -> IntervalStream:
-    return AndSpan(streams)
-
-def block(streams) -> IntervalStream:
-    return BlockConcat(streams)
-
-def ordered_and(streams) -> IntervalStream:
-    return OrderedSpan(streams)
-
-def lowpass(stream, k: int) -> IntervalStream:
-    return LowPassFilter(stream, k)
-
-def difference(minuend, subtrahend) -> IntervalStream:
-    return Difference(minuend, subtrahend)
+or_merge = OrMerge
+and_span = AndSpan
+block = BlockConcat
+ordered_and = OrderedSpan
+lowpass = LowPassFilter
+difference = Difference

@@ -3,13 +3,14 @@
 The queue holds *indices* into a reference array with one interval slot per
 input list; priorities come from a three-way comparator over the slots,
 with ties broken toward the smallest list index so that runs are exactly
-reproducible. Only the top slot may change value between :meth:`change`
-notifications.
+reproducible. It is used the way the paper's merge and span conjunction use
+it: :meth:`~IndirectQueue.enqueue` stores each list's first interval, and
+every later read goes through :func:`advance`, the one top replacement,
+which stores the top list's next interval or drops the list.
 
 The queue also maintains ``right_extreme``, the running maximum right
-extreme over every interval ever loaded into the reference array, so that
-:meth:`span_of` can produce the interval stretching from the current top's
-left extreme to that maximum.
+extreme over every interval ever stored in the reference array; the span
+conjunction's candidate stretches from the top's left extreme to it.
 
 The backing structure is a binary min-heap over indices, giving O(log m)
 mutations and O(1) top access. Only the top is ever changed or removed, so
@@ -20,16 +21,15 @@ are single-threaded.
 :func:`advance` is the operators' per-read step, so it works on ``_heap``
 and ``reference`` directly: it reads the top list's next interval, stores
 it and sifts it down in one pass (the comparator called inline, the
-comparisons counted once per sift), with the same heap moves and counts
-that :meth:`load` plus :meth:`change` make. ``_heap`` is never rebound, so
-operators may hold on to it and test ``heap[0]`` and ``len(heap)``.
+comparisons counted once per sift). ``_heap`` is never rebound, so
+operators read the top as ``reference[_heap[0]]`` and test ``len(_heap)``.
 """
 
 from .intervals import Interval, NEG_INF
 
 
 class EmptyQueueError(Exception):
-    """top/dequeue requested on a queue holding no indices."""
+    """dequeue/advance requested on a queue holding no indices."""
 
 
 class IndirectQueue:
@@ -42,28 +42,11 @@ class IndirectQueue:
         self.comparisons = 0
         self.max_mutation_comparisons = 0
 
-    def load(self, index: int, interval: Interval) -> None:
-        """Place an interval in a reference slot, tracking right_extreme."""
+    def enqueue(self, index: int, interval: Interval) -> None:
+        """Store ``interval`` in slot ``index`` and add the index to the heap."""
         self.reference[index] = interval
         if interval.right > self.right_extreme:
             self.right_extreme = interval.right
-
-    def size(self) -> int:
-        return len(self._heap)
-
-    def top_index(self) -> int:
-        if not self._heap:
-            raise EmptyQueueError("top of empty queue")
-        return self._heap[0]
-
-    def top(self) -> Interval:
-        return self.reference[self.top_index()]
-
-    def span_of(self) -> Interval:
-        """Interval from the top's left extreme to the queue right extreme."""
-        return Interval(self.top().left, self.right_extreme)
-
-    def enqueue(self, index: int) -> None:
         heap = self._heap
         heap.append(index)
         self._account(self._sift_up(len(heap) - 1))
@@ -81,33 +64,28 @@ class IndirectQueue:
         self._account(used)
         return result
 
-    def change(self) -> None:
-        """Restore heap order after the top slot's value was replaced."""
-        if not self._heap:
-            raise EmptyQueueError("change on empty queue")
-        self._account(self._sift_down(0))
-
     def _account(self, used):
         self.comparisons += used
         if used > self.max_mutation_comparisons:
             self.max_mutation_comparisons = used
         self.mutations += 1
 
-    def _slot_less(self, a: int, b: int) -> bool:
-        c = self._cmp(self.reference[a], self.reference[b])
-        return c < 0 or (c == 0 and a < b)
-
     def _sift_up(self, slot: int) -> int:
         """Move the index at ``slot`` up into place; returns the comparisons made."""
-        heap = self._heap
+        heap, ref, cmp = self._heap, self.reference, self._cmp
+        index = heap[slot]
+        item = ref[index]
         used = 0
         while slot > 0:
             parent = (slot - 1) // 2
+            above = heap[parent]
+            c = cmp(item, ref[above])
             used += 1
-            if not self._slot_less(heap[slot], heap[parent]):
+            if c > 0 or (c == 0 and index > above):
                 break
-            heap[slot], heap[parent] = heap[parent], heap[slot]
+            heap[slot] = above
             slot = parent
+        heap[slot] = index
         return used
 
     def _sift_down(self, slot: int) -> int:

@@ -32,10 +32,6 @@ class IntervalStream:
     def next(self) -> Interval | None:
         raise NotImplementedError
 
-    def __iter__(self):
-        while (item := self.next()) is not None:
-            yield item
-
 
 class ListStream(IntervalStream):
     """Stream over a materialized sequence of intervals."""

@@ -89,8 +89,9 @@ class CountedSingletons(IntervalStream):
 class LinearScanQueue:
     """Array-backed variant: O(1) mutations, O(m) top retrieval.
 
-    Same contract and tie-breaking as :class:`minq.IndirectQueue`; kept as
-    the obviously-correct reference for differential tests.
+    Same contract and tie-breaking as :class:`minq.IndirectQueue` and
+    :func:`minq.advance`; kept as the obviously-correct reference for
+    differential tests.
     """
 
     def __init__(self, size: int, compare):
@@ -98,14 +99,6 @@ class LinearScanQueue:
         self.right_extreme = NEG_INF
         self._cmp = compare
         self._members: list[int] = []
-
-    def load(self, index, interval):
-        self.reference[index] = interval
-        if interval.right > self.right_extreme:
-            self.right_extreme = interval.right
-
-    def size(self):
-        return len(self._members)
 
     def __len__(self):
         return len(self._members)
@@ -120,13 +113,13 @@ class LinearScanQueue:
                 best = index
         return best
 
-    def top(self):
-        return self.reference[self.top_index()]
+    def _store(self, index, interval):
+        self.reference[index] = interval
+        if interval.right > self.right_extreme:
+            self.right_extreme = interval.right
 
-    def span_of(self):
-        return Interval(self.top().left, self.right_extreme)
-
-    def enqueue(self, index):
+    def enqueue(self, index, interval):
+        self._store(index, interval)
         self._members.append(index)
 
     def dequeue(self):
@@ -134,9 +127,13 @@ class LinearScanQueue:
         self._members.remove(result)
         return result
 
-    def change(self):
-        if not self._members:
-            raise EmptyQueueError("change on empty queue")
+    def advance(self, streams):
+        index = self.top_index()
+        item = streams[index].next()
+        if item is None:
+            self._members.remove(index)
+        else:
+            self._store(index, item)
 
 
 # Prefix-check composition: the general form of the empty-operand check

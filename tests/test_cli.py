@@ -217,6 +217,25 @@ QUERY_TEXT = st.builds(
 ) | st.lists(OTHERS | WORDS, max_size=12).map("".join)
 
 
+def run_main(argv):
+    """``cli.main`` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(code, out, err):
+    """Exit 0, 1 or 2; an error is one ``minq: `` stderr line and no stdout."""
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("minq: ")
+        assert out == ""
+    else:
+        assert err == ""
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     query=QUERY_TEXT,
@@ -232,19 +251,46 @@ def test_query_text_and_options_exit_0_1_or_2(rhyme_index_file, query, top, snip
         argv += ["--snippets", str(snippets)]
     if show_rho:
         argv.append("--show-rho")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            # argparse takes a query starting with an option-like "-" as an
-            # unknown option and exits 2 with its usage message
-            assert exc.code == 2 and query.startswith("-")
-            return
-    assert code in (0, 1, 2)
-    if code:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("minq: ")
-        assert out.getvalue() == ""
-    else:
-        assert err.getvalue() == ""
+    try:
+        code, out, err = run_main(argv)
+    except SystemExit as exc:
+        # argparse takes a query starting with an option-like "-" as an
+        # unknown option and exits 2 with its usage message
+        assert exc.code == 2 and query.startswith("-")
+        return
+    assert_exit_contract(code, out, err)
+
+
+# Bytes that matter to the index format: digits, the minus sign, the field
+# separator, the record letters, line breaks (NEL both as a raw byte and
+# UTF-8 encoded) and a byte that is never valid UTF-8.
+INDEX_PIECES = st.sampled_from(
+    [bytes([b]) for b in b"0123456789 \n\r\x85\xff-PTD"] + ["\x85".encode()]
+)
+INDEX_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "delete", "insert"]), st.integers(0, 1 << 16), INDEX_PIECES
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def edit_bytes(data, edits):
+    for kind, at, piece in edits:
+        if kind == "insert":
+            at %= len(data) + 1
+            data = data[:at] + piece + data[at:]
+        elif data:
+            at %= len(data)
+            data = data[:at] + (piece if kind == "replace" else b"") + data[at + 1 :]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=INDEX_EDITS)
+def test_mutated_index_file_exits_0_1_or_2(rhyme_index_file, edits):
+    mutated = rhyme_index_file.with_name("mutated.ivx")
+    mutated.write_bytes(edit_bytes(rhyme_index_file.read_bytes(), edits))
+    argv = ["query", str(mutated), "pease & porridge", "--snippets", "2", "--show-rho"]
+    assert_exit_contract(*run_main(argv))

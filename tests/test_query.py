@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minq import (
     And,
@@ -122,3 +123,39 @@ def test_depth_limit_rejects_deeper_queries_with_offset(levels):
             parse_query(text)
         assert err.value.offset == offset
         assert "deeper than" in str(err.value)
+
+
+def show(node):
+    """Fully parenthesized query text for ``node``."""
+    if isinstance(node, Term):
+        return node.term
+    if isinstance(node, Block):
+        return '"' + " ".join(child.term for child in node.children) + '"'
+    if isinstance(node, LowPass):
+        return f"({show(node.child)})~{node.k}"
+    if isinstance(node, Minus):
+        return f"({show(node.minuend)} - {show(node.subtrahend)})"
+    separator = {Or: " | ", And: " & ", OrderedAnd: " < "}[type(node)]
+    return "(" + separator.join(map(show, node.children)) + ")"
+
+
+# Terms as the parser yields them: lowercase runs of letters and digits.
+_TERMS = st.text("abcxyz019éßø", min_size=1, max_size=4).map(Term)
+_OPERANDS = lambda children: st.lists(children, min_size=2, max_size=4).map(tuple)
+ASTS = st.recursive(
+    _TERMS | st.lists(_TERMS, min_size=1, max_size=3).map(lambda ts: Block(tuple(ts))),
+    lambda children: st.one_of(
+        _OPERANDS(children).map(Or),
+        _OPERANDS(children).map(And),
+        _OPERANDS(children).map(OrderedAnd),
+        st.builds(LowPass, children, st.integers(1, 10**6)),
+        st.builds(Minus, children, children),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ASTS)
+def test_printed_ast_parses_back(ast):
+    assert parse_query(show(ast)) == ast

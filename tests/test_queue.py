@@ -4,6 +4,7 @@ import random
 import pytest
 
 from minq import (
+    CountingStream,
     EmptyQueueError,
     IndirectQueue,
     Interval,
@@ -20,62 +21,66 @@ from helpers import LinearScanQueue, random_inputs
 iv = lambda l, r: Interval(l, r)
 
 
-def loaded_queue(intervals, order, cls=IndirectQueue):
-    q = cls(len(intervals), order)
+def loaded_queue(intervals, order):
+    q = IndirectQueue(len(intervals), order)
     for i, item in enumerate(intervals):
-        q.load(i, item)
-        q.enqueue(i)
+        q.enqueue(i, item)
     return q
+
+
+def top(q):
+    return q.reference[q._heap[0]]
+
+
+def span(q):
+    """The span conjunction's candidate: the top's left to the right extreme."""
+    return Interval(top(q).left, q.right_extreme)
 
 
 def test_start_order_top_prefers_prolonging_interval():
     q = loaded_queue([iv(0, 0), iv(1, 1), iv(0, 2)], cmp_start)
     # [0..2] starts with [0..0] but prolongs it, so it is strictly smaller
-    assert q.top_index() == 2
-    assert q.top() == iv(0, 2)
+    assert q._heap[0] == 2
+    assert top(q) == iv(0, 2)
 
 
 def test_equal_intervals_tie_break_to_smallest_index():
     q = loaded_queue([iv(0, 0), iv(1, 1), iv(0, 0)], cmp_start)
-    assert q.top_index() == 0
+    assert q._heap[0] == 0
     q2 = loaded_queue([iv(3, 3), iv(3, 3)], cmp_end)
-    assert q2.top_index() == 0
+    assert q2._heap[0] == 0
 
 
 def test_single_index():
     q = loaded_queue([iv(5, 6)], cmp_end)
-    assert q.top_index() == 0
-    assert q.size() == 1
+    assert q._heap == [0]
 
 
 def test_dequeue_all_then_empty_errors():
     q = loaded_queue([iv(0, 0), iv(1, 1), iv(2, 2)], cmp_end)
     seen = {q.dequeue() for _ in range(3)}
     assert seen == {0, 1, 2}
-    assert q.size() == 0
-    with pytest.raises(EmptyQueueError):
-        q.top()
-    with pytest.raises(EmptyQueueError):
-        q.top_index()
+    assert q._heap == []
     with pytest.raises(EmptyQueueError):
         q.dequeue()
+    with pytest.raises(EmptyQueueError):
+        advance(q, [])
 
 
 def test_advance_replaces_top_interval():
     streams = [ListStream([iv(5, 5)]), ListStream([])]
     q = loaded_queue([iv(0, 0), iv(1, 1)], cmp_end)
-    assert q.top_index() == 0
+    assert q._heap[0] == 0
     advance(q, streams)
     assert q.reference[0] == iv(5, 5)
-    assert q.size() == 2
+    assert len(q._heap) == 2
 
 
 def test_advance_dequeues_exhausted_list():
     streams = [ListStream([]), ListStream([])]
     q = loaded_queue([iv(0, 0), iv(1, 1)], cmp_end)
     advance(q, streams)
-    assert q.size() == 1
-    assert q.top_index() == 1
+    assert q._heap == [1]
 
 
 def test_right_extreme_is_running_max():
@@ -89,9 +94,9 @@ def test_right_extreme_is_running_max():
 
 def test_span_of():
     q = loaded_queue([iv(0, 0), iv(1, 1), iv(0, 0)], cmp_start)
-    assert q.span_of() == iv(0, 1)
-    assert loaded_queue([iv(3, 7)], cmp_start).span_of() == iv(3, 7)
-    assert loaded_queue([iv(2, 2), iv(1, 1)], cmp_start).span_of() == iv(1, 2)
+    assert span(q) == iv(0, 1)
+    assert span(loaded_queue([iv(3, 7)], cmp_start)) == iv(3, 7)
+    assert span(loaded_queue([iv(2, 2), iv(1, 1)], cmp_start)) == iv(1, 2)
 
 
 @pytest.mark.parametrize("order", [cmp_end, cmp_start])
@@ -102,7 +107,6 @@ def test_differential_against_linear_scan(order):
         q = IndirectQueue(m, order)
         ref = LinearScanQueue(m, order)
         outside = list(range(m))
-        inside = []
 
         def rand_iv():
             l = rng.randint(0, 30)
@@ -110,32 +114,34 @@ def test_differential_against_linear_scan(order):
 
         for _ in range(50):
             choices = ["enqueue"] if outside else []
-            if inside:
-                choices += ["dequeue", "change", "inspect"]
+            if len(ref):
+                choices += ["dequeue", "advance", "inspect"]
             op = rng.choice(choices)
             if op == "enqueue":
                 i = outside.pop(rng.randrange(len(outside)))
                 item = rand_iv()
-                for target in (q, ref):
-                    target.load(i, item)
-                    target.enqueue(i)
-                inside.append(i)
+                q.enqueue(i, item)
+                ref.enqueue(i, item)
             elif op == "dequeue":
                 got, expected = q.dequeue(), ref.dequeue()
                 assert got == expected
-                inside.remove(got)
                 outside.append(got)
-            elif op == "change":
-                top = q.top_index()
-                item = rand_iv()
-                for target in (q, ref):
-                    target.load(top, item)
-                    target.change()
+            elif op == "advance":
+                # Every list holds the same next element, fresh or none, so
+                # only the choice of the top decides what is read.
+                expected = ref.top_index()
+                item = rand_iv() if rng.random() < 0.75 else None
+                for step in (lambda s: advance(q, s), ref.advance):
+                    streams = [CountingStream(ListStream([item] if item else [])) for _ in range(m)]
+                    step(streams)
+                    assert [s.reads for s in streams] == [int(i == expected) for i in range(m)]
+                if item is None:
+                    outside.append(expected)
             else:
-                assert q.top_index() == ref.top_index()
-                assert q.top() == ref.top()
+                assert q._heap[0] == ref.top_index()
+                assert q.reference == ref.reference
                 assert q.right_extreme == ref.right_extreme
-                assert q.size() == ref.size()
+                assert len(q._heap) == len(ref)
 
 
 def test_top_monotone_under_start_order_advances():
@@ -158,15 +164,13 @@ def test_top_monotone_under_start_order_advances():
         streams = [ListStream(a) for a in lists]
         q = IndirectQueue(m, cmp_start)
         for i, s in enumerate(streams):
-            first = s.next()
-            q.load(i, first)
-            q.enqueue(i)
-        prev = q.top()
-        while q.size() == m:
+            q.enqueue(i, s.next())
+        prev = top(q)
+        while len(q._heap) == m:
             advance(q, streams)
-            if q.size() == m:
-                assert cmp_start(prev, q.top()) <= 0
-                prev = q.top()
+            if len(q._heap) == m:
+                assert cmp_start(prev, top(q)) <= 0
+                prev = top(q)
 
 
 def test_span_contains_enqueued_slots_and_is_left_tight():
@@ -177,8 +181,7 @@ def test_span_contains_enqueued_slots_and_is_left_tight():
         for i in range(m):
             l = rng.randint(0, 20)
             items.append(iv(l, l + rng.randint(0, 6)))
-        q = loaded_queue(items, cmp_start)
-        s = q.span_of()
+        s = span(loaded_queue(items, cmp_start))
         assert all(s.left <= item.left and item.right <= s.right for item in items)
         assert s.left == min(item.left for item in items)
 
@@ -190,20 +193,18 @@ def test_mutation_comparison_budget():
         q = IndirectQueue(m, cmp_end)
         for i in range(m):
             l = rng.randint(0, 50)
-            q.load(i, iv(l, l + rng.randint(0, 3)))
-            q.enqueue(i)
+            q.enqueue(i, iv(l, l + rng.randint(0, 3)))
         for _ in range(200):
-            if q.size() == 0:
+            if not q._heap:
                 break
             if rng.random() < 0.3:
-                q.dequeue()
+                item = None  # the top's list is exhausted: advance drops it
             else:
-                top = q.top_index()
-                old = q.reference[top]
+                old = top(q)
                 left = old.left + rng.randint(1, 3)
                 right = max(left, old.right + rng.randint(1, 3))
-                q.load(top, iv(left, right))
-                q.change()
+                item = iv(left, right)
+            advance(q, [ListStream([item] if item else []) for _ in range(m)])
         assert q.max_mutation_comparisons <= limit
 
 
