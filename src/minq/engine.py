@@ -27,14 +27,7 @@ from .index import words
 from .intervals import Interval, length
 from .operators import and_span, block, difference, lowpass, or_merge, ordered_and
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
-from .streams import (
-    IntervalStream,
-    ListStream,
-    RhoProfile,
-    from_positions,
-    materialize,
-    profile_streams,
-)
+from .streams import IntervalStream, RhoProfile, from_positions, materialize, profile_streams
 
 star_compose = None  # placeholder: bench/tracer.py rebinds this name at install
 
@@ -114,27 +107,16 @@ def candidate_docs(ast, index) -> list[int]:
     return sorted(_docs(ast, index))
 
 
-def snippets(witnesses, k: int) -> list[Interval]:
+def snippets(witnesses: list[Interval], k: int) -> list[Interval]:
     """Up to k shortest pairwise non-overlapping witnesses.
 
     Repeatedly picks the shortest remaining interval (leftmost on ties) and
-    discards everything overlapping it. Streams are drained only until the
-    selection cannot change: k single-position intervals settle it early.
+    discards everything overlapping it.
     """
     if k < 1:
         raise ValueError(f"snippet count must be positive, got {k}")
-    if not isinstance(witnesses, IntervalStream):
-        witnesses = ListStream(list(witnesses))
-    seen = []
-    units = 0
-    while (item := witnesses.next()) is not None:
-        seen.append(item)
-        if length(item) == 1:
-            units += 1
-            if units == k:
-                break
     chosen = []
-    for candidate in sorted(seen, key=lambda iv: (length(iv), iv.left)):
+    for candidate in sorted(witnesses, key=lambda iv: (length(iv), iv.left)):
         if len(chosen) == k:
             break
         if all(
@@ -229,6 +211,6 @@ def search(
             words = document_words(index, result.doc_id)
             result.snippets = [
                 (window, words[window.left : window.right + 1])
-                for window in snippets(ListStream(result.witnesses), snippet_count)
+                for window in snippets(result.witnesses, snippet_count)
             ]
     return results

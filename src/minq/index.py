@@ -1,8 +1,8 @@
 """Positional inverted index with a line-oriented text persistence format.
 
-Documents are plain text; tokenization lowercases and splits on any run of
-non-alphanumeric characters, numbering words from 0 (:func:`words` is the
-one splitter, also used for query phrases and snippets). The index maps
+Documents are plain text; tokenization case-folds the text and splits it on
+any run of non-alphanumeric characters, numbering words from 0 (:func:`words`
+is the one splitter, also used for query words and phrases and snippets). The index maps
 each term to per-document strictly increasing position lists, plus a
 document table of source path and word count. Once built (or loaded) an
 index is never mutated by queries, so it can be shared freely across
@@ -49,12 +49,17 @@ class IndexFormatError(ValueError):
 
 
 def words(text: str) -> list[str]:
-    """Lowercased words in text order; a word is a run of letters and digits."""
-    return [word.lower() for word in _WORD.findall(text)]
+    """Case-folded words in text order; a word is a run of letters and digits.
+
+    The text is folded before it is split. :meth:`str.casefold` maps one
+    character at a time (``lower`` picks the Greek final sigma by context),
+    so a word folds alike alone in a query and inside a document.
+    """
+    return _WORD.findall(text.casefold())
 
 
 def tokenize(text: str):
-    """Lowercased (term, position) pairs; words are alphanumeric runs."""
+    """Case-folded (term, position) pairs; words are alphanumeric runs."""
     return list(zip(words(text), count()))
 
 

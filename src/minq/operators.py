@@ -75,7 +75,6 @@ class _QueueOperator(IntervalStream):
         self.queue = IndirectQueue(len(self._streams), order)
         self._last_left = NEG_INF
         self._started = False
-        self._done = False
 
     def _start(self, firsts):
         queue = self.queue
@@ -97,8 +96,6 @@ class OrMerge(_QueueOperator):
         super().__init__(streams, cmp_end)
 
     def next(self):
-        if self._done:
-            return None
         if not self._started:
             self._start([stream.next() for stream in self._streams])
         q = self.queue
@@ -107,7 +104,6 @@ class OrMerge(_QueueOperator):
         while heap and ref[heap[0]].left <= last_left:
             advance(q, streams)
         if not heap:
-            self._done = True
             return None
         top = ref[heap[0]]
         self._last_left = top.left
@@ -130,12 +126,10 @@ class AndSpan(_QueueOperator):
         super().__init__(streams, cmp_start)
 
     def next(self):
-        if self._done:
-            return None
         if not self._started:
             firsts = _first_reads(self._streams)
             if firsts is None:
-                self._done = True
+                self._started = True
                 return None
             self._start(firsts)
         q = self.queue
@@ -145,7 +139,6 @@ class AndSpan(_QueueOperator):
         while len(heap) == m and ref[heap[0]].left == last_left:
             advance(q, streams)
         if len(heap) < m:
-            self._done = True
             return None
         while True:
             # The candidate spans the top's left to the queue's right

@@ -7,11 +7,14 @@ Grammar, loosest binding first:
     conj     :=  post (('&' post)+           conjunction, variadic
                       | ('<' post)+)         ordered conjunction, variadic
     post     :=  primary ('~' INT)*          proximity (width) filter
-    primary  :=  WORD | '"' words '"' | '(' query ')'
+    primary  :=  CHUNK | '"' text '"' | '(' query ')'
 
-'&' and '<' do not mix at one level; parenthesize to combine them. Quoted
-phrases become exact-adjacency blocks over their words. Query words are
-tokenized exactly like document text. Queries nested deeper than
+A chunk is a run of anything but whitespace, quotes and the operator
+characters ``|&<~-()``. Chunks and quoted phrases are split into words by
+:func:`minq.index.words`, exactly like document text: a chunk of one word
+is a term, and any other chunk or phrase with words is an exact-adjacency
+block over them (``don't`` is the phrase ``don t``). '&' and '<' do not mix
+at one level; parenthesize to combine them. Queries nested deeper than
 :data:`MAX_DEPTH` levels are rejected with an offset.
 """
 
@@ -72,34 +75,22 @@ operator node is one level, so a chain ``a-b-c`` or ``a~5~5`` is as deep as
 it is long. Evaluation and the AST's own methods recurse once per level."""
 
 _TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<word>[^\W_]+)
-      | (?P<phrase>"[^"]*")
+    r""""(?P<phrase>[^"]*)"
       | (?P<punct>[|&<~\-()])
-    )""",
+      | (?P<chunk>[^\s"|&<~\-()]+)
+      | (?P<quote>")""",
     re.VERBOSE,
 )
 
 
 def _lex(text: str):
+    """(kind, text, offset) triples; no token matches whitespace, so it is skipped."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            offset = len(text) - len(stripped)
-            raise QuerySyntaxError(offset, f"unexpected character {stripped[0]!r}")
-        if match.lastgroup == "word":
-            tokens.append(("word", match.group("word").lower(), match.start("word")))
-        elif match.lastgroup == "phrase":
-            body = match.group("phrase")[1:-1]
-            tokens.append(("phrase", body, match.start("phrase")))
-        else:
-            tokens.append(("punct", match.group("punct"), match.start("punct")))
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "quote":
+            raise QuerySyntaxError(match.start(), "unterminated phrase")
+        tokens.append((kind, match.group(kind), match.start()))
     return tokens
 
 
@@ -172,7 +163,7 @@ class _Parser:
         while self.peek()[:2] == ("punct", "~"):
             tilde = self.take()[2]
             kind, value, offset = self.take()
-            if kind != "word" or not value.isdecimal():
+            if kind != "chunk" or not value.isdecimal():
                 raise QuerySyntaxError(offset, "proximity filter needs an integer")
             k = int(value)
             if k <= 0:
@@ -183,13 +174,13 @@ class _Parser:
 
     def primary(self):
         kind, value, offset = self.take()
-        if kind == "word":
-            return Term(value), 0
-        if kind == "phrase":
+        if kind in ("chunk", "phrase"):
             terms = words(value)
             if not terms:
-                raise QuerySyntaxError(offset, "empty phrase")
-            return Block(tuple(Term(w) for w in terms)), 1
+                raise QuerySyntaxError(offset, f"no word in {value!r}")
+            if kind == "chunk" and len(terms) == 1:
+                return Term(terms[0]), 0
+            return Block(tuple(map(Term, terms))), 1
         if (kind, value) == ("punct", "("):
             # Checked on the way in, so the recursion below stays shallow;
             # the group's own depth is at least its nesting anyway.

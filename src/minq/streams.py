@@ -18,6 +18,7 @@ over live streams, which the engine's per-document profiles (``minq query
 """
 
 from dataclasses import dataclass, field
+from operator import lt
 
 from .intervals import Interval
 
@@ -61,13 +62,15 @@ class _PositionStream(IntervalStream):
 def from_positions(positions) -> IntervalStream:
     """Stream of singleton intervals, one per position.
 
-    ``positions`` must be strictly increasing finite integers; anything
-    else is rejected here rather than downstream.
+    ``positions`` must be a sequence of strictly increasing finite integers;
+    anything else is rejected here rather than downstream. The stream reads
+    the sequence itself, not a copy, so it must not change meanwhile.
     """
-    positions = tuple(positions)
-    for prev, cur in zip(positions, positions[1:]):
-        if cur <= prev:
-            raise ValueError(f"positions not strictly increasing: {prev} before {cur}")
+    if not all(map(lt, positions, positions[1:])):
+        # Rescan to name the first fault.
+        for prev, cur in zip(positions, positions[1:]):
+            if cur <= prev:
+                raise ValueError(f"positions not strictly increasing: {prev} before {cur}")
     return _PositionStream(positions)
 
 

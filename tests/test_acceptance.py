@@ -110,7 +110,7 @@ def test_criterion_1_worked_example(capsys):
 
     def evaluate_once():
         witnesses = materialize(and_span([from_positions(p) for p in inputs]))
-        windows = snippets(ListStream(witnesses), 3)
+        windows = snippets(witnesses, 3)
         return witnesses, windows
 
     evaluate_once()  # warm-up

@@ -1,13 +1,15 @@
 import io
+import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minq import build_index, cli, save_index
+from minq import build_index, cli, load_index, save_index
 
 DATA = Path(__file__).parent / "data"
 RHYME = DATA / "rhyme.txt"
@@ -294,3 +296,53 @@ def test_mutated_index_file_exits_0_1_or_2(rhyme_index_file, edits):
     mutated.write_bytes(edit_bytes(rhyme_index_file.read_bytes(), edits))
     argv = ["query", str(mutated), "pease & porridge", "--snippets", "2", "--show-rho"]
     assert_exit_contract(*run_main(argv))
+
+
+SOURCES = st.sampled_from(["text", "missing", "directory", "undecodable", "line break"])
+TARGETS = st.sampled_from(["new", "existing", "missing directory", "directory"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sources=st.lists(
+        st.tuples(SOURCES, st.sampled_from("\n\r\x85\u2028"), st.text(max_size=20)),
+        min_size=1,
+        max_size=4,
+    ),
+    target=TARGETS,
+    output_first=st.booleans(),
+)
+def test_index_argv_exits_0_or_2(sources, target, output_first):
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        paths = []
+        for n, (kind, line_break, text) in enumerate(sources):
+            path = root / (f"doc{n}{line_break}.txt" if kind == "line break" else f"doc{n}.txt")
+            if kind == "directory":
+                path.mkdir()
+            elif kind == "undecodable":
+                path.write_bytes(b"ape \xff bee")
+            elif kind != "missing":
+                path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        output = {
+            "new": root / "new.ivx",
+            "existing": root / "old.ivx",
+            "missing directory": root / "nowhere" / "new.ivx",
+            "directory": root / "out",
+        }[target]
+        if target == "existing":
+            output.write_bytes(b"previous index")
+        elif target == "directory":
+            output.mkdir()
+        option = ["-o", str(output)]
+        code, out, err = run_main(["index", *(option + paths if output_first else paths + option)])
+        assert_exit_contract(code, out, err)
+        valid = target in ("new", "existing") and all(kind == "text" for kind, _, _ in sources)
+        assert (code == 0) == valid
+        leftovers = [name for _, _, names in os.walk(root) for name in names if name.endswith(".tmp")]
+        assert leftovers == []
+        if valid:
+            assert [doc.path for doc in load_index(output).docs] == paths
+        elif target == "existing":
+            assert output.read_bytes() == b"previous index"

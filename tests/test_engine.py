@@ -11,7 +11,6 @@ from minq import (
     Block,
     CountingStream,
     Interval,
-    ListStream,
     LowPass,
     Minus,
     Or,
@@ -178,19 +177,19 @@ def test_candidate_docs_is_sound():
 
 
 def test_snippets_rhyme():
-    assert snippets(ListStream(RHYME_ANTICHAIN), 3) == [
+    assert snippets(RHYME_ANTICHAIN, 3) == [
         iv(0, 2), iv(3, 5), iv(31, 33)
     ]
 
 
 def test_snippets_tie_breaks_leftmost():
-    assert snippets(ListStream([iv(0, 2), iv(1, 3)]), 1) == [iv(0, 2)]
+    assert snippets([iv(0, 2), iv(1, 3)], 1) == [iv(0, 2)]
 
 
 def test_snippets_empty_and_validation():
-    assert snippets(ListStream([]), 2) == []
+    assert snippets([], 2) == []
     with pytest.raises(ValueError):
-        snippets(ListStream([]), 0)
+        snippets([], 0)
 
 
 def test_snippets_are_nonoverlapping_members():
@@ -200,7 +199,7 @@ def test_snippets_are_nonoverlapping_members():
     for _ in range(200):
         witnesses = random_antichain(rng)
         k = rng.randint(1, 4)
-        chosen = snippets(ListStream(witnesses), k)
+        chosen = snippets(witnesses, k)
         assert len(chosen) <= k
         assert all(c in witnesses for c in chosen)
         for a in chosen:
@@ -243,6 +242,23 @@ def test_search_snippets_extract_words(tmp_path):
     index = build_index([(str(doc), doc.read_text())])
     results = search(index, parse_query('"two three"'), snippet_count=2)
     assert results[0].snippets == [(iv(1, 2), ["two", "three"])]
+
+
+def test_query_words_find_what_documents_index(tmp_path):
+    # İ folds to i plus a combining dot, which splits the word in two, and
+    # an apostrophe splits a contraction: the query must split the same way.
+    doc = tmp_path / "doc.txt"
+    doc.write_text("İstanbul. Don't panic", encoding="utf-8")
+    index = build_index([(str(doc), doc.read_text(encoding="utf-8"))])
+    for query, window, text in [
+        ("İstanbul", iv(0, 1), ["i", "stanbul"]),
+        ("i\u0307stanbul", iv(0, 1), ["i", "stanbul"]),
+        ("don't", iv(2, 3), ["don", "t"]),
+        ("DON'T & panic", iv(2, 4), ["don", "t", "panic"]),
+    ]:
+        (result,) = search(index, parse_query(query), snippet_count=1)
+        assert result.witnesses == [window]
+        assert result.snippets == [(window, text)]
 
 
 def test_search_leaves_no_reference_cycles(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from minq import IndexFormatError, build_index, load_index, save_index, tokenize
 from minq.index import words
 
-from helpers import PEASE, PORRIDGE, reference_build, reference_tokenize
+from helpers import PEASE, PORRIDGE, TEXT_CHARS, reference_build, reference_tokenize
 
 RHYME = Path(__file__).parent / "data" / "rhyme.txt"
 
@@ -173,13 +173,8 @@ def test_build_and_load_restore_collector_state(tmp_path, enabled):
     assert seen == [False]
 
 
-# Letters, digits, the underscore, the benchmark corpus's accented letters,
-# a dotted capital I (it lowercases to two code points), combining marks,
-# punctuation and whitespace, plus any other encodable character.
-_TEXT = st.text(
-    st.sampled_from("aZ09_éèüöåøñçÉÜİ\u0301\u0307-.,'!? \t\n") | st.characters(codec="utf-8"),
-    max_size=60,
-)
+# The tokenizer's characters of interest, plus any other encodable one.
+_TEXT = st.text(st.sampled_from(TEXT_CHARS) | st.characters(codec="utf-8"), max_size=60)
 _PATH = st.text(st.characters(codec="utf-8"), max_size=12).filter(
     lambda p: p.splitlines() in ([], [p])
 )

@@ -1,6 +1,7 @@
 import random
 
 from minq import (
+    CountingStream,
     Interval,
     ListStream,
     and_span,
@@ -130,10 +131,25 @@ def test_operators_tolerate_empty_inputs():
 
 
 def test_outputs_keep_returning_terminal():
-    op = and_span([ListStream([iv(0, 0)]), ListStream([iv(1, 1)])])
-    assert op.next() == iv(0, 1)
-    assert op.next() is None
-    assert op.next() is None
+    # After its first None an operator returns None again and reads nothing.
+    operators = [
+        or_merge,
+        and_span,
+        block,
+        ordered_and,
+        lambda streams: lowpass(streams[0], 1),
+        lambda streams: difference(*streams),
+    ]
+    for op in operators:
+        for inputs in ([[iv(0, 0)], [iv(1, 1)]], [[iv(0, 0)], []], [[], [iv(0, 0)]]):
+            counters = [CountingStream(ListStream(a)) for a in inputs]
+            stream = op(counters)
+            while stream.next() is not None:
+                pass
+            reads = [c.reads for c in counters]
+            for _ in range(3):
+                assert stream.next() is None
+            assert [c.reads for c in counters] == reads
 
 
 def test_oracle_equivalence_randomized():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,10 @@ from minq import (
     Term,
     parse_query,
 )
+from minq.index import words
 from minq.query import MAX_DEPTH
+
+from helpers import TEXT_CHARS
 
 
 def test_caption_query_shape():
@@ -42,6 +47,22 @@ def test_or_lowest_precedence():
 
 def test_terms_are_lowercased():
     assert parse_query("HoT") == Term("hot")
+
+
+def test_terms_are_case_folded():
+    assert parse_query("Straße") == Term("strasse")
+    # Folding maps one character at a time: no final-sigma rule by context.
+    assert parse_query("ΟΔΟΣ") == parse_query("οδοσ") == Term("οδοσ")
+
+
+def test_chunk_of_several_words_is_a_phrase():
+    assert parse_query("don't") == Block((Term("don"), Term("t")))
+    assert parse_query("İstanbul") == parse_query("i\u0307stanbul") == Block(
+        (Term("i"), Term("stanbul"))
+    )
+    assert parse_query("don't & pease~3") == And(
+        (Block((Term("don"), Term("t"))), LowPass(Term("pease"), 3))
+    )
 
 
 def test_phrase_tokenized_like_documents():
@@ -139,8 +160,8 @@ def show(node):
     return "(" + separator.join(map(show, node.children)) + ")"
 
 
-# Terms as the parser yields them: lowercase runs of letters and digits.
-_TERMS = st.text("abcxyz019éßø", min_size=1, max_size=4).map(Term)
+# Terms as the parser yields them: case-folded runs of letters and digits.
+_TERMS = st.text("abcxyz019éñø", min_size=1, max_size=4).map(Term)
 _OPERANDS = lambda children: st.lists(children, min_size=2, max_size=4).map(tuple)
 ASTS = st.recursive(
     _TERMS | st.lists(_TERMS, min_size=1, max_size=3).map(lambda ts: Block(tuple(ts))),
@@ -159,3 +180,35 @@ ASTS = st.recursive(
 @given(ASTS)
 def test_printed_ast_parses_back(ast):
     assert parse_query(show(ast)) == ast
+
+
+def leaves(node):
+    """The terms of a parsed chunk or phrase: a term, or a block of terms."""
+    if isinstance(node, Term):
+        return [node.term]
+    assert isinstance(node, Block)
+    return [child.term for child in node.children]
+
+
+# A chunk as the query grammar defines it: anything but whitespace, quotes
+# and operator characters.
+_CHUNK = re.compile(r'[^\s"|&<~\-()]+')
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(TEXT_CHARS + "Σß") | st.characters(codec="utf-8"), max_size=40))
+def test_lexer_agrees_with_tokenize(text):
+    text = text.replace('"', "")
+    for query, expected, phrase in [(f'"{text}"', words(text), True)] + [
+        (chunk, words(chunk), False) for chunk in _CHUNK.findall(text)
+    ]:
+        if not expected:
+            with pytest.raises(QuerySyntaxError):
+                parse_query(query)
+            continue
+        node = parse_query(query)
+        assert leaves(node) == expected
+        assert isinstance(node, Block) == (phrase or len(expected) > 1)
+    # Every indexed word, typed alone as a query, is that same term.
+    for word in words(text):
+        assert parse_query(word) == Term(word)
