@@ -38,7 +38,7 @@ def _cmd_index(args) -> int:
     save_index(index, args.output)
     print(
         f"indexed {index.doc_count()} documents, "
-        f"{len(index.postings)} terms -> {args.output}"
+        f"{len(index.postings)} terms -> {args.output!r}"
     )
     return 0
 

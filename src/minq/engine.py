@@ -1,11 +1,14 @@
 """Per-document query evaluation, snippets, ranking and search.
 
-A query AST compiles, per document, into a tree of lazy operators over
-singleton-interval streams built from term positions. One table maps each
-operator node type to its operands, its operator and its candidate-document
-rule. The operators are used bare: each first reads every operand once
-(difference: the minuend), so an empty operand (an absent term, say) ends
-it at once unless the operator is the merge or the operand a subtrahend.
+:func:`plan` compiles a query AST once into a callable that builds, per
+document, a tree of lazy streams over the index's position lists. One table
+maps each operator node type to its operands, its operator, its
+candidate-document rule and its int kernel. A node whose operands are all
+terms runs its kernel (see :mod:`minq.operators`); any other node runs its
+operator class over singleton-interval streams. The operators are used
+bare: each first reads every operand once (difference: the minuend), so an
+empty operand (an absent term, say) ends it at once unless the operator is
+the merge or the operand a subtrahend. A kernel makes the very same reads.
 
 Document-level filtering is conservative: it may admit documents without
 witnesses (evaluation weeds them out) but never drops one with witnesses.
@@ -22,16 +25,32 @@ longer matches the index raises :class:`StaleSourceError`.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .index import words
 from .intervals import Interval, length
-from .operators import and_span, block, difference, lowpass, or_merge, ordered_and
+from .operators import (
+    KernelStream,
+    and_kernel,
+    and_span,
+    block,
+    block_kernel,
+    difference,
+    difference_kernel,
+    lowpass,
+    or_kernel,
+    or_merge,
+    ordered_and,
+    ordered_kernel,
+)
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
 from .streams import IntervalStream, RhoProfile, from_positions, materialize, profile_streams
 
 star_compose = None  # placeholder: bench/tracer.py rebinds this name at install
 
 SATURATION_LENGTH = 8
+
+_NO_POSITIONS = ()
 
 
 def _children(node):
@@ -51,29 +70,91 @@ def _first(doc_sets):
 
 
 # node type -> (its operand nodes, operator over their streams, rule over an
-# iterator of their doc-id sets). Operators are module globals looked up when
+# iterator of their doc-id sets, int kernel over their position lists when
+# every operand is a term). Operators are module globals looked up when
 # called, so they can be rebound from outside.
 _NODES = {
-    Or: (_children, lambda n, s: or_merge(s), _union),
-    And: (_children, lambda n, s: and_span(s), _intersection),
-    Block: (_children, lambda n, s: block(s), _intersection),
-    OrderedAnd: (_children, lambda n, s: ordered_and(s), _intersection),
-    LowPass: (lambda n: (n.child,), lambda n, s: lowpass(s[0], n.k), _first),
-    Minus: (lambda n: (n.minuend, n.subtrahend), lambda n, s: difference(*s), _first),
+    Or: (_children, lambda n, s: or_merge(s), _union, or_kernel),
+    And: (_children, lambda n, s: and_span(s), _intersection, and_kernel),
+    Block: (_children, lambda n, s: block(s), _intersection, block_kernel),
+    OrderedAnd: (_children, lambda n, s: ordered_and(s), _intersection, ordered_kernel),
+    LowPass: (lambda n: (n.child,), lambda n, s: lowpass(s[0], n.k), _first, None),
+    Minus: (
+        lambda n: (n.minuend, n.subtrahend),
+        lambda n, s: difference(*s),
+        _first,
+        difference_kernel,
+    ),
 }
 
 
-def compile_query(ast, index, doc_id: int) -> IntervalStream:
-    """Build the lazy operator tree for one document."""
+def plan(ast, index):
+    """Compile ``ast`` once: a callable from a document id to its stream.
+
+    Each term's document-to-positions dict is looked up here, once. A node
+    whose operands are all terms runs its int kernel over the index's
+    position lists; every other node gets its instrumented operator, and a
+    term under it a :func:`~minq.streams.from_positions` leaf. Plans are
+    built from :func:`functools.partial` over module functions, so they
+    hold no reference cycle.
+    """
     if isinstance(ast, Term):
-        return from_positions(index.positions(ast.term, doc_id))
-    operands, operator, _ = _NODES[type(ast)]
-    return operator(ast, [compile_query(node, index, doc_id) for node in operands(ast)])
+        return partial(_leaf, index.term_postings(ast.term))
+    operands, operator, _, kernel = _NODES[type(ast)]
+    nodes = operands(ast)
+    if kernel is not None and all(isinstance(node, Term) for node in nodes):
+        term_docs = [index.term_postings(node.term) for node in nodes]
+        return partial(_kernel_node, kernel, term_docs)
+    return partial(_operator_node, operator, ast, [plan(node, index) for node in nodes])
+
+
+def _leaf(term_docs, doc_id):
+    return from_positions(term_docs.get(doc_id, _NO_POSITIONS))
+
+
+def _kernel_node(kernel, term_docs, doc_id):
+    return KernelStream(kernel, [docs.get(doc_id, _NO_POSITIONS) for docs in term_docs])
+
+
+def _operator_node(operator, ast, inputs, doc_id):
+    return operator(ast, [make(doc_id) for make in inputs])
+
+
+def _witnesses(make, doc_id):
+    return materialize(make(doc_id)), None
+
+
+def _profiled(ast, operator, inputs, doc_id):
+    prof = profile_streams(partial(operator, ast), [make(doc_id) for make in inputs])
+    return prof.outputs, prof
+
+
+def _profile_plan(ast, index):
+    """Like :func:`plan`, but to (witnesses, profile of the root's inputs).
+
+    The root keeps its instrumented operator over counted inputs; a term
+    root is profiled as the single input of an identity operator.
+    """
+    if isinstance(ast, Term):
+        inputs, operator = (ast,), _identity
+    else:
+        operands, operator, _, _ = _NODES[type(ast)]
+        inputs = operands(ast)
+    return partial(_profiled, ast, operator, [plan(node, index) for node in inputs])
+
+
+def _identity(node, streams):
+    return streams[0]
+
+
+def compile_query(ast, index, doc_id: int) -> IntervalStream:
+    """The lazy stream of the query's witnesses within one document."""
+    return plan(ast, index)(doc_id)
 
 
 def evaluate(ast, index, doc_id: int) -> list[Interval]:
     """Materialized witnesses of the query within one document."""
-    return materialize(compile_query(ast, index, doc_id))
+    return materialize(plan(ast, index)(doc_id))
 
 
 def evaluate_with_profile(ast, index, doc_id: int):
@@ -81,16 +162,7 @@ def evaluate_with_profile(ast, index, doc_id: int):
 
     A term root is profiled as the single input of an identity operator.
     """
-    if isinstance(ast, Term):
-        inputs, operator = (ast,), lambda n, s: s[0]
-    else:
-        operands, operator, _ = _NODES[type(ast)]
-        inputs = operands(ast)
-    prof = profile_streams(
-        lambda streams: operator(ast, streams),
-        [compile_query(node, index, doc_id) for node in inputs],
-    )
-    return prof.outputs, prof
+    return _profile_plan(ast, index)(doc_id)
 
 
 def _docs(ast, index) -> set[int]:
@@ -98,7 +170,7 @@ def _docs(ast, index) -> set[int]:
     # the index in a reference cycle, which only the cyclic collector frees.
     if isinstance(ast, Term):
         return index.term_docs(ast.term)
-    operands, _, combine = _NODES[type(ast)]
+    operands, _, combine, _ = _NODES[type(ast)]
     return combine(_docs(node, index) for node in operands(ast))
 
 
@@ -133,7 +205,9 @@ def rank(witnesses) -> float:
     A witness of length at most :data:`SATURATION_LENGTH` contributes 1,
     longer ones proportionally less.
     """
-    return float(sum(min(1.0, SATURATION_LENGTH / length(iv)) for iv in witnesses))
+    return float(
+        sum(min(1.0, SATURATION_LENGTH / (iv.right - iv.left + 1)) for iv in witnesses)
+    )
 
 
 @dataclass
@@ -185,27 +259,19 @@ def search(
         raise ValueError(f"top must not be negative, got {top}")
     if snippet_count < 0:
         raise ValueError(f"snippet count must not be negative, got {snippet_count}")
-    results = []
+    run = _profile_plan(ast, index) if with_profile else partial(_witnesses, plan(ast, index))
+    found = []
     for doc_id in candidate_docs(ast, index):
-        if with_profile:
-            witnesses, prof = evaluate_with_profile(ast, index, doc_id)
-        else:
-            witnesses, prof = evaluate(ast, index, doc_id), None
-        if not witnesses:
-            continue
-        score = rank(witnesses)
-        results.append(
-            QueryResult(
-                doc_id=doc_id,
-                score=score,
-                witnesses=witnesses,
-                snippets=[],
-                profile=prof,
-            )
-        )
-    results.sort(key=lambda r: (-r.score, r.doc_id))
+        witnesses, prof = run(doc_id)
+        if witnesses:
+            found.append((rank(witnesses), doc_id, witnesses, prof))
+    found.sort(key=lambda r: (-r[0], r[1]))
     if top is not None:
-        results = results[:top]
+        found = found[:top]
+    results = [
+        QueryResult(doc_id=doc_id, score=score, witnesses=witnesses, snippets=[], profile=prof)
+        for score, doc_id, witnesses, prof in found
+    ]
     if snippet_count:
         for result in results:
             words = document_words(index, result.doc_id)

@@ -32,12 +32,16 @@ import gc
 import os
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count, islice
 from operator import lt
 
 _WORD = re.compile(r"[^\W_]+")
 
 _MAGIC = "IVX1"
+
+# load_index splits the text it has read into blocks of whole lines of about
+# this many characters, so only one block's line strings are alive at once.
+_BLOCK_CHARS = 1 << 20
 
 
 class IndexFormatError(ValueError):
@@ -92,12 +96,16 @@ class PositionalIndex:
     def word_count(self, doc_id: int) -> int:
         return self.docs[doc_id].word_count
 
+    def term_postings(self, term: str) -> dict[int, list[int]]:
+        """Document id -> positions of term; empty when absent. Read only."""
+        return self.postings.get(term, {})
+
     def positions(self, term: str, doc_id: int) -> list[int]:
         """Positions of term in document; empty when absent."""
-        return self.postings.get(term, {}).get(doc_id, [])
+        return self.term_postings(term).get(doc_id, [])
 
     def term_docs(self, term: str) -> set[int]:
-        return set(self.postings.get(term, {}))
+        return set(self.term_postings(term))
 
     def __eq__(self, other):
         return (
@@ -163,11 +171,26 @@ def save_index(index: PositionalIndex, path) -> None:
         raise
 
 
+def _line_blocks(text):
+    """``text.splitlines()``, one block of whole lines at a time.
+
+    Each block but the last ends just after a ``\n``, which ends a line
+    whatever precedes it, so the blocks' lines are exactly the text's.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _BLOCK_CHARS - 1)
+        cut = end if cut < 0 else cut + 1
+        yield text[start:cut].splitlines()
+        start = cut
+
+
 @_collector_paused()
 def load_index(path) -> PositionalIndex:
     index = PositionalIndex()
     with open(path, "r", encoding="utf-8") as src:
-        lines = src.read().splitlines()
+        blocks = _line_blocks(src.read())
+    lines = next(blocks, [])
     if not lines:
         raise IndexFormatError(1, "missing header")
     header = lines[0].split()
@@ -179,9 +202,12 @@ def load_index(path) -> PositionalIndex:
         raise IndexFormatError(1, f"bad document count {header[1]!r}") from None
     if doc_count < 0:
         raise IndexFormatError(1, f"negative document count {doc_count}")
+    records = chain.from_iterable(chain([islice(lines, 1, None)], blocks))
+    del lines  # the first block goes once its records are read
     docs, postings = index.docs, index.postings
     term_docs = None  # the current term's postings, None before the first T
-    for number, line in enumerate(lines[1:], start=2):
+    number = 1
+    for number, line in enumerate(records, start=2):
         kind, _, rest = line.partition(" ")
         if kind == "P":
             if term_docs is None:
@@ -233,6 +259,6 @@ def load_index(path) -> PositionalIndex:
             raise IndexFormatError(number, f"unknown record {line!r}")
     if len(index.docs) != doc_count:
         raise IndexFormatError(
-            len(lines), f"header promised {doc_count} documents, found {len(index.docs)}"
+            number, f"header promised {doc_count} documents, found {len(index.docs)}"
         )
     return index

@@ -28,7 +28,16 @@ Operator state is one reference slot plus a few scalars per input list, so
 space stays linear in the operand count no matter how long the inputs are.
 Instances are single-consumer and own their input streams; independent
 operator trees can run on different threads.
+
+Five of the operators also have an int kernel (``or_kernel``,
+``and_kernel``, ``block_kernel``, ``ordered_kernel``, ``difference_kernel``):
+a generator over position-list iterators that makes the class's reads on
+singleton inputs without building an interval per read. The engine runs
+one, wrapped in a :class:`KernelStream`, for a node whose operands are all
+terms.
 """
+
+from functools import partial
 
 from .intervals import (
     Interval,
@@ -347,3 +356,291 @@ block = BlockConcat
 ordered_and = OrderedSpan
 lowpass = LowPassFilter
 difference = Difference
+
+
+# -- int kernels over term position lists --------------------------------
+#
+# When every operand of a node is a term, the engine runs one of these
+# generators over iterators of the index's position lists (strictly
+# increasing ints). Each makes exactly the reads of the class it
+# stands in for, terminal read included, and builds an Interval only for
+# what it yields. The queue kernels keep IndirectQueue's heap over
+# ``position * m + list index`` keys: one int comparison then decides the
+# same order and tie-break (smaller list index first) as the comparator on
+# singletons, so the heap makes the same moves and the same counts, which
+# the kernel publishes on ``counts`` each time it yields or ends.
+
+
+class QueueCounts:
+    """Queue work of a queue kernel, named as on :class:`IndirectQueue`."""
+
+    __slots__ = ("mutations", "comparisons", "max_mutation_comparisons")
+
+    def __init__(self):
+        self.mutations = self.comparisons = self.max_mutation_comparisons = 0
+
+
+class KernelStream(IntervalStream):
+    """A kernel run over position lists, as an interval stream."""
+
+    def __init__(self, kernel, position_lists):
+        if not position_lists:
+            raise ValueError("operator needs at least one input stream")
+        self.counts = QueueCounts()
+        gen = kernel([iter(positions) for positions in position_lists], self.counts)
+        self.next = partial(next, gen, None)
+
+
+def _enqueue_all(firsts, counts):
+    """The heap of keys over the first positions, and the sift-up comparisons.
+
+    Enqueues in list order, skipping missing lists, as ``_start`` does.
+    """
+    m = len(firsts)
+    heap = []
+    comparisons = most = 0
+    for i, p in enumerate(firsts):
+        if p is None:
+            continue
+        key = p * m + i
+        slot = len(heap)
+        heap.append(key)
+        used = 0
+        while slot:
+            parent = (slot - 1) >> 1
+            above = heap[parent]
+            used += 1
+            if key > above:
+                break
+            heap[slot] = above
+            slot = parent
+        heap[slot] = key
+        comparisons += used
+        if used > most:
+            most = used
+    counts.mutations = len(heap)
+    counts.comparisons = comparisons
+    counts.max_mutation_comparisons = most
+    return heap
+
+
+def or_kernel(iterators, counts):
+    """:class:`OrMerge` over singletons of position lists."""
+    m = len(iterators)
+    heap = _enqueue_all([next(it, None) for it in iterators], counts)
+    mutations = counts.mutations
+    comparisons = counts.comparisons
+    most = counts.max_mutation_comparisons
+    bound = NEG_INF  # keys below it are at or before the last output
+    while True:
+        while heap and heap[0] < bound:
+            i = heap[0] % m
+            p = next(iterators[i], None)
+            key = heap.pop() if p is None else p * m + i
+            mutations += 1
+            if heap:
+                n = len(heap)
+                slot, child, used = 0, 1, 0
+                while child < n:
+                    best = heap[child]
+                    if child + 1 < n:
+                        used += 1
+                        other = heap[child + 1]
+                        if other < best:
+                            child += 1
+                            best = other
+                    used += 1
+                    if best > key:
+                        break
+                    heap[slot] = best
+                    slot = child
+                    child = 2 * slot + 1
+                heap[slot] = key
+                comparisons += used
+                if used > most:
+                    most = used
+        counts.mutations = mutations
+        counts.comparisons = comparisons
+        counts.max_mutation_comparisons = most
+        if not heap:
+            return
+        p = heap[0] // m
+        bound = (p + 1) * m
+        yield Interval(p, p)
+
+
+def and_kernel(iterators, counts):
+    """:class:`AndSpan` over singletons of position lists."""
+    m = len(iterators)
+    firsts = [next(it, None) for it in iterators]
+    if None in firsts:
+        return
+    heap = _enqueue_all(firsts, counts)
+    mutations = counts.mutations
+    comparisons = counts.comparisons
+    most = counts.max_mutation_comparisons
+    right = max(firsts)  # the queue's right extreme
+    bound = NEG_INF  # keys below it start at the last output's left
+    while True:
+        top = heap[0]
+        if top < bound:
+            left = None  # skipping past the last output
+        else:
+            left = top // m
+            if left == right:
+                bound = (left + 1) * m
+                counts.mutations = mutations
+                counts.comparisons = comparisons
+                counts.max_mutation_comparisons = most
+                yield Interval(left, left)
+                continue
+            span_right = right
+        i = top % m
+        p = next(iterators[i], None)
+        if p is None:
+            key = heap.pop()
+        else:
+            key = p * m + i
+            if p > right:
+                right = p
+        mutations += 1
+        n = len(heap)
+        slot, child, used = 0, 1, 0
+        while child < n:
+            best = heap[child]
+            if child + 1 < n:
+                used += 1
+                other = heap[child + 1]
+                if other < best:
+                    child += 1
+                    best = other
+            used += 1
+            if best > key:
+                break
+            heap[slot] = best
+            slot = child
+            child = 2 * slot + 1
+        if n:
+            heap[slot] = key
+        comparisons += used
+        if used > most:
+            most = used
+        if p is None or (left is not None and right != span_right):
+            counts.mutations = mutations
+            counts.comparisons = comparisons
+            counts.max_mutation_comparisons = most
+            if left is not None:
+                bound = (left + 1) * m
+                yield Interval(left, span_right)
+            if p is None:
+                return
+
+
+def block_kernel(iterators, counts):
+    """:class:`BlockConcat` over singletons of position lists."""
+    m = len(iterators)
+    cur = [next(it, None) for it in iterators]
+    if None in cur:
+        return
+    first = iterators[0]
+    while True:
+        i = 1
+        while i < m:
+            prev = cur[i - 1]
+            p = cur[i]
+            if p <= prev:
+                it = iterators[i]
+                while True:
+                    p = next(it, None)
+                    if p is None:
+                        return
+                    if p > prev:
+                        break
+                cur[i] = p
+            if p == prev + 1:
+                i += 1
+            else:
+                head = next(first, None)
+                if head is None:
+                    return
+                cur[0] = head
+                i = 1
+        yield Interval(cur[0], cur[m - 1])
+        head = next(first, None)
+        if head is None:
+            return
+        cur[0] = head
+
+
+def _ordered_step(cur, iterators, i):
+    """One :meth:`OrderedSpan.next` from alignment point ``i``.
+
+    Returns the candidate (``None`` if there is none), the alignment point
+    to resume from, and whether an input ran dry.
+    """
+    m = len(cur)
+    candidate = None
+    barrier = POS_INF
+    while True:
+        while True:
+            prev = cur[i - 1]
+            if prev >= barrier:
+                return candidate, i, False
+            if i == m or cur[i] > prev:
+                break
+            it = iterators[i]
+            while True:
+                if cur[i] >= barrier:
+                    return candidate, i, False
+                p = next(it, None)
+                if p is None:
+                    return candidate, i, True
+                cur[i] = p
+                if p > prev:
+                    break
+            i += 1
+        candidate = Interval(cur[0], cur[m - 1])
+        barrier = cur[m - 1]
+        i = 1
+        head = next(iterators[0], None)
+        if head is None:
+            return candidate, i, True
+        cur[0] = head
+
+
+def ordered_kernel(iterators, counts):
+    """:class:`OrderedSpan` over singletons of position lists."""
+    m = len(iterators)
+    cur = [next(it, None) for it in iterators]
+    if None in cur:
+        return
+    for i in range(1, m):
+        while cur[i] <= cur[i - 1]:
+            p = next(iterators[i], None)
+            if p is None:
+                return
+            cur[i] = p
+    i = m
+    while True:
+        candidate, i, ended = _ordered_step(cur, iterators, i)
+        if candidate is None:
+            return
+        yield candidate
+        if ended:
+            return
+
+
+def difference_kernel(iterators, counts):
+    """:class:`Difference` over singletons of two position lists."""
+    minuend, subtrahend = iterators
+    last = NEG_INF
+    exhausted = False
+    for p in minuend:
+        while not exhausted and last < p:
+            s = next(subtrahend, None)
+            if s is None:
+                exhausted = True
+            else:
+                last = s
+        if exhausted or last != p:
+            yield Interval(p, p)

@@ -1,9 +1,11 @@
 """Indirect priority queue over a reference array of per-list intervals.
 
 The queue holds *indices* into a reference array with one interval slot per
-input list; priorities come from a three-way comparator over the slots,
-with ties broken toward the smallest list index so that runs are exactly
-reproducible. It is used the way the paper's merge and span conjunction use
+input list; priorities come from one of the two interval orders,
+:func:`~minq.intervals.cmp_end` (the merge) or
+:func:`~minq.intervals.cmp_start` (the span conjunction), with ties broken
+toward the smallest list index so that runs are exactly reproducible. Any
+other comparator is refused when the queue is made. It is used the way the paper's merge and span conjunction use
 it: :meth:`~IndirectQueue.enqueue` stores each list's first interval, and
 every later read goes through :func:`advance`, the one top replacement,
 which stores the top list's next interval or drops the list.
@@ -20,12 +22,13 @@ are single-threaded.
 
 :func:`advance` is the operators' per-read step, so it works on ``_heap``
 and ``reference`` directly: it reads the top list's next interval, stores
-it and sifts it down in one pass (the comparator called inline, the
-comparisons counted once per sift). ``_heap`` is never rebound, so
-operators read the top as ``reference[_heap[0]]`` and test ``len(_heap)``.
+it and sifts it down in one pass, with the comparisons of the end and the
+start order written out rather than called, counted once per sift.
+``_heap`` is never rebound, so operators read the top as
+``reference[_heap[0]]`` and test ``len(_heap)``.
 """
 
-from .intervals import Interval, NEG_INF
+from .intervals import Interval, NEG_INF, cmp_end, cmp_start
 
 
 class EmptyQueueError(Exception):
@@ -34,6 +37,8 @@ class EmptyQueueError(Exception):
 
 class IndirectQueue:
     def __init__(self, size: int, compare):
+        if compare is not cmp_end and compare is not cmp_start:
+            raise ValueError("the queue orders by cmp_end or cmp_start only")
         self.reference: list[Interval | None] = [None] * size
         self.right_extreme = NEG_INF
         self._cmp = compare
@@ -128,7 +133,10 @@ def advance(queue: IndirectQueue, streams) -> None:
 
     Reads exactly one element from the list bound to the top index: a real
     interval lands in the reference array and is sifted into place (one
-    mutation), a terminal dequeues the index for good.
+    mutation), a terminal dequeues the index for good. The sift and its
+    accounting run inline, with the comparisons of the queue's order
+    written out, making the same heap moves and counts as
+    :meth:`_sift_down`.
     """
     heap = queue._heap
     if not heap:
@@ -138,7 +146,58 @@ def advance(queue: IndirectQueue, streams) -> None:
     if item is None:
         queue.dequeue()
         return
-    queue.reference[index] = item
-    if item.right > queue.right_extreme:
-        queue.right_extreme = item.right
-    queue._account(queue._sift_down(0))
+    ref = queue.reference
+    ref[index] = item
+    left, right = item.left, item.right
+    if right > queue.right_extreme:
+        queue.right_extreme = right
+    n = len(heap)
+    slot, child, used = 0, 1, 0
+    if queue._cmp is cmp_end:
+        while child < n:
+            best = heap[child]
+            b = ref[best]
+            if child + 1 < n:
+                used += 1
+                other = heap[child + 1]
+                o = ref[other]
+                if o.right < b.right or o.right == b.right and (
+                    o.left > b.left or o.left == b.left and other < best
+                ):
+                    child += 1
+                    best, b = other, o
+            used += 1
+            if b.right > right or b.right == right and (
+                b.left < left or b.left == left and best > index
+            ):
+                break
+            heap[slot] = best
+            slot = child
+            child = 2 * slot + 1
+        heap[slot] = index
+    else:
+        while child < n:
+            best = heap[child]
+            b = ref[best]
+            if child + 1 < n:
+                used += 1
+                other = heap[child + 1]
+                o = ref[other]
+                if o.left < b.left or o.left == b.left and (
+                    o.right > b.right or o.right == b.right and other < best
+                ):
+                    child += 1
+                    best, b = other, o
+            used += 1
+            if b.left > left or b.left == left and (
+                b.right < right or b.right == right and best > index
+            ):
+                break
+            heap[slot] = best
+            slot = child
+            child = 2 * slot + 1
+        heap[slot] = index
+    queue.comparisons += used
+    if used > queue.max_mutation_comparisons:
+        queue.max_mutation_comparisons = used
+    queue.mutations += 1

@@ -67,6 +67,26 @@ def random_inputs(rng: random.Random, max_m=5, allow_empty=True):
     return [gen(rng, allow_empty=allow_empty) for _ in range(m)]
 
 
+class CountedIterator:
+    """Iterator over a position list that counts its ``next`` calls.
+
+    It appends itself to ``leaves`` when made, so a run's leaves can be
+    read back in the order they were opened.
+    """
+
+    def __init__(self, positions, leaves):
+        self._inner = list.__iter__(positions)
+        self.reads = 0
+        leaves.append(self)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.reads += 1
+        return next(self._inner)
+
+
 class CountedSingletons(IntervalStream):
     """Endless-feeling singleton source for space/laziness probes."""
 

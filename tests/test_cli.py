@@ -42,6 +42,14 @@ def test_index_reports_summary(tmp_path):
     assert idx.exists()
 
 
+def test_index_summary_is_one_line_whatever_the_output_path(tmp_path):
+    idx = tmp_path / "two\nlines.ivx"
+    proc = run_cli("index", str(RHYME), "-o", str(idx))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == f"indexed 1 documents, 13 terms -> {str(idx)!r}\n"
+    assert idx.exists()
+
+
 def test_query_golden_bytes(rhyme_idx):
     proc = run_cli("query", str(rhyme_idx), CAPTION_QUERY, "--snippets", "3")
     assert proc.returncode == 0, proc.stderr

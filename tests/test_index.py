@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import minq.index as index_module
 from minq import IndexFormatError, build_index, load_index, save_index, tokenize
 from minq.index import words
 
@@ -33,6 +34,9 @@ def test_rhyme_postings():
     assert index.positions("hot", 0) == [2, 17, 33]
     assert index.positions("cold", 0) == [5, 21, 36]
     assert index.positions("absent", 0) == []
+    assert index.term_postings("hot") == {0: [2, 17, 33]}
+    assert index.term_postings("absent") == {}
+    assert index.term_docs("hot") == {0}
     assert index.word_count(0) == 37
 
 
@@ -132,6 +136,25 @@ def test_malformed_files_report_line(tmp_path, content, line):
     assert err.value.line == line
     assert f"line {line}:" in str(err.value)
     assert POSITION_FAULTS.get(content, "") in str(err.value)
+
+
+def test_lines_past_the_first_block_keep_their_numbers(tmp_path, monkeypatch):
+    # Blocks of a few lines each: lines still number from the file's start,
+    # and a block cut never splits or merges a line.
+    monkeypatch.setattr(index_module, "_BLOCK_CHARS", 16)
+    index = build_index([("a.txt", "ape bee ape cow"), ("b.txt", "bee cow dog")])
+    target = tmp_path / "idx.ivx"
+    save_index(index, target)
+    assert load_index(target) == index
+    lines = target.read_text().splitlines()
+    bad = 7
+    assert lines[bad - 1].startswith("P ")
+    lines[bad - 1] += " 99"
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IndexFormatError) as err:
+        load_index(target)
+    assert err.value.line == bad
+    assert "beyond word count" in str(err.value)
 
 
 # The loader checks a posting line's positions in one pass and rescans only

@@ -99,6 +99,12 @@ def test_span_of():
     assert span(loaded_queue([iv(2, 2), iv(1, 1)], cmp_start)) == iv(1, 2)
 
 
+def test_queue_refuses_other_orders():
+    # advance writes out the comparisons of these two orders only.
+    with pytest.raises(ValueError):
+        IndirectQueue(2, lambda a, b: 0)
+
+
 @pytest.mark.parametrize("order", [cmp_end, cmp_start])
 def test_differential_against_linear_scan(order):
     rng = random.Random(order is cmp_end)
