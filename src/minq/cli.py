@@ -17,8 +17,8 @@ Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
 I/O or index-format trouble. Exit 2 also covers a negative ``--top`` or
 ``--snippets`` (rejected before evaluation, whether or not anything
 matches) and a printed document whose source file is missing or no longer
-matches its indexed word count. These errors print one ``minq: ...`` line
-on stderr.
+matches its indexed word count and content digest. These errors print one
+``minq: ...`` line on stderr; a bad index file's line ends ``; re-index it``.
 """
 
 import argparse
@@ -32,8 +32,8 @@ from .query import QuerySyntaxError, parse_query
 def _cmd_index(args) -> int:
     documents = []
     for path in args.paths:
-        with open(path, "r", encoding="utf-8") as src:
-            documents.append((path, src.read()))
+        with open(path, "rb") as src:
+            documents.append((path, src.read().decode("utf-8")))
     index = build_index(documents)
     save_index(index, args.output)
     print(
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         print(f"minq: query error: {exc}", file=sys.stderr)
         return 1
     except IndexFormatError as exc:
-        print(f"minq: bad index file: {exc}", file=sys.stderr)
+        print(f"minq: bad index file: {exc}; re-index it", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"minq: {exc}", file=sys.stderr)

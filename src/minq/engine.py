@@ -20,14 +20,14 @@ reference counting even while the cyclic collector is paused.
 :func:`search` ranks every match and cuts to ``top`` before it extracts
 snippets, so snippets are extracted only for the returned results and the
 source files of the other matches are never opened. A returned document's
-source that is missing raises :class:`OSError`; one whose word count no
-longer matches the index raises :class:`StaleSourceError`.
+source that is missing raises :class:`OSError`; one whose word count or
+content digest no longer matches the index raises :class:`StaleSourceError`.
 """
 
 from dataclasses import dataclass
 from functools import partial
 
-from .index import words
+from .index import source_digest, words
 from .intervals import Interval, length
 from .operators import (
     KernelStream,
@@ -49,8 +49,6 @@ from .streams import IntervalStream, RhoProfile, from_positions, materialize, pr
 star_compose = None  # placeholder: bench/tracer.py rebinds this name at install
 
 SATURATION_LENGTH = 8
-
-_NO_POSITIONS = ()
 
 
 def _children(node):
@@ -91,29 +89,35 @@ _NODES = {
 def plan(ast, index):
     """Compile ``ast`` once: a callable from a document id to its stream.
 
-    Each term's document-to-positions dict is looked up here, once. A node
-    whose operands are all terms runs its int kernel over the index's
-    position lists; every other node gets its instrumented operator, and a
+    Each term's postings are looked up here, once; per document, a term
+    costs one dict get and one list slice (see :mod:`minq.index`). A node
+    whose operands are all terms runs its int kernel over those position
+    lists; every other node gets its instrumented operator, and a
     term under it a :func:`~minq.streams.from_positions` leaf. Plans are
     built from :func:`functools.partial` over module functions, so they
     hold no reference cycle.
     """
     if isinstance(ast, Term):
-        return partial(_leaf, index.term_postings(ast.term))
+        return partial(_leaf, *index.term_postings(ast.term))
     operands, operator, _, kernel = _NODES[type(ast)]
     nodes = operands(ast)
     if kernel is not None and all(isinstance(node, Term) for node in nodes):
-        term_docs = [index.term_postings(node.term) for node in nodes]
-        return partial(_kernel_node, kernel, term_docs)
+        postings = [index.term_postings(node.term) for node in nodes]
+        return partial(_kernel_node, kernel, postings)
     return partial(_operator_node, operator, ast, [plan(node, index) for node in nodes])
 
 
-def _leaf(term_docs, doc_id):
-    return from_positions(term_docs.get(doc_id, _NO_POSITIONS))
+def _leaf(entries, starts, positions, doc_id):
+    e = entries.get(doc_id, -1)
+    return from_positions(positions[starts[e] : starts[e + 1]])
 
 
-def _kernel_node(kernel, term_docs, doc_id):
-    return KernelStream(kernel, [docs.get(doc_id, _NO_POSITIONS) for docs in term_docs])
+def _kernel_node(kernel, postings, doc_id):
+    lists = []
+    for entries, starts, positions in postings:
+        e = entries.get(doc_id, -1)
+        lists.append(positions[starts[e] : starts[e + 1]])
+    return KernelStream(kernel, lists)
 
 
 def _operator_node(operator, ast, inputs, doc_id):
@@ -220,23 +224,27 @@ class QueryResult:
 
 
 class StaleSourceError(ValueError):
-    """A source file no longer tokenizes to the word count the index holds."""
+    """A source file no longer holds the text the index was built from."""
 
 
 def document_words(index, doc_id: int) -> list[str]:
     """Re-tokenized words of a document, read back from its source path.
 
-    Raises :class:`StaleSourceError` if the file's word count differs from
-    the indexed one, since positions would then point at the wrong words.
+    Raises :class:`StaleSourceError` if the file's word count or content
+    digest differs from the indexed one, since positions would then point
+    at the wrong words.
     """
-    path = index.docs[doc_id].path
-    with open(path, "r", encoding="utf-8") as src:
-        found = words(src.read())
-    expected = index.word_count(doc_id)
-    if len(found) != expected:
+    doc = index.docs[doc_id]
+    with open(doc.path, "rb") as src:
+        data = src.read()
+    found = words(data.decode("utf-8"))
+    if len(found) != doc.word_count:
         raise StaleSourceError(
-            f"stale source {path}: {len(found)} words, index has {expected}; re-index it"
+            f"stale source {doc.path}: {len(found)} words, index has {doc.word_count}; "
+            "re-index it"
         )
+    if source_digest(data) != doc.digest:
+        raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
     return found
 
 

@@ -1,55 +1,81 @@
-"""Positional inverted index with a line-oriented text persistence format.
+"""Positional inverted index, in memory and on disk as per-term columns.
 
 Documents are plain text; tokenization case-folds the text and splits it on
 any run of non-alphanumeric characters, numbering words from 0 (:func:`words`
-is the one splitter, also used for query words and phrases and snippets). The index maps
-each term to per-document strictly increasing position lists, plus a
-document table of source path and word count. Once built (or loaded) an
-index is never mutated by queries, so it can be shared freely across
-threads. Building and loading pause the cyclic garbage collector, which is
-process-wide, and restore the state they found; other threads meanwhile
-run without cyclic collection. The pause is safe because an index holds
-no reference cycles, and it pays: otherwise collections triggered by
-set-up's allocations walk every list already built.
+is the one splitter, also used for query words and phrases and snippets).
 
-The on-disk format is diffable text, fixed so golden files stay bit-exact:
+In memory each term has one :class:`TermPostings` of three parts. Its
+``positions`` list holds the term's document-local positions, document
+after document. Its ``starts`` list holds where each document's run
+begins, plus the list's length at the end. Its ``entries`` dict maps each
+document holding the term, in increasing order, to the number ``e`` of its
+run, which is ``positions[starts[e]:starts[e + 1]]``. A lookup is one dict
+get and one list slice, both done in C; ``e = -1`` for a document without
+the term gives the empty slice ``positions[len:0]``. Built and loaded
+indexes share this layout, plus a document table of source path, word
+count and content digest. Once built (or loaded) an index is never mutated
+by queries, so it can be shared freely across threads. Building, saving and
+loading pause the cyclic garbage collector, which is process-wide, and
+restore the state they found; other threads meanwhile run without cyclic
+collection. The pause is safe because an index holds no reference cycles,
+and it pays: otherwise collections triggered by set-up's allocations walk
+every object already built.
 
-    IVX1 <doc count>
-    D <doc id> <word count> <path>
-    ...
-    T <term>
-    P <doc id> <pos> <pos> ...
-    ...
+On disk the index is IVX2, a binary file. Every number is an unsigned
+little-endian integer; ``u32[n]`` is a column of n four-byte ones:
 
-Terms are sorted, and posting lines within a term come in document order.
-A save replaces the file whole (temporary file, then rename), so a reader
-never sees a partial index and a failed save leaves the old one in place.
-The file is not fsynced: a power loss just after a save can still lose it.
+    header      b"IVX2", u32 doc count D, u32 term count T, u32 total words
+    doc table   u32[D] word counts, u32[D] path byte lengths,
+                D 16-byte digests, the D paths (UTF-8, concatenated)
+    term table  u32[T] term byte lengths, u32[T] document counts,
+                u32[T] position counts, three u8[T] column widths,
+                the T terms (UTF-8, sorted, concatenated)
+    postings    per term, in term order: its doc-id gaps, its position
+                count per document, its position gaps
+
+A term's positions are numbered over the concatenated collection: position
+``p`` of document ``d`` is ``p`` plus the word counts of documents ``0 ..
+d-1``. A gap is the difference from the previous value, the first one
+counted from -1, so every gap is at least 1. Each of a term's three
+columns takes the narrowest width of 1, 2 or 4 bytes that holds its
+largest value, as the term's entry in the matching width column says. The
+digest is a 16-byte BLAKE2b of the document's text encoded as UTF-8, which
+for ``minq index`` are the source file's bytes.
+
+Loading checks every column with C-level passes, so any file it accepts
+is a well-formed index, and it does Python-level work per term, not per
+document of a term. A save replaces the file whole (temporary file, then
+rename), so a reader never sees a partial index and a failed save leaves
+the old one in place. The file is not fsynced: a power loss just after a
+save can still lose it.
 """
 
 import contextlib
 import gc
+import hashlib
 import os
 import re
+import struct
+import sys
+from array import array
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain, count, islice
-from operator import lt
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, lt, mul, setitem, sub
+from typing import NamedTuple
 
 _WORD = re.compile(r"[^\W_]+")
 
-_MAGIC = "IVX1"
-
-# load_index splits the text it has read into blocks of whole lines of about
-# this many characters, so only one block's line strings are alive at once.
-_BLOCK_CHARS = 1 << 20
+_HEADER = struct.Struct("<4sIII")
+_MAGIC = b"IVX2"
+_DIGEST_SIZE = 16
+_LIMIT = 1 << 32  # every stored number is below this
+_TYPECODES = {1: "B", 2: "H", 4: "I" if array("I").itemsize == 4 else "L"}
+_SWAP = sys.byteorder == "big"
 
 
 class IndexFormatError(ValueError):
-    """An index file failed to parse; carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    """An index file failed to load; the message names a byte offset or a term."""
 
 
 def words(text: str) -> list[str]:
@@ -67,28 +93,33 @@ def tokenize(text: str):
     return list(zip(words(text), count()))
 
 
+def source_digest(data: bytes) -> bytes:
+    """The digest the index keeps of a document's text as UTF-8 bytes."""
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+
+
 @dataclass
 class DocInfo:
     path: str
     word_count: int
+    digest: bytes
+
+
+class TermPostings(NamedTuple):
+    """One term's postings, laid out as the module docstring says. Read only."""
+
+    entries: dict[int, int]
+    starts: list[int]
+    positions: list[int]
+
+
+_ABSENT = TermPostings({}, [0], [])
 
 
 class PositionalIndex:
-    def __init__(self):
-        self.docs: list[DocInfo] = []
-        self.postings: dict[str, dict[int, list[int]]] = {}
-
-    def add_document(self, path: str, text: str) -> int:
-        doc_id = len(self.docs)
-        terms = words(text)
-        self.docs.append(DocInfo(path=path, word_count=len(terms)))
-        grouped = {}
-        for pos, term in enumerate(terms):
-            grouped.setdefault(term, []).append(pos)
-        postings = self.postings
-        for term, positions in grouped.items():
-            postings.setdefault(term, {})[doc_id] = positions
-        return doc_id
+    def __init__(self, docs: list[DocInfo], postings: dict[str, TermPostings]):
+        self.docs = docs
+        self.postings = postings
 
     def doc_count(self) -> int:
         return len(self.docs)
@@ -96,16 +127,18 @@ class PositionalIndex:
     def word_count(self, doc_id: int) -> int:
         return self.docs[doc_id].word_count
 
-    def term_postings(self, term: str) -> dict[int, list[int]]:
-        """Document id -> positions of term; empty when absent. Read only."""
-        return self.postings.get(term, {})
+    def term_postings(self, term: str) -> TermPostings:
+        """The term's postings; empty when absent. Read only."""
+        return self.postings.get(term, _ABSENT)
 
     def positions(self, term: str, doc_id: int) -> list[int]:
         """Positions of term in document; empty when absent."""
-        return self.term_postings(term).get(doc_id, [])
+        entries, starts, positions = self.term_postings(term)
+        e = entries.get(doc_id, -1)
+        return positions[starts[e] : starts[e + 1]]
 
     def term_docs(self, term: str) -> set[int]:
-        return set(self.term_postings(term))
+        return set(self.term_postings(term).entries)
 
     def __eq__(self, other):
         return (
@@ -133,37 +166,107 @@ def _collector_paused():
 @_collector_paused()
 def build_index(documents) -> PositionalIndex:
     """Index an iterable of (path, text) pairs in order."""
-    index = PositionalIndex()
+    docs, postings = [], {}
+    numbers = []  # numbers[k] == k; positions share these ints, not one int each
     for path, text in documents:
-        index.add_document(path, text)
-    return index
+        doc_id = len(docs)
+        terms = words(text)
+        docs.append(DocInfo(path, len(terms), source_digest(text.encode("utf-8"))))
+        numbers += range(len(numbers), len(terms))
+        grouped = {}
+        for pos, term in zip(numbers, terms):
+            grouped.setdefault(term, []).append(pos)
+        for term, found in grouped.items():
+            held = postings.get(term)
+            if held is None:
+                held = postings[term] = TermPostings({}, [0], [])
+            entries, starts, positions = held
+            entries[doc_id] = len(entries)
+            positions += found
+            starts.append(len(positions))
+    return PositionalIndex(docs, postings)
 
 
-def save_index(index: PositionalIndex, path) -> None:
-    r"""Write ``index`` to ``path``, replacing it whole or leaving it as it was.
+def _rebase(steps: list[int], starts: list[int], shifts: list[int], op) -> None:
+    """Fold each run's change of shift into its first step, in place.
 
-    The file is written under a temporary name in the same directory and
-    renamed into place. A document path that :meth:`str.splitlines` would
-    break (``\n``, ``\r``, ``\x85``, ``\u2028``, ...) cannot be stored in
-    its one-line ``D`` record, so it raises :class:`ValueError` before
-    anything is written.
+    ``steps[starts[e]]`` becomes ``op(it, shifts[e] - shifts[e - 1])``,
+    reading ``shifts[-1]`` as 0. With ``shifts`` the runs' document offsets,
+    ``add`` turns steps between local positions into gaps between
+    collection-wide ones, and ``sub`` turns them back.
     """
-    for doc in index.docs:
-        if doc.path.splitlines() not in ([], [doc.path]):
-            raise ValueError(f"document path {doc.path!r} contains a line break")
+    firsts = starts[:-1]
+    changes = map(sub, shifts, chain((0,), shifts))
+    rebased = map(op, map(steps.__getitem__, firsts), changes)
+    deque(map(setitem, repeat(steps), firsts, rebased), maxlen=0)  # a C-level pass
+
+
+def _u32s(values) -> bytes:
+    column = array(_TYPECODES[4], values)
+    if _SWAP:
+        column.byteswap()
+    return column.tobytes()
+
+
+def _packed(values: list[int]) -> tuple[int, bytes]:
+    """(width, bytes): ``values`` little-endian in the narrowest width that holds them."""
+    raw = _u32s(values)
+    if raw[2::4].strip(b"\0") or raw[3::4].strip(b"\0"):
+        return 4, raw
+    if raw[1::4].strip(b"\0"):
+        return 2, memoryview(raw).cast("H")[::2].tobytes()
+    return 1, raw[::4]
+
+
+def _term_columns(postings: TermPostings, offsets: list[int]):
+    """One term's three packed columns; ``offsets[d]`` is 1 + d's first global position."""
+    entries, starts, positions = postings
+    docs = list(entries)
+    gaps = list(map(sub, positions, chain((0,), positions)))
+    _rebase(gaps, starts, list(map(offsets.__getitem__, docs)), add)
+    return (
+        _packed(list(map(sub, docs, chain((-1,), docs)))),
+        _packed(list(map(sub, islice(starts, 1, None), starts))),
+        _packed(gaps),
+    )
+
+
+@_collector_paused()
+def save_index(index: PositionalIndex, path) -> None:
+    """Write ``index`` to ``path``, replacing it whole or leaving it as it was.
+
+    Everything is encoded before the file is opened; then it is written
+    under a temporary name in the same directory and renamed into place.
+    Raises :class:`ValueError` for an index of 2**32 or more words, which
+    IVX2 cannot number.
+    """
+    docs = index.docs
+    offsets = list(accumulate((doc.word_count for doc in docs), initial=1))
+    if offsets[-1] > _LIMIT:
+        raise ValueError("index too large for IVX2: 2**32 words or more")
+    paths = [doc.path.encode("utf-8") for doc in docs]
+    terms = sorted(index.postings)
+    names = [term.encode("utf-8") for term in terms]
+    held = [index.postings[term] for term in terms]
+    columns = [_term_columns(postings, offsets) for postings in held]
+    chunks = [
+        _HEADER.pack(_MAGIC, len(docs), len(terms), offsets[-1] - 1),
+        _u32s(doc.word_count for doc in docs),
+        _u32s(map(len, paths)),
+        *(doc.digest for doc in docs),
+        *paths,
+        _u32s(map(len, names)),
+        _u32s(len(postings.entries) for postings in held),
+        _u32s(len(postings.positions) for postings in held),
+        *(bytes(column[k][0] for column in columns) for k in range(3)),
+        *names,
+        *(packed for column in columns for _, packed in column),
+    ]
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(temp, "x", encoding="utf-8") as out:
-            out.write(f"{_MAGIC} {index.doc_count()}\n")
-            for doc_id, doc in enumerate(index.docs):
-                out.write(f"D {doc_id} {doc.word_count} {doc.path}\n")
-            for term in sorted(index.postings):
-                out.write(f"T {term}\n")
-                docs = index.postings[term]
-                for doc_id in sorted(docs):
-                    positions = " ".join(str(p) for p in docs[doc_id])
-                    out.write(f"P {doc_id} {positions}\n")
+        with open(temp, "xb") as out:
+            out.writelines(chunks)
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -171,94 +274,120 @@ def save_index(index: PositionalIndex, path) -> None:
         raise
 
 
-def _line_blocks(text):
-    """``text.splitlines()``, one block of whole lines at a time.
+def _column(data: bytes, start: int, count: int, width: int) -> list[int]:
+    if width == 1:
+        return list(data[start : start + count])
+    column = array(_TYPECODES[width], data[start : start + count * width])
+    if _SWAP:
+        column.byteswap()
+    return column.tolist()
 
-    Each block but the last ends just after a ``\n``, which ends a line
-    whatever precedes it, so the blocks' lines are exactly the text's.
-    """
-    start, end = 0, len(text)
-    while start < end:
-        cut = text.find("\n", start + _BLOCK_CHARS - 1)
-        cut = end if cut < 0 else cut + 1
-        yield text[start:cut].splitlines()
-        start = cut
+
+class _Reader:
+    """Bounds-checked reads from an index file's bytes, front to back."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.at = 0
+
+    def fail(self, message: str, at: int | None = None) -> IndexFormatError:
+        return IndexFormatError(f"byte {self.at if at is None else at}: {message}")
+
+    def take(self, size: int, what: str) -> int:
+        """Start of the next ``size`` bytes, which hold ``what``."""
+        start, self.at = self.at, self.at + size
+        if self.at > len(self.data):
+            raise self.fail(f"file ends inside the {what}", start)
+        return start
+
+    def column(self, count: int, width: int, what: str) -> list[int]:
+        return _column(self.data, self.take(count * width, what), count, width)
+
+    def pieces(self, sizes: list[int], what: str) -> list[bytes]:
+        """``len(sizes)`` consecutive byte strings of the given sizes."""
+        stops = list(accumulate(sizes, initial=self.take(sum(sizes), what)))
+        return list(map(self.data.__getitem__, map(slice, stops, islice(stops, 1, None))))
+
+    def strings(self, sizes: list[int], what: str) -> list[str]:
+        start = self.at
+        try:
+            return list(map(bytes.decode, self.pieces(sizes, what)))
+        except UnicodeDecodeError:
+            raise self.fail(f"{what} not UTF-8", start) from None
 
 
 @_collector_paused()
 def load_index(path) -> PositionalIndex:
-    index = PositionalIndex()
-    with open(path, "r", encoding="utf-8") as src:
-        blocks = _line_blocks(src.read())
-    lines = next(blocks, [])
-    if not lines:
-        raise IndexFormatError(1, "missing header")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != _MAGIC:
-        raise IndexFormatError(1, f"bad header {lines[0]!r}")
-    try:
-        doc_count = int(header[1])
-    except ValueError:
-        raise IndexFormatError(1, f"bad document count {header[1]!r}") from None
-    if doc_count < 0:
-        raise IndexFormatError(1, f"negative document count {doc_count}")
-    records = chain.from_iterable(chain([islice(lines, 1, None)], blocks))
-    del lines  # the first block goes once its records are read
-    docs, postings = index.docs, index.postings
-    term_docs = None  # the current term's postings, None before the first T
-    number = 1
-    for number, line in enumerate(records, start=2):
-        kind, _, rest = line.partition(" ")
-        if kind == "P":
-            if term_docs is None:
-                raise IndexFormatError(number, "postings before any term")
-            try:
-                values = list(map(int, rest.split()))
-            except ValueError:
-                raise IndexFormatError(number, f"bad posting fields {rest!r}") from None
-            if len(values) < 2:
-                raise IndexFormatError(number, "posting line needs doc id and positions")
-            doc_id, positions = values[0], values[1:]
-            if not 0 <= doc_id < len(docs):
-                raise IndexFormatError(number, f"unknown document id {doc_id}")
-            if doc_id in term_docs:
-                raise IndexFormatError(number, f"duplicate postings for doc {doc_id}")
-            limit = docs[doc_id].word_count
-            if not (
-                positions[0] >= 0
-                and positions[-1] < limit
-                and all(map(lt, positions, positions[1:]))
-            ):
-                # Rescan to name the first fault in line order.
-                for prev, cur in zip([-1] + positions, positions):
-                    if cur <= prev:
-                        raise IndexFormatError(number, "positions not strictly increasing")
-                    if cur >= limit:
-                        raise IndexFormatError(number, f"position {cur} beyond word count {limit}")
-            term_docs[doc_id] = positions
-        elif kind == "T":
-            if not rest:
-                raise IndexFormatError(number, "empty term")
-            if rest in postings:
-                raise IndexFormatError(number, f"duplicate term {rest!r}")
-            term_docs = postings[rest] = {}
-        elif kind == "D":
-            fields = rest.split(" ", 2)
-            if len(fields) != 3:
-                raise IndexFormatError(number, "document line needs id, count, path")
-            try:
-                doc_id, word_count = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise IndexFormatError(number, f"bad document fields {rest!r}") from None
-            if doc_id != len(docs):
-                raise IndexFormatError(number, f"document id {doc_id} out of order")
-            if word_count < 0:
-                raise IndexFormatError(number, f"negative word count {word_count}")
-            docs.append(DocInfo(path=fields[2], word_count=word_count))
-        else:
-            raise IndexFormatError(number, f"unknown record {line!r}")
-    if len(index.docs) != doc_count:
-        raise IndexFormatError(
-            number, f"header promised {doc_count} documents, found {len(index.docs)}"
-        )
-    return index
+    """Read an IVX2 file; :class:`IndexFormatError` if it is not a well-formed one."""
+    with open(path, "rb") as src:
+        data = src.read()
+    read = _Reader(data)
+    if data[:4] != _MAGIC:
+        raise read.fail(f"not an IVX2 index file (it starts {data[:8]!r})")
+    _, doc_count, term_count, total = _HEADER.unpack_from(data, read.take(_HEADER.size, "header"))
+    word_counts = read.column(doc_count, 4, "document word counts")
+    path_sizes = read.column(doc_count, 4, "document path lengths")
+    digests = read.pieces([_DIGEST_SIZE] * doc_count, "document digests")
+    paths = read.strings(path_sizes, "document paths")
+    offsets = list(accumulate(word_counts, initial=1))
+    if offsets[-1] - 1 != total:
+        raise read.fail(f"header says {total} words, documents hold {offsets[-1] - 1}", 12)
+    docs = list(map(DocInfo, paths, word_counts, digests))
+
+    term_sizes = read.column(term_count, 4, "term lengths")
+    doc_counts = read.column(term_count, 4, "term document counts")
+    sizes = read.column(term_count, 4, "term position counts")
+    widths = [read.column(term_count, 1, "column widths") for _ in range(3)]
+    if not set(chain.from_iterable(widths)) <= _TYPECODES.keys():
+        raise read.fail("column width not 1, 2 or 4", read.at - 3 * term_count)
+    if 0 in term_sizes:
+        raise read.fail("empty term", read.at)
+    terms = read.strings(term_sizes, "terms")
+    if not all(map(lt, terms, islice(terms, 1, None))):
+        later = next(b for a, b in zip(terms, terms[1:]) if a >= b)
+        raise IndexFormatError(f"term {later!r}: duplicate or out of order")
+    at = read.at
+    end = at + sum(map(mul, doc_counts, map(add, *widths[:2]))) + sum(map(mul, sizes, widths[2]))
+    if end > len(data):
+        raise read.fail("file ends inside the postings", len(data))
+    if end < len(data):
+        raise read.fail(f"{len(data) - end} trailing bytes", end)
+
+    postings = {}
+    for term, n, m, dw, cw, pw in zip(terms, doc_counts, sizes, *widths):
+        doc_gaps = _column(data, at, n, dw)
+        at += n * dw
+        counts = _column(data, at, n, cw)
+        at += n * cw
+        gaps = _column(data, at, m, pw)
+        at += m * pw
+        if not n or 0 in doc_gaps or 0 in counts or 0 in gaps or sum(counts) != m:
+            raise _fault(term, n, doc_gaps, counts, gaps, m)
+        doc_ids = list(accumulate(doc_gaps, initial=-1))
+        del doc_ids[0]
+        if doc_ids[-1] >= doc_count:
+            raise IndexFormatError(f"term {term!r}: unknown document id {doc_ids[-1]}")
+        starts = list(accumulate(counts, initial=0))
+        _rebase(gaps, starts, list(map(offsets.__getitem__, doc_ids)), sub)
+        positions = list(accumulate(gaps, initial=0))  # positions[k + 1] is the k-th
+        lasts = map(positions.__getitem__, islice(starts, 1, None))
+        if min(positions) < 0 or not all(map(lt, lasts, map(word_counts.__getitem__, doc_ids))):
+            raise IndexFormatError(f"term {term!r}: a position lies outside its document")
+        del positions[0]
+        postings[term] = TermPostings(dict(zip(doc_ids, count())), starts, positions)
+    return PositionalIndex(docs, postings)
+
+
+def _fault(term, n, doc_gaps, counts, gaps, m) -> IndexFormatError:
+    """The error for a term that failed the checks on its columns alone."""
+    if not n:
+        problem = "no documents"
+    elif 0 in doc_gaps:
+        problem = "document ids not strictly increasing"
+    elif 0 in counts:
+        problem = "a document with no positions"
+    elif 0 in gaps:
+        problem = "positions not strictly increasing"
+    else:
+        problem = f"position counts sum to {sum(counts)}, term table says {m}"
+    return IndexFormatError(f"term {term!r}: {problem}")

@@ -2,11 +2,12 @@
 linear-scan reference queue, prefix-check composition and the per-token
 reference index build."""
 
+import hashlib
 import random
 import re
 
 from minq import EmptyQueueError, Interval, NEG_INF, PositionalIndex
-from minq.index import DocInfo
+from minq.index import DocInfo, TermPostings
 from minq.streams import IntervalStream, ListStream
 
 # Term positions of the rhyme corpus (tests/data/rhyme.txt).
@@ -285,11 +286,22 @@ def reference_tokenize(text):
 
 def reference_build(documents):
     """Index built one token at a time, as the obviously-correct reference."""
-    index = PositionalIndex()
+    docs, by_term = [], {}
     for path, text in documents:
-        doc_id = len(index.docs)
+        doc_id = len(docs)
         tokens = reference_tokenize(text)
-        index.docs.append(DocInfo(path=path, word_count=len(tokens)))
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+        docs.append(DocInfo(path=path, word_count=len(tokens), digest=digest))
         for term, pos in tokens:
-            index.postings.setdefault(term, {}).setdefault(doc_id, []).append(pos)
-    return index
+            by_term.setdefault(term, {}).setdefault(doc_id, []).append(pos)
+    return PositionalIndex(docs, {term: postings_of(runs) for term, runs in by_term.items()})
+
+
+def postings_of(runs):
+    """The :class:`TermPostings` of a dict of doc id -> positions, in doc order."""
+    entries, starts, positions = {}, [0], []
+    for doc_id, run in runs.items():
+        entries[doc_id] = len(entries)
+        positions.extend(run)
+        starts.append(len(positions))
+    return TermPostings(entries, starts, positions)

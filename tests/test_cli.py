@@ -79,7 +79,23 @@ def test_malformed_index_exit_two(tmp_path):
     bad.write_text("WHAT 1\n")
     proc = run_cli("query", str(bad), "a")
     assert proc.returncode == 2
-    assert b"line 1" in proc.stderr
+    assert proc.stderr.decode() == (
+        "minq: bad index file: byte 0: not an IVX2 index file (it starts b'WHAT 1\\n'); "
+        "re-index it\n"
+    )
+
+
+def test_text_format_index_exit_two_with_one_line(rhyme_idx):
+    # An index in the earlier text format is refused whole, asking for a
+    # re-index, whatever it holds.
+    rhyme_idx.write_text(f"IVX1 1\nD 0 37 {RHYME}\nT pease\nP 0 0 3 6 31 34\n")
+    proc = run_cli("query", str(rhyme_idx), "pease")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("minq: bad index file: byte 0: not an IVX2 index file")
+    assert lines[0].endswith("; re-index it")
 
 
 def test_unreadable_corpus_exit_two(tmp_path):
@@ -192,16 +208,41 @@ def test_too_deep_query_exit_one_without_traceback(rhyme_idx, query):
     assert "deeper than" in lines[0]
 
 
-def test_index_path_with_newline_exit_two_and_no_file(tmp_path):
+def test_index_path_with_newline_round_trips(tmp_path):
     doc = tmp_path / "two\nlines.txt"
     doc.write_text("ape bee")
     idx = tmp_path / "idx.ivx"
     proc = run_cli("index", str(doc), "-o", str(idx))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("query", str(idx), "bee", "--snippets", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"0\t1.0000\t[1..1]\n\t[1..1]\tbee\n"
+
+
+def test_source_with_two_words_swapped_is_stale(two_doc_idx):
+    # Same words, same count, other order: only the content digest tells.
+    idx, a, _ = two_doc_idx
+    a.write_text("bee ape ape bee")
+    proc = run_cli("query", str(idx), "ape & bee", "--top", "1", "--snippets", "1")
     assert proc.returncode == 2
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("minq: document path ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == [doc.name]
+    assert lines == [f"minq: stale source {a}: its text has changed; re-index it"]
+
+
+def test_truncated_index_exits_two_at_every_offset(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("ape bee ape")
+    b.write_text("bee")
+    idx = tmp_path / "idx.ivx"
+    assert run_main(["index", str(a), str(b), "-o", str(idx)])[0] == 0
+    data = idx.read_bytes()
+    cut = tmp_path / "cut.ivx"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        code, out, err = run_main(["query", str(cut), "ape", "--snippets", "1"])
+        assert code == 2, size
+        assert_exit_contract(code, out, err)
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +387,10 @@ def test_index_argv_exits_0_or_2(sources, target, output_first):
         option = ["-o", str(output)]
         code, out, err = run_main(["index", *(option + paths if output_first else paths + option)])
         assert_exit_contract(code, out, err)
-        valid = target in ("new", "existing") and all(kind == "text" for kind, _, _ in sources)
+        # A path with a line break is stored length-prefixed like any other.
+        valid = target in ("new", "existing") and all(
+            kind in ("text", "line break") for kind, _, _ in sources
+        )
         assert (code == 0) == valid
         leftovers = [name for _, _, names in os.walk(root) for name in names if name.endswith(".tmp")]
         assert leftovers == []

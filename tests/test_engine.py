@@ -355,12 +355,13 @@ def count_position_reads(index, leaves):
         def __iter__(self):
             return CountedIterator(self, leaves)
 
-    class Docs(dict):
-        def get(self, doc_id, default=None):
-            return Positions(super().get(doc_id, default))
+    class Runs(list):
+        # The engine takes each document's positions as a slice of the term's.
+        def __getitem__(self, where):
+            return Positions(super().__getitem__(where))
 
     real = index.term_postings
-    index.term_postings = lambda term: Docs(real(term))
+    index.term_postings = lambda term: real(term)._replace(positions=Runs(real(term).positions))
 
 
 def test_emptiness_checks_left_out_change_no_read(monkeypatch):

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import random
+import struct
 import tempfile
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import minq.index as index_module
 from minq import IndexFormatError, build_index, load_index, save_index, tokenize
-from minq.index import words
+from minq.index import TermPostings, words
 
 from helpers import PEASE, PORRIDGE, TEXT_CHARS, reference_build, reference_tokenize
 
@@ -34,8 +36,8 @@ def test_rhyme_postings():
     assert index.positions("hot", 0) == [2, 17, 33]
     assert index.positions("cold", 0) == [5, 21, 36]
     assert index.positions("absent", 0) == []
-    assert index.term_postings("hot") == {0: [2, 17, 33]}
-    assert index.term_postings("absent") == {}
+    assert index.term_postings("hot") == TermPostings({0: 0}, [0, 3], [2, 17, 33])
+    assert index.term_postings("absent") == TermPostings({}, [0], [])
     assert index.term_docs("hot") == {0}
     assert index.word_count(0) == 37
 
@@ -79,28 +81,162 @@ def test_path_with_spaces_round_trips(tmp_path):
 
 @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
 def test_path_with_line_break_rejected_before_writing(tmp_path, brk):
-    # load_index splits the file with str.splitlines, so such a path would
-    # save fine and then break every load of the index
+    # The text format held one document per line and refused such paths
+    # before writing. IVX2 stores every path length-prefixed, so any path
+    # round-trips and the old file is replaced.
     path = f"a{brk}b.txt"
     target = tmp_path / "idx.ivx"
     target.write_text("old contents")
-    with pytest.raises(ValueError) as err:
-        save_index(build_index([("fine.txt", "ape"), (path, "bee")]), target)
-    assert repr(path) in str(err.value)
-    assert target.read_text() == "old contents"
+    index = build_index([("fine.txt", "ape"), (path, "bee")])
+    save_index(index, target)
+    assert load_index(target) == index
     assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
 
 
-def test_failed_save_leaves_old_file_and_no_temp(tmp_path):
+def test_failed_save_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
     target = tmp_path / "idx.ivx"
     save_index(build_index([("a.txt", "ape bee")]), target)
     before = target.read_bytes()
-    index = build_index([("b.txt", "cow")])
-    index.postings["cow"][0] = None  # not iterable: the write fails midway
-    with pytest.raises(TypeError):
-        save_index(index, target)
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(index_module.os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_index(build_index([("b.txt", "cow")]), target)
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
+
+
+_TYPES = {1: "B", 2: "H", 4: "I"}
+
+
+def ivx2(docs, terms, total=None, doc_count=None):
+    """IVX2 bytes put together field by field, for files save_index never writes.
+
+    ``docs`` holds (word count, path bytes) pairs; ``terms`` holds (term
+    bytes, the three column widths, doc-id gaps, counts, position gaps). A
+    width other than 1, 2 or 4 is written as it is, over one-byte values.
+    """
+
+    def column(width, values):
+        return struct.pack(f"<{len(values)}{_TYPES.get(width, 'B')}", *values)
+
+    header = (
+        len(docs) if doc_count is None else doc_count,
+        len(terms),
+        sum(words for words, _ in docs) if total is None else total,
+    )
+    parts = [b"IVX2", column(4, header)]
+    parts += [column(4, [words for words, _ in docs]), column(4, [len(path) for _, path in docs])]
+    parts += [bytes(16) * len(docs), *(path for _, path in docs)]
+    parts += [column(4, [len(term) for term, *_ in terms])]
+    parts += [column(4, [len(doc_gaps) for _, _, doc_gaps, _, _ in terms])]
+    parts += [column(4, [len(gaps) for *_, gaps in terms])]
+    parts += [bytes(widths[k] for _, widths, *_ in terms) for k in range(3)]
+    parts += [term for term, *_ in terms]
+    for _, widths, *columns in terms:
+        parts += [column(width, values) for width, values in zip(widths, columns)]
+    return b"".join(parts)
+
+
+def one_doc(*terms, **header):
+    """One three-word document, x.txt, holding ``terms``; by default a at 1 and 2."""
+    return ivx2([(3, b"x.txt")], terms or [(b"a", (1, 1, 1), [1], [2], [2, 1])], **header)
+
+
+TWO_DOCS = [(3, b"x.txt"), (3, b"y.txt")]
+VALID = one_doc()
+
+# Name -> (file bytes, what the error must say). The header is 16 bytes,
+# and one document's table 4 + 4 + 16 bytes plus its path.
+MALFORMED = {
+    "empty file": (b"", "byte 0: not an IVX2 index file"),
+    "bad magic": (b"NOPE" + VALID[4:], "byte 0: not an IVX2 index file"),
+    "short header": (VALID[:6], "byte 0: file ends inside the header"),
+    "document count past the end": (
+        one_doc(doc_count=0xFFFFFFFF), "byte 16: file ends inside the document word counts"
+    ),
+    "more documents than the file holds": (
+        ivx2([(3, b"x.txt")], [], doc_count=2), "byte 32: file ends inside the document digests"
+    ),
+    "word total mismatch": (one_doc(total=4), "byte 12: header says 4 words, documents hold 3"),
+    "path not UTF-8": (ivx2([(3, b"\xff.txt")], []), "byte 40: document paths not UTF-8"),
+    "bad column width": (one_doc((b"a", (3, 1, 1), [1], [2], [2, 1])), "column width not 1, 2 or 4"),
+    "empty term": (one_doc((b"", (1, 1, 1), [1], [2], [2, 1])), "empty term"),
+    "unsorted terms": (
+        one_doc((b"b", (1, 1, 1), [1], [1], [2]), (b"a", (1, 1, 1), [1], [1], [3])),
+        "term 'a': duplicate or out of order",
+    ),
+    "duplicate terms": (
+        one_doc((b"a", (1, 1, 1), [1], [1], [2]), (b"a", (1, 1, 1), [1], [1], [3])),
+        "term 'a': duplicate or out of order",
+    ),
+    "no documents": (one_doc((b"a", (1, 1, 1), [], [], [])), "term 'a': no documents"),
+    "unknown document": (
+        one_doc((b"a", (1, 1, 1), [6], [1], [1])), "term 'a': unknown document id 5"
+    ),
+    "zero document gap": (
+        ivx2(TWO_DOCS, [(b"a", (1, 1, 1), [1, 0], [1, 1], [2, 1])]),
+        "term 'a': document ids not strictly increasing",
+    ),
+    "zero count": (
+        one_doc((b"a", (1, 1, 1), [1], [0], [])), "term 'a': a document with no positions"
+    ),
+    "zero position gap": (
+        one_doc((b"a", (1, 1, 1), [1], [2], [2, 0])), "term 'a': positions not strictly increasing"
+    ),
+    "count mismatch": (
+        one_doc((b"a", (1, 1, 1), [1], [3], [2, 1])),
+        "term 'a': position counts sum to 3, term table says 2",
+    ),
+    "position past its document's words": (
+        one_doc((b"a", (1, 1, 1), [1], [2], [2, 2])),
+        "term 'a': a position lies outside its document",
+    ),
+    "position in an earlier document": (
+        ivx2(TWO_DOCS, [(b"a", (1, 1, 1), [2], [1], [2])]),
+        "term 'a': a position lies outside its document",
+    ),
+    "position in a later document": (
+        ivx2(TWO_DOCS, [(b"a", (1, 1, 1), [1], [2], [2, 3])]),
+        "term 'a': a position lies outside its document",
+    ),
+    "truncated postings": (VALID[:-1], f"byte {len(VALID) - 1}: file ends inside the postings"),
+    "trailing bytes": (VALID + b"\0", f"byte {len(VALID)}: 1 trailing bytes"),
+}
+
+# The binary fault that stands for each malformed text file below.
+COUNTERPARTS = {
+    "": "empty file",
+    "NOPE 1\n": "bad magic",
+    "IVX1 one\n": "short header",
+    "IVX1 1\nD 5 3 x.txt\n": "unknown document",
+    "IVX1 1\nD 0 3 x.txt\nP 0 1 2\n": "trailing bytes",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1\n": "zero position gap",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 9\n": "position past its document's words",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 1 0\n": "unknown document",
+    "IVX1 1\nD 0 3 x.txt\nZ what\n": "bad column width",
+    "IVX1 2\nD 0 3 x.txt\n": "more documents than the file holds",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP\n": "no documents",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0\n": "zero count",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 -1 2\n": "position in an earlier document",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 1 3\n": "position past its document's words",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 1\nP 0 2\n": "zero document gap",
+    "IVX1 1\nD 0 3 x.txt\nT \n": "empty term",
+    "IVX1 1\nD x 3 x.txt\n": "path not UTF-8",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1 9\n": "position in a later document",
+    "IVX1 1\nD 0 -3 a.txt\n": "word total mismatch",
+    "IVX1 -1\nD 0 3 x.txt\n": "document count past the end",
+}
+
+
+def assert_refused(target, data, fault):
+    target.write_bytes(data)
+    with pytest.raises(IndexFormatError) as err:
+        load_index(target)
+    assert fault in str(err.value)
+    assert len(str(err.value).splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -129,46 +265,66 @@ def test_failed_save_leaves_old_file_and_no_temp(tmp_path):
     ],
 )
 def test_malformed_files_report_line(tmp_path, content, line):
+    # The text format's malformed files, each with the line that held its
+    # fault. Text, well-formed or not, is refused at its first byte; the
+    # binary counterpart of each fault is refused naming a byte or a term.
+    assert 1 <= line <= content.count("\n") + 1
     target = tmp_path / "bad.ivx"
-    target.write_text(content)
-    with pytest.raises(IndexFormatError) as err:
-        load_index(target)
-    assert err.value.line == line
-    assert f"line {line}:" in str(err.value)
-    assert POSITION_FAULTS.get(content, "") in str(err.value)
+    assert_refused(target, content.encode(), "byte 0: not an IVX2 index file")
+    assert_refused(target, *MALFORMED[COUNTERPARTS[content]])
 
 
-def test_lines_past_the_first_block_keep_their_numbers(tmp_path, monkeypatch):
-    # Blocks of a few lines each: lines still number from the file's start,
-    # and a block cut never splits or merges a line.
-    monkeypatch.setattr(index_module, "_BLOCK_CHARS", 16)
-    index = build_index([("a.txt", "ape bee ape cow"), ("b.txt", "bee cow dog")])
+@pytest.mark.parametrize("name", sorted(set(MALFORMED) - set(COUNTERPARTS.values())))
+def test_malformed_ivx2_names_the_fault(tmp_path, name):
+    assert_refused(tmp_path / "bad.ivx", *MALFORMED[name])
+
+
+def test_hand_made_file_loads(tmp_path):
+    # The field-by-field writer above agrees with load_index on a good file.
+    target = tmp_path / "ok.ivx"
+    target.write_bytes(VALID)
+    index = load_index(target)
+    assert [(doc.path, doc.word_count) for doc in index.docs] == [("x.txt", 3)]
+    assert index.positions("a", 0) == [1, 2]
+
+
+def test_two_document_index_bytes(tmp_path):
+    # Pins the layout and the byte order: every number is little-endian.
+    target = tmp_path / "idx.ivx"
+    save_index(build_index([("a.txt", "ape bee ape"), ("b.txt", "bee")]), target)
+    digest = lambda text: hashlib.blake2b(text, digest_size=16).digest()
+    assert target.read_bytes() == b"".join([
+        b"IVX2", bytes.fromhex("02000000 02000000 04000000"),  # docs, terms, words
+        bytes.fromhex("03000000 01000000"),  # word counts
+        bytes.fromhex("05000000 05000000"),  # path lengths
+        digest(b"ape bee ape"), digest(b"bee"),
+        b"a.txt", b"b.txt",
+        bytes.fromhex("03000000 03000000"),  # term lengths
+        bytes.fromhex("01000000 02000000"),  # documents per term
+        bytes.fromhex("02000000 02000000"),  # positions per term
+        bytes.fromhex("0101 0101 0101"),  # widths of doc gaps, counts, position gaps
+        b"ape", b"bee",
+        bytes.fromhex("01 02 0102"),  # ape: doc 0, two positions, at 0 and 2
+        bytes.fromhex("0101 0101 0202"),  # bee: docs 0 and 1, at 1 and 3 overall
+    ])
+
+
+def test_wide_columns_round_trip(tmp_path):
+    # Counts and gaps past one and two bytes take two- and four-byte columns.
+    index = build_index([
+        ("a.txt", "rare"),
+        ("b.txt", "mid " + "pad " * 299),
+        ("c.txt", "mid " + "filler " * 69999),
+        ("d.txt", "rare"),
+    ])
     target = tmp_path / "idx.ivx"
     save_index(index, target)
     assert load_index(target) == index
-    lines = target.read_text().splitlines()
-    bad = 7
-    assert lines[bad - 1].startswith("P ")
-    lines[bad - 1] += " 99"
-    target.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IndexFormatError) as err:
-        load_index(target)
-    assert err.value.line == bad
-    assert "beyond word count" in str(err.value)
-
-
-# The loader checks a posting line's positions in one pass and rescans only
-# a faulty line, so these pin which fault the rescan names: the first in line
-# order, with an order fault before a range fault at the same position.
-POSITION_FAULTS = {
-    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1\n": "positions not strictly increasing",
-    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 9\n": "position 9 beyond word count 3",
-    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 -1 2\n": "positions not strictly increasing",
-    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 1 3\n": "position 3 beyond word count 3",
-    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1 9\n": "positions not strictly increasing",
-}
-
-
+    # The width columns sit just before the terms: doc gaps, then counts,
+    # then position gaps, each for filler, mid, pad and rare.
+    data = target.read_bytes()
+    widths = data.index(b"fillermidpadrare") - 3 * 4
+    assert data[widths : widths + 12] == bytes([1] * 4 + [4, 1, 2, 1] + [2, 2, 1, 4])
 @pytest.mark.parametrize("enabled", [True, False])
 def test_build_and_load_restore_collector_state(tmp_path, enabled):
     seen = []
@@ -179,13 +335,14 @@ def test_build_and_load_restore_collector_state(tmp_path, enabled):
 
     target = tmp_path / "idx.ivx"
     bad = tmp_path / "bad.ivx"
-    bad.write_text("IVX1 1\nD 0 3 x.txt\nT a\nP 0 1\nP 0 9\n")
+    bad.write_bytes(MALFORMED["position in a later document"][0])
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         index = build_index(documents())
         assert gc.isenabled() is enabled
         save_index(index, target)
+        assert gc.isenabled() is enabled
         assert load_index(target) == index
         assert gc.isenabled() is enabled
         with pytest.raises(IndexFormatError):
@@ -198,9 +355,7 @@ def test_build_and_load_restore_collector_state(tmp_path, enabled):
 
 # The tokenizer's characters of interest, plus any other encodable one.
 _TEXT = st.text(st.sampled_from(TEXT_CHARS) | st.characters(codec="utf-8"), max_size=60)
-_PATH = st.text(st.characters(codec="utf-8"), max_size=12).filter(
-    lambda p: p.splitlines() in ([], [p])
-)
+_PATH = st.text(st.characters(codec="utf-8"), max_size=12)
 
 
 @given(_TEXT)
