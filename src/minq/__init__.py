@@ -27,7 +27,6 @@ from .streams import (
     materialize,
     profile,
 )
-from .queue import EmptyQueueError, IndirectQueue, advance
 from .operators import and_span, block, difference, lowpass, or_merge, ordered_and
 from .oracle import (
     NotProducible,
@@ -78,7 +77,6 @@ __all__ = [
     "length", "span", "strictly_before",
     "CountingStream", "IntervalStream", "ListStream", "OrderViolation",
     "RhoProfile", "from_positions", "materialize", "profile",
-    "EmptyQueueError", "IndirectQueue", "advance",
     "and_span", "block", "difference", "lowpass", "or_merge", "ordered_and",
     "NotProducible", "ReadBoundReport", "check_read_bounds",
     "leftmost_sequences", "minimal_filter", "oracle_and", "oracle_block",

@@ -1,14 +1,18 @@
 """Per-document query evaluation, snippets, ranking and search.
 
 :func:`plan` compiles a query AST once into a callable that builds, per
-document, a tree of lazy streams over the index's position lists. One table
-maps each operator node type to its operands, its operator, its
-candidate-document rule and its int kernel. A node whose operands are all
-terms runs its kernel (see :mod:`minq.operators`); any other node runs its
-operator class over singleton-interval streams. The operators are used
-bare: each first reads every operand once (difference: the minuend), so an
-empty operand (an absent term, say) ends it at once unless the operator is
-the merge or the operand a subtrahend. A kernel makes the very same reads.
+document, a tree of lazy generators over the index's position lists (see
+:mod:`minq.operators`) and returns its witnesses as ``(left, right)``
+pairs. One table maps each operator node type to its operands, its
+candidate-document rule, its interval-stream operator, its pair generator
+and its int kernel. A node whose operands are all terms runs its int kernel
+over the position lists; any other node runs its pair generator over its
+operands' pairs, a term under it read as ``(p, p)`` pairs. Only the root's
+pairs become :class:`~minq.intervals.Interval` objects, except under
+profiling, where the root runs its interval-stream operator over counted
+streams of its operands. Each generator first reads every operand once
+(difference: the minuend), so an empty operand (an absent term, say) ends
+it at once unless the operator is the merge or the operand a subtrahend.
 
 Document-level filtering is conservative: it may admit documents without
 witnesses (evaluation weeds them out) but never drops one with witnesses.
@@ -30,21 +34,35 @@ from functools import partial
 from .index import source_digest, words
 from .intervals import Interval, length
 from .operators import (
-    KernelStream,
+    PairStream,
+    QueueCounts,
     and_kernel,
+    and_pairs,
     and_span,
     block,
     block_kernel,
+    block_pairs,
     difference,
     difference_kernel,
+    difference_pairs,
     lowpass,
+    lowpass_pairs,
     or_kernel,
     or_merge,
+    or_pairs,
     ordered_and,
     ordered_kernel,
+    ordered_pairs,
 )
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
-from .streams import IntervalStream, RhoProfile, from_positions, materialize, profile_streams
+from .streams import (
+    IntervalStream,
+    RhoProfile,
+    from_positions,
+    materialize_pairs,
+    position_pairs,
+    profile_streams,
+)
 
 star_compose = None  # placeholder: bench/tracer.py rebinds this name at install
 
@@ -67,44 +85,84 @@ def _first(doc_sets):
     return next(doc_sets)
 
 
-# node type -> (its operand nodes, operator over their streams, rule over an
-# iterator of their doc-id sets, int kernel over their position lists when
-# every operand is a term). Operators are module globals looked up when
-# called, so they can be rebound from outside.
+# node type -> (its operand nodes, rule over an iterator of their doc-id
+# sets, operator over their interval streams, pair generator over their pair
+# iterators, int kernel over their position-list iterators when every
+# operand is a term). The operators, which only a profiled root runs, are
+# module globals looked up when called, so they can be rebound from outside.
 _NODES = {
-    Or: (_children, lambda n, s: or_merge(s), _union, or_kernel),
-    And: (_children, lambda n, s: and_span(s), _intersection, and_kernel),
-    Block: (_children, lambda n, s: block(s), _intersection, block_kernel),
-    OrderedAnd: (_children, lambda n, s: ordered_and(s), _intersection, ordered_kernel),
-    LowPass: (lambda n: (n.child,), lambda n, s: lowpass(s[0], n.k), _first, None),
+    Or: (
+        _children, _union, lambda n, s: or_merge(s),
+        lambda n, s: or_pairs(s, QueueCounts()), lambda n, s: or_kernel(s, QueueCounts()),
+    ),
+    And: (
+        _children, _intersection, lambda n, s: and_span(s),
+        lambda n, s: and_pairs(s, QueueCounts()), lambda n, s: and_kernel(s, QueueCounts()),
+    ),
+    Block: (
+        _children, _intersection, lambda n, s: block(s),
+        lambda n, s: block_pairs(s), lambda n, s: block_kernel(s),
+    ),
+    OrderedAnd: (
+        _children, _intersection, lambda n, s: ordered_and(s),
+        lambda n, s: ordered_pairs(s), lambda n, s: ordered_kernel(s),
+    ),
+    LowPass: (
+        lambda n: (n.child,), _first, lambda n, s: lowpass(s[0], n.k),
+        lambda n, s: lowpass_pairs(s[0], n.k), None,
+    ),
     Minus: (
-        lambda n: (n.minuend, n.subtrahend),
-        lambda n, s: difference(*s),
-        _first,
-        difference_kernel,
+        lambda n: (n.minuend, n.subtrahend), _first, lambda n, s: difference(*s),
+        lambda n, s: difference_pairs(*s), lambda n, s: difference_kernel(*s),
     ),
 }
 
 
 def plan(ast, index):
-    """Compile ``ast`` once: a callable from a document id to its stream.
+    """Compile ``ast`` once: a callable from a document id to its witnesses.
 
-    Each term's postings are looked up here, once; per document, a term
-    costs one dict get and one list slice (see :mod:`minq.index`). A node
-    whose operands are all terms runs its int kernel over those position
-    lists; every other node gets its instrumented operator, and a
-    term under it a :func:`~minq.streams.from_positions` leaf. Plans are
+    The witnesses come as an iterator of ``(left, right)`` pairs. Each
+    term's postings are looked up here, once; per document, a term costs
+    one dict get and one list slice (see :mod:`minq.index`). Plans are
     built from :func:`functools.partial` over module functions, so they
     hold no reference cycle.
     """
     if isinstance(ast, Term):
-        return partial(_leaf, *index.term_postings(ast.term))
-    operands, operator, _, kernel = _NODES[type(ast)]
+        return partial(_pair_leaf, *index.term_postings(ast.term))
+    operands, _, _, generator, kernel = _NODES[type(ast)]
     nodes = operands(ast)
     if kernel is not None and all(isinstance(node, Term) for node in nodes):
         postings = [index.term_postings(node.term) for node in nodes]
-        return partial(_kernel_node, kernel, postings)
-    return partial(_operator_node, operator, ast, [plan(node, index) for node in nodes])
+        return partial(_kernel_node, kernel, ast, postings)
+    return partial(_pair_node, generator, ast, [plan(node, index) for node in nodes])
+
+
+def _pair_leaf(entries, starts, positions, doc_id):
+    e = entries.get(doc_id, -1)
+    return position_pairs(positions[starts[e] : starts[e + 1]])
+
+
+def _kernel_node(kernel, ast, postings, doc_id):
+    lists = []
+    for entries, starts, positions in postings:
+        e = entries.get(doc_id, -1)
+        lists.append(iter(positions[starts[e] : starts[e + 1]]))
+    return kernel(ast, lists)
+
+
+def _pair_node(generator, ast, inputs, doc_id):
+    return generator(ast, [make(doc_id) for make in inputs])
+
+
+def _stream_plan(ast, index):
+    """Like :func:`plan`, but to an interval stream.
+
+    A term is a :func:`~minq.streams.from_positions` stream, any other node
+    a :class:`~minq.operators.PairStream` over its plan.
+    """
+    if isinstance(ast, Term):
+        return partial(_leaf, *index.term_postings(ast.term))
+    return partial(_stream, plan(ast, index))
 
 
 def _leaf(entries, starts, positions, doc_id):
@@ -112,20 +170,12 @@ def _leaf(entries, starts, positions, doc_id):
     return from_positions(positions[starts[e] : starts[e + 1]])
 
 
-def _kernel_node(kernel, postings, doc_id):
-    lists = []
-    for entries, starts, positions in postings:
-        e = entries.get(doc_id, -1)
-        lists.append(positions[starts[e] : starts[e + 1]])
-    return KernelStream(kernel, lists)
-
-
-def _operator_node(operator, ast, inputs, doc_id):
-    return operator(ast, [make(doc_id) for make in inputs])
+def _stream(make, doc_id):
+    return PairStream(make(doc_id))
 
 
 def _witnesses(make, doc_id):
-    return materialize(make(doc_id)), None
+    return materialize_pairs(make(doc_id)), None
 
 
 def _profiled(ast, operator, inputs, doc_id):
@@ -136,15 +186,16 @@ def _profiled(ast, operator, inputs, doc_id):
 def _profile_plan(ast, index):
     """Like :func:`plan`, but to (witnesses, profile of the root's inputs).
 
-    The root keeps its instrumented operator over counted inputs; a term
-    root is profiled as the single input of an identity operator.
+    The root runs its interval-stream operator over counted interval
+    streams of its operands; a term root is profiled as the single input
+    of an identity operator.
     """
     if isinstance(ast, Term):
         inputs, operator = (ast,), _identity
     else:
-        operands, operator, _, _ = _NODES[type(ast)]
+        operands, _, operator, _, _ = _NODES[type(ast)]
         inputs = operands(ast)
-    return partial(_profiled, ast, operator, [plan(node, index) for node in inputs])
+    return partial(_profiled, ast, operator, [_stream_plan(node, index) for node in inputs])
 
 
 def _identity(node, streams):
@@ -153,12 +204,12 @@ def _identity(node, streams):
 
 def compile_query(ast, index, doc_id: int) -> IntervalStream:
     """The lazy stream of the query's witnesses within one document."""
-    return plan(ast, index)(doc_id)
+    return _stream_plan(ast, index)(doc_id)
 
 
 def evaluate(ast, index, doc_id: int) -> list[Interval]:
     """Materialized witnesses of the query within one document."""
-    return materialize(plan(ast, index)(doc_id))
+    return materialize_pairs(plan(ast, index)(doc_id))
 
 
 def evaluate_with_profile(ast, index, doc_id: int):
@@ -174,7 +225,7 @@ def _docs(ast, index) -> set[int]:
     # the index in a reference cycle, which only the cyclic collector frees.
     if isinstance(ast, Term):
         return index.term_docs(ast.term)
-    operands, _, combine, _ = _NODES[type(ast)]
+    operands, combine, _, _, _ = _NODES[type(ast)]
     return combine(_docs(node, index) for node in operands(ast))
 
 

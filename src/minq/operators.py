@@ -1,378 +1,59 @@
-"""The six lazy operators over antichain streams.
+"""The six lazy operators, as generators over ``(left, right)`` int pairs.
 
-Each operator is an :class:`~minq.streams.IntervalStream` that pulls from
-its inputs as little as possible per emitted interval:
+Each operator is one generator over iterators of antichains given as
+``(left, right)`` tuples in natural order, and it yields its own antichain
+the same way. It pulls from its inputs as little as possible per yielded
+pair:
 
-* ``or_merge`` / ``and_span`` ride an indirect priority queue (end order
-  for the merge, start order for the span conjunction) and advance it one
-  element at a time.
-* ``block``, ``ordered_and`` and ``difference`` advance their inputs
-  greedily, keeping one current interval per list.
-* ``lowpass`` is a plain length filter.
+* ``or_pairs`` / ``and_pairs`` keep a binary heap with one key per input
+  list (end order for the merge, start order for the span conjunction) and
+  replace the top one read at a time;
+* ``block_pairs``, ``ordered_pairs`` and ``difference_pairs`` advance their
+  inputs greedily, keeping one current pair per list;
+* ``lowpass_pairs`` is a plain length filter.
 
-The six names are the operator classes themselves (``or_merge`` is
-:class:`OrMerge`, ``and_span`` :class:`AndSpan`, ``block``
-:class:`BlockConcat`, ``ordered_and`` :class:`OrderedSpan`, ``lowpass``
-:class:`LowPassFilter`, ``difference`` :class:`Difference`), so calling a
-name constructs the operator.
+Nothing is read before the first pull; the first pull reads one element
+from every input (difference: from the minuend), so an empty operand ends
+the span conjunction, block and ordered conjunction after exactly those
+reads. An input that has ended is never pulled again, nor is any input
+once the operator has ended. State is one pair or heap key plus a few
+scalars per input list, so space stays linear in the operand count.
 
-Inputs must be valid antichain streams; outputs are again antichains in
-natural order, duplicate-free. Empty inputs are tolerated: the merge drops
-them and everything else terminates. Construction reads nothing; the first
-pull reads one element from every input (difference: from the minuend), so
-an empty operand ends the span conjunction, block and ordered conjunction
-after exactly those reads, without touching the later elements of any other
-operand.
+The heap keys are tuples, ``(right, -left, i)`` for the merge and ``(left,
+-right, i)`` for the span conjunction: one tuple comparison decides the
+interval order, ties going to the smaller list index ``i``. The sifts are
+written out in each generator and counted once per comparison; the counts
+are published on a :class:`QueueCounts` each time the generator yields or
+ends.
 
-Operator state is one reference slot plus a few scalars per input list, so
-space stays linear in the operand count no matter how long the inputs are.
-Instances are single-consumer and own their input streams; independent
-operator trees can run on different threads.
+Five operators also have an int kernel (``or_kernel``, ``and_kernel``,
+``block_kernel``, ``ordered_kernel``, ``difference_kernel``): the same
+generator over iterators of term position lists (strictly increasing
+ints), keyed ``position * m + i``, which makes the very same reads and
+heap moves on singleton intervals without building a pair per read. The
+engine runs one for a node whose operands are all terms.
 
-Five of the operators also have an int kernel (``or_kernel``,
-``and_kernel``, ``block_kernel``, ``ordered_kernel``, ``difference_kernel``):
-a generator over position-list iterators that makes the class's reads on
-singleton inputs without building an interval per read. The engine runs
-one, wrapped in a :class:`KernelStream`, for a node whose operands are all
-terms.
+The public names ``or_merge``, ``and_span``, ``block``, ``ordered_and``,
+``lowpass`` and ``difference`` adapt the generators to
+:class:`~minq.streams.IntervalStream` inputs and output, as a
+:class:`PairStream`.
 """
 
 from functools import partial
+from itertools import starmap
+from operator import attrgetter
 
-from .intervals import (
-    Interval,
-    NEG_INF,
-    POS_INF,
-    cmp_end,
-    cmp_start,
-    contains,
-    length,
-)
-from .queue import IndirectQueue, advance
+from .intervals import Interval, NEG_INF, POS_INF
 from .streams import IntervalStream
-
-_BOTTOM = Interval(NEG_INF, NEG_INF)
-
-
-def _require_inputs(streams):
-    if not streams:
-        raise ValueError("operator needs at least one input stream")
-    return list(streams)
-
-
-def _first_reads(streams):
-    """The first element of every input, or ``None`` if any input is empty.
-
-    Reads exactly one element from every input, also from those after an
-    empty one, so a conjunction-style operator that ends on an empty
-    operand has read the same from each input whichever one was empty.
-    """
-    firsts = [stream.next() for stream in streams]
-    return None if None in firsts else firsts
-
-
-class _QueueOperator(IntervalStream):
-    """Inputs, queue and output state shared by the two queue-driven operators.
-
-    The first pull reads every input's first interval and enqueues those
-    that exist. ``next`` reads the queue's ``_heap`` and
-    ``reference`` directly, since the top test runs once per posting read.
-    """
-
-    def __init__(self, streams, order):
-        self._streams = _require_inputs(streams)
-        self.queue = IndirectQueue(len(self._streams), order)
-        self._last_left = NEG_INF
-        self._started = False
-
-    def _start(self, firsts):
-        queue = self.queue
-        for i, first in enumerate(firsts):
-            if first is not None:
-                queue.enqueue(i, first)
-        self._started = True
-
-
-class OrMerge(_QueueOperator):
-    """Minimal intervals of the union of the inputs, merged lazily.
-
-    Keeps the last returned interval and advances the queue while the top
-    still contains it; because the top's right extreme only grows, that
-    containment test collapses to a single left-extreme comparison.
-    """
-
-    def __init__(self, streams):
-        super().__init__(streams, cmp_end)
-
-    def next(self):
-        if not self._started:
-            self._start([stream.next() for stream in self._streams])
-        q = self.queue
-        heap, ref, streams = q._heap, q.reference, self._streams
-        last_left = self._last_left
-        while heap and ref[heap[0]].left <= last_left:
-            advance(q, streams)
-        if not heap:
-            return None
-        top = ref[heap[0]]
-        self._last_left = top.left
-        return top
-
-
-class AndSpan(_QueueOperator):
-    """Minimal intervals spanned by one interval per input.
-
-    The queue is ordered by start; the candidate is the interval from the
-    top's left extreme to the queue's right extreme, refined while further
-    advances keep the span inside it. Both monotonicity shortcuts apply:
-    the skip-past-last-output test compares left extremes only, and the
-    still-contained test compares right extremes only. Output ends for good
-    the moment the queue stops being full; with an empty operand nothing is
-    enqueued.
-    """
-
-    def __init__(self, streams):
-        super().__init__(streams, cmp_start)
-
-    def next(self):
-        if not self._started:
-            firsts = _first_reads(self._streams)
-            if firsts is None:
-                self._started = True
-                return None
-            self._start(firsts)
-        q = self.queue
-        heap, ref, streams = q._heap, q.reference, self._streams
-        m = len(streams)
-        last_left = self._last_left
-        while len(heap) == m and ref[heap[0]].left == last_left:
-            advance(q, streams)
-        if len(heap) < m:
-            return None
-        while True:
-            # The candidate spans the top's left to the queue's right
-            # extreme; it is the top itself when their right extremes meet.
-            top = ref[heap[0]]
-            right = q.right_extreme
-            if top.right == right:
-                candidate = top
-                break
-            advance(q, streams)
-            if len(heap) < m or q.right_extreme != right:
-                candidate = Interval(top.left, right)
-                break
-        self._last_left = candidate.left
-        return candidate
-
-
-class BlockConcat(IntervalStream):
-    """Spans of chains of exactly adjacent intervals, one per input.
-
-    The first attempt starts from every list's first interval; each later
-    one advances the first list once. An attempt aligns each later list
-    until its interval starts past the previous one's right extreme; an
-    exact +1 adjacency extends the chain, a gap restarts from the first
-    list.
-    """
-
-    def __init__(self, streams):
-        self._streams = _require_inputs(streams)
-        self._cur = None
-        self._done = False
-
-    def next(self):
-        if self._done:
-            return None
-        cur = self._cur
-        streams = self._streams
-        m = len(streams)
-        if cur is None:
-            cur = self._cur = _first_reads(streams)
-            if cur is None:
-                self._done = True
-                return None
-        else:
-            head = streams[0].next()
-            if head is None:
-                self._done = True
-                return None
-            cur[0] = head
-        i = 1
-        while i < m:
-            while cur[i].left <= cur[i - 1].right:
-                item = streams[i].next()
-                if item is None:
-                    self._done = True
-                    return None
-                cur[i] = item
-            if cur[i].left == cur[i - 1].right + 1:
-                i += 1
-            else:
-                head = streams[0].next()
-                if head is None:
-                    self._done = True
-                    return None
-                cur[0] = head
-                i = 1
-        return Interval(cur[0].left, cur[m - 1].right)
-
-
-class OrderedSpan(IntervalStream):
-    """Minimal spans of strictly-ordered non-overlapping chains.
-
-    Greedily aligns list ``i`` until its interval starts past list
-    ``i-1``'s; a completed chain becomes the candidate and its last
-    component's left extreme the barrier. The candidate is final (and
-    returned) as soon as any aligning read would have to land at or past
-    the barrier, or an input runs dry. A candidate refines only while new
-    chains keep the same right extreme.
-
-    The first pull aligns the first chain from every list's first interval
-    on its own: the loop's shortcut of taking an aligned ``cur[i]`` as the
-    end of a chain holds only once ``cur[i:]`` has been aligned before.
-    """
-
-    def __init__(self, streams):
-        self._streams = _require_inputs(streams)
-        self._cur = None
-        self._i = len(self._streams)  # the first chain is aligned up front
-        self._done = False
-
-    def next(self):
-        if self._done:
-            return None
-        cur = self._cur
-        streams = self._streams
-        m = len(streams)
-        if cur is None:
-            cur = self._cur = _first_reads(streams)
-            if cur is None:
-                self._done = True
-                return None
-            # No barrier stands before the first candidate.
-            for i in range(1, m):
-                while cur[i].left <= cur[i - 1].right:
-                    item = streams[i].next()
-                    if item is None:
-                        self._done = True
-                        return None
-                    cur[i] = item
-        candidate = None
-        barrier = POS_INF
-        i = self._i
-        try:
-            while True:
-                while True:
-                    if cur[i - 1].right >= barrier:
-                        return candidate
-                    if i == m or cur[i].left > cur[i - 1].right:
-                        break
-                    while True:
-                        if cur[i].right >= barrier:
-                            return candidate
-                        item = streams[i].next()
-                        if item is None:
-                            self._done = True
-                            return candidate
-                        cur[i] = item
-                        if cur[i].left > cur[i - 1].right:
-                            break
-                    i += 1
-                candidate = Interval(cur[0].left, cur[m - 1].right)
-                barrier = cur[m - 1].left
-                i = 1
-                head = streams[0].next()
-                if head is None:
-                    self._done = True
-                    return candidate
-                cur[0] = head
-        finally:
-            self._i = i
-
-
-class LowPassFilter(IntervalStream):
-    """Passes through only intervals covering at most ``k`` positions."""
-
-    def __init__(self, stream: IntervalStream, k: int):
-        if k < 1:
-            raise ValueError(f"lowpass threshold must be positive, got {k}")
-        self._stream = stream
-        self._k = k
-        self._done = False
-
-    def next(self):
-        if self._done:
-            return None
-        while True:
-            item = self._stream.next()
-            if item is None:
-                self._done = True
-                return None
-            if length(item) <= self._k:
-                return item
-
-
-class Difference(IntervalStream):
-    """Minuend intervals containing no subtrahend interval.
-
-    For each minuend interval, the subtrahend is advanced only while its
-    current interval starts and ends strictly before the minuend's
-    extremes; the minuend interval survives unless the stopping interval
-    sits inside it.
-    """
-
-    def __init__(self, minuend: IntervalStream, subtrahend: IntervalStream):
-        self._minuend = minuend
-        self._subtrahend = subtrahend
-        self._last_sub = _BOTTOM
-        self._sub_exhausted = False
-        self._done = False
-
-    def next(self):
-        if self._done:
-            return None
-        while True:
-            item = self._minuend.next()
-            if item is None:
-                self._done = True
-                return None
-            while (
-                not self._sub_exhausted
-                and self._last_sub.left < item.left
-                and self._last_sub.right < item.right
-            ):
-                sub = self._subtrahend.next()
-                if sub is None:
-                    self._sub_exhausted = True
-                else:
-                    self._last_sub = sub
-            if self._sub_exhausted or not contains(item, self._last_sub):
-                return item
-
-
-or_merge = OrMerge
-and_span = AndSpan
-block = BlockConcat
-ordered_and = OrderedSpan
-lowpass = LowPassFilter
-difference = Difference
-
-
-# -- int kernels over term position lists --------------------------------
-#
-# When every operand of a node is a term, the engine runs one of these
-# generators over iterators of the index's position lists (strictly
-# increasing ints). Each makes exactly the reads of the class it
-# stands in for, terminal read included, and builds an Interval only for
-# what it yields. The queue kernels keep IndirectQueue's heap over
-# ``position * m + list index`` keys: one int comparison then decides the
-# same order and tie-break (smaller list index first) as the comparator on
-# singletons, so the heap makes the same moves and the same counts, which
-# the kernel publishes on ``counts`` each time it yields or ends.
 
 
 class QueueCounts:
-    """Queue work of a queue kernel, named as on :class:`IndirectQueue`."""
+    """Heap work of a merge or span conjunction.
+
+    ``mutations`` counts stores and removals, ``comparisons`` the key
+    comparisons they made and ``max_mutation_comparisons`` the most made
+    by one mutation.
+    """
 
     __slots__ = ("mutations", "comparisons", "max_mutation_comparisons")
 
@@ -380,29 +61,11 @@ class QueueCounts:
         self.mutations = self.comparisons = self.max_mutation_comparisons = 0
 
 
-class KernelStream(IntervalStream):
-    """A kernel run over position lists, as an interval stream."""
-
-    def __init__(self, kernel, position_lists):
-        if not position_lists:
-            raise ValueError("operator needs at least one input stream")
-        self.counts = QueueCounts()
-        gen = kernel([iter(positions) for positions in position_lists], self.counts)
-        self.next = partial(next, gen, None)
-
-
-def _enqueue_all(firsts, counts):
-    """The heap of keys over the first positions, and the sift-up comparisons.
-
-    Enqueues in list order, skipping missing lists, as ``_start`` does.
-    """
-    m = len(firsts)
+def _enqueue_all(keys, counts):
+    """The heap of ``keys``, each sifted up in turn; counts the work on ``counts``."""
     heap = []
     comparisons = most = 0
-    for i, p in enumerate(firsts):
-        if p is None:
-            continue
-        key = p * m + i
+    for key in keys:
         slot = len(heap)
         heap.append(key)
         used = 0
@@ -424,22 +87,34 @@ def _enqueue_all(firsts, counts):
     return heap
 
 
-def or_kernel(iterators, counts):
-    """:class:`OrMerge` over singletons of position lists."""
-    m = len(iterators)
-    heap = _enqueue_all([next(it, None) for it in iterators], counts)
+def or_pairs(iterators, counts):
+    """Minimal intervals of the union of the inputs, merged lazily.
+
+    After each output the top is replaced while it starts at or before the
+    output; because the top's right extreme only grows, that test is the
+    containment test.
+    """
+    firsts = [next(it, None) for it in iterators]
+    heap = _enqueue_all(
+        [(first[1], -first[0], i) for i, first in enumerate(firsts) if first is not None],
+        counts,
+    )
     mutations = counts.mutations
     comparisons = counts.comparisons
     most = counts.max_mutation_comparisons
-    bound = NEG_INF  # keys below it are at or before the last output
+    n = len(heap)
+    stop = POS_INF  # minus the last output's left extreme
     while True:
-        while heap and heap[0] < bound:
-            i = heap[0] % m
-            p = next(iterators[i], None)
-            key = heap.pop() if p is None else p * m + i
+        while n and heap[0][1] >= stop:
+            i = heap[0][2]
+            pair = next(iterators[i], None)
+            if pair is None:
+                key = heap.pop()
+                n -= 1
+            else:
+                key = (pair[1], -pair[0], i)
             mutations += 1
-            if heap:
-                n = len(heap)
+            if n:
                 slot, child, used = 0, 1, 0
                 while child < n:
                     best = heap[child]
@@ -462,49 +137,54 @@ def or_kernel(iterators, counts):
         counts.mutations = mutations
         counts.comparisons = comparisons
         counts.max_mutation_comparisons = most
-        if not heap:
+        if not n:
             return
-        p = heap[0] // m
-        bound = (p + 1) * m
-        yield Interval(p, p)
+        right, stop, _ = heap[0]
+        yield -stop, right
 
 
-def and_kernel(iterators, counts):
-    """:class:`AndSpan` over singletons of position lists."""
-    m = len(iterators)
+def and_pairs(iterators, counts):
+    """Minimal intervals spanned by one interval per input.
+
+    The candidate spans the top's left extreme to the largest right extreme
+    read so far; it is refined while further replacements keep that right
+    extreme, and it is the top itself when their right extremes meet. Tops
+    starting where the last output started are skipped. Output ends for good
+    the moment an input ends.
+    """
     firsts = [next(it, None) for it in iterators]
     if None in firsts:
         return
-    heap = _enqueue_all(firsts, counts)
+    m = len(firsts)
+    heap = _enqueue_all([(first[0], -first[1], i) for i, first in enumerate(firsts)], counts)
     mutations = counts.mutations
     comparisons = counts.comparisons
     most = counts.max_mutation_comparisons
-    right = max(firsts)  # the queue's right extreme
-    bound = NEG_INF  # keys below it start at the last output's left
+    right = max(first[1] for first in firsts)
+    last = NEG_INF  # the last output's left extreme
     while True:
-        top = heap[0]
-        if top < bound:
-            left = None  # skipping past the last output
+        left, top_right, i = heap[0]
+        if left == last:
+            span = None  # skipping past the last output
+        elif -top_right == right:
+            last = left
+            counts.mutations = mutations
+            counts.comparisons = comparisons
+            counts.max_mutation_comparisons = most
+            yield left, right
+            continue
         else:
-            left = top // m
-            if left == right:
-                bound = (left + 1) * m
-                counts.mutations = mutations
-                counts.comparisons = comparisons
-                counts.max_mutation_comparisons = most
-                yield Interval(left, left)
-                continue
-            span_right = right
-        i = top % m
-        p = next(iterators[i], None)
-        if p is None:
+            span = right
+        pair = next(iterators[i], None)
+        n = m
+        if pair is None:
             key = heap.pop()
+            n -= 1
         else:
-            key = p * m + i
-            if p > right:
-                right = p
+            key = (pair[0], -pair[1], i)
+            if pair[1] > right:
+                right = pair[1]
         mutations += 1
-        n = len(heap)
         slot, child, used = 0, 1, 0
         while child < n:
             best = heap[child]
@@ -525,23 +205,274 @@ def and_kernel(iterators, counts):
         comparisons += used
         if used > most:
             most = used
-        if p is None or (left is not None and right != span_right):
+        if pair is None or (span is not None and right != span):
+            counts.mutations = mutations
+            counts.comparisons = comparisons
+            counts.max_mutation_comparisons = most
+            if span is not None:
+                last = left
+                yield left, span
+            if pair is None:
+                return
+
+
+def block_pairs(iterators):
+    """Spans of chains of exactly adjacent intervals, one per input.
+
+    The first attempt starts from every list's first pair; each later one
+    reads the first list once. An attempt aligns each later list until its
+    pair starts past the previous one's right extreme; an exact +1
+    adjacency extends the chain, a gap restarts from the first list.
+    """
+    cur = [next(it, None) for it in iterators]
+    if None in cur:
+        return
+    m = len(cur)
+    first = iterators[0]
+    while True:
+        i = 1
+        while i < m:
+            prev = cur[i - 1][1]
+            left = cur[i][0]
+            if left <= prev:
+                it = iterators[i]
+                while True:
+                    pair = next(it, None)
+                    if pair is None:
+                        return
+                    if pair[0] > prev:
+                        break
+                cur[i] = pair
+                left = pair[0]
+            if left == prev + 1:
+                i += 1
+            else:
+                head = next(first, None)
+                if head is None:
+                    return
+                cur[0] = head
+                i = 1
+        yield cur[0][0], cur[m - 1][1]
+        head = next(first, None)
+        if head is None:
+            return
+        cur[0] = head
+
+
+def ordered_pairs(iterators):
+    """Minimal spans of strictly ordered non-overlapping chains.
+
+    The first chain is aligned from every list's first pair. Later, list
+    ``i`` is aligned until its pair starts past list ``i-1``'s; a completed
+    chain becomes the candidate and its last component's left extreme the
+    barrier, and the next chain starts from the first list's next pair. The
+    candidate is yielded as soon as an aligning read would have to land at
+    or past the barrier, or an input ends; it is refined only while new
+    chains keep its right extreme. An aligned pair in list ``i`` completes
+    a chain, since lists after ``i`` were aligned for the previous one.
+    """
+    cur = [next(it, None) for it in iterators]
+    if None in cur:
+        return
+    m = len(cur)
+    for i in range(1, m):
+        prev = cur[i - 1][1]
+        while cur[i][0] <= prev:
+            pair = next(iterators[i], None)
+            if pair is None:
+                return
+            cur[i] = pair
+    i = m
+    barrier = POS_INF  # finite exactly while a candidate is held
+    while True:
+        prev = cur[i - 1][1]
+        if prev >= barrier:
+            yield candidate
+            barrier = POS_INF
+        if i < m and cur[i][0] <= prev:
+            it = iterators[i]
+            while True:
+                if cur[i][1] >= barrier:
+                    yield candidate
+                    barrier = POS_INF
+                pair = next(it, None)
+                if pair is None:
+                    if barrier < POS_INF:
+                        yield candidate
+                    return
+                cur[i] = pair
+                if pair[0] > prev:
+                    break
+            i += 1
+            continue
+        candidate = (cur[0][0], cur[m - 1][1])
+        barrier = cur[m - 1][0]
+        i = 1
+        head = next(iterators[0], None)
+        if head is None:
+            yield candidate
+            return
+        cur[0] = head
+
+
+def lowpass_pairs(pairs, k):
+    """Only the pairs covering at most ``k`` positions."""
+    if k < 1:
+        raise ValueError(f"lowpass threshold must be positive, got {k}")
+    return (pair for pair in pairs if pair[1] - pair[0] < k)
+
+
+def difference_pairs(minuend, subtrahend):
+    """Minuend pairs containing no subtrahend pair.
+
+    For each minuend pair the subtrahend is read only while its current
+    pair starts and ends strictly before the minuend pair's extremes; the
+    minuend pair survives unless the pair it stops at lies inside it. Once
+    the subtrahend ends, every later minuend pair survives.
+    """
+    sub_left = sub_right = NEG_INF
+    for pair in minuend:
+        left, right = pair
+        while sub_left < left and sub_right < right:
+            sub = next(subtrahend, None)
+            if sub is None:
+                yield pair
+                yield from minuend
+                return
+            sub_left, sub_right = sub
+        if sub_left < left or right < sub_right:
+            yield pair
+
+
+# -- int kernels over term position lists ---------------------------------
+
+
+def or_kernel(iterators, counts):
+    """:func:`or_pairs` over position lists."""
+    m = len(iterators)
+    heap = _enqueue_all(
+        [p * m + i for i, p in enumerate([next(it, None) for it in iterators]) if p is not None],
+        counts,
+    )
+    mutations = counts.mutations
+    comparisons = counts.comparisons
+    most = counts.max_mutation_comparisons
+    n = len(heap)
+    bound = NEG_INF  # keys below it are at or before the last output
+    while True:
+        while n and heap[0] < bound:
+            i = heap[0] % m
+            p = next(iterators[i], None)
+            if p is None:
+                key = heap.pop()
+                n -= 1
+            else:
+                key = p * m + i
+            mutations += 1
+            if n:
+                slot, child, used = 0, 1, 0
+                while child < n:
+                    best = heap[child]
+                    if child + 1 < n:
+                        used += 1
+                        other = heap[child + 1]
+                        if other < best:
+                            child += 1
+                            best = other
+                    used += 1
+                    if best > key:
+                        break
+                    heap[slot] = best
+                    slot = child
+                    child = 2 * slot + 1
+                heap[slot] = key
+                comparisons += used
+                if used > most:
+                    most = used
+        counts.mutations = mutations
+        counts.comparisons = comparisons
+        counts.max_mutation_comparisons = most
+        if not n:
+            return
+        p = heap[0] // m
+        bound = (p + 1) * m
+        yield p, p
+
+
+def and_kernel(iterators, counts):
+    """:func:`and_pairs` over position lists."""
+    m = len(iterators)
+    firsts = [next(it, None) for it in iterators]
+    if None in firsts:
+        return
+    heap = _enqueue_all([p * m + i for i, p in enumerate(firsts)], counts)
+    mutations = counts.mutations
+    comparisons = counts.comparisons
+    most = counts.max_mutation_comparisons
+    right = max(firsts)
+    bound = NEG_INF  # keys below it start at the last output's left
+    while True:
+        top = heap[0]
+        if top < bound:
+            left = None  # skipping past the last output
+        else:
+            left = top // m
+            if left == right:
+                bound = (left + 1) * m
+                counts.mutations = mutations
+                counts.comparisons = comparisons
+                counts.max_mutation_comparisons = most
+                yield left, left
+                continue
+            span = right
+        i = top % m
+        p = next(iterators[i], None)
+        n = m
+        if p is None:
+            key = heap.pop()
+            n -= 1
+        else:
+            key = p * m + i
+            if p > right:
+                right = p
+        mutations += 1
+        slot, child, used = 0, 1, 0
+        while child < n:
+            best = heap[child]
+            if child + 1 < n:
+                used += 1
+                other = heap[child + 1]
+                if other < best:
+                    child += 1
+                    best = other
+            used += 1
+            if best > key:
+                break
+            heap[slot] = best
+            slot = child
+            child = 2 * slot + 1
+        if n:
+            heap[slot] = key
+        comparisons += used
+        if used > most:
+            most = used
+        if p is None or (left is not None and right != span):
             counts.mutations = mutations
             counts.comparisons = comparisons
             counts.max_mutation_comparisons = most
             if left is not None:
                 bound = (left + 1) * m
-                yield Interval(left, span_right)
+                yield left, span
             if p is None:
                 return
 
 
-def block_kernel(iterators, counts):
-    """:class:`BlockConcat` over singletons of position lists."""
-    m = len(iterators)
+def block_kernel(iterators):
+    """:func:`block_pairs` over position lists."""
     cur = [next(it, None) for it in iterators]
     if None in cur:
         return
+    m = len(cur)
     first = iterators[0]
     while True:
         i = 1
@@ -565,55 +496,19 @@ def block_kernel(iterators, counts):
                     return
                 cur[0] = head
                 i = 1
-        yield Interval(cur[0], cur[m - 1])
+        yield cur[0], cur[m - 1]
         head = next(first, None)
         if head is None:
             return
         cur[0] = head
 
 
-def _ordered_step(cur, iterators, i):
-    """One :meth:`OrderedSpan.next` from alignment point ``i``.
-
-    Returns the candidate (``None`` if there is none), the alignment point
-    to resume from, and whether an input ran dry.
-    """
-    m = len(cur)
-    candidate = None
-    barrier = POS_INF
-    while True:
-        while True:
-            prev = cur[i - 1]
-            if prev >= barrier:
-                return candidate, i, False
-            if i == m or cur[i] > prev:
-                break
-            it = iterators[i]
-            while True:
-                if cur[i] >= barrier:
-                    return candidate, i, False
-                p = next(it, None)
-                if p is None:
-                    return candidate, i, True
-                cur[i] = p
-                if p > prev:
-                    break
-            i += 1
-        candidate = Interval(cur[0], cur[m - 1])
-        barrier = cur[m - 1]
-        i = 1
-        head = next(iterators[0], None)
-        if head is None:
-            return candidate, i, True
-        cur[0] = head
-
-
-def ordered_kernel(iterators, counts):
-    """:class:`OrderedSpan` over singletons of position lists."""
-    m = len(iterators)
+def ordered_kernel(iterators):
+    """:func:`ordered_pairs` over position lists."""
     cur = [next(it, None) for it in iterators]
     if None in cur:
         return
+    m = len(cur)
     for i in range(1, m):
         while cur[i] <= cur[i - 1]:
             p = next(iterators[i], None)
@@ -621,26 +516,106 @@ def ordered_kernel(iterators, counts):
                 return
             cur[i] = p
     i = m
+    barrier = POS_INF  # finite exactly while a candidate is held
     while True:
-        candidate, i, ended = _ordered_step(cur, iterators, i)
-        if candidate is None:
+        prev = cur[i - 1]
+        if prev >= barrier:
+            yield candidate
+            barrier = POS_INF
+        if i < m and cur[i] <= prev:
+            it = iterators[i]
+            while True:
+                if cur[i] >= barrier:
+                    yield candidate
+                    barrier = POS_INF
+                p = next(it, None)
+                if p is None:
+                    if barrier < POS_INF:
+                        yield candidate
+                    return
+                cur[i] = p
+                if p > prev:
+                    break
+            i += 1
+            continue
+        candidate = (cur[0], cur[m - 1])
+        barrier = cur[m - 1]
+        i = 1
+        head = next(iterators[0], None)
+        if head is None:
+            yield candidate
             return
-        yield candidate
-        if ended:
-            return
+        cur[0] = head
 
 
-def difference_kernel(iterators, counts):
-    """:class:`Difference` over singletons of two position lists."""
-    minuend, subtrahend = iterators
+def difference_kernel(minuend, subtrahend):
+    """:func:`difference_pairs` over two position lists."""
     last = NEG_INF
-    exhausted = False
     for p in minuend:
-        while not exhausted and last < p:
+        while last < p:
             s = next(subtrahend, None)
             if s is None:
-                exhausted = True
-            else:
-                last = s
-        if exhausted or last != p:
-            yield Interval(p, p)
+                yield p, p
+                for p in minuend:
+                    yield p, p
+                return
+            last = s
+        if last != p:
+            yield p, p
+
+
+# -- adapters from interval streams ---------------------------------------
+
+
+class PairStream(IntervalStream):
+    """The pairs of ``pairs`` as an interval stream of :class:`Interval`.
+
+    ``pairs`` stays reachable, so a generator's frame (its operator state)
+    can be inspected; ``queue`` holds the heap counts of a merge or span
+    conjunction, and is ``None`` for the other operators.
+    """
+
+    def __init__(self, pairs, queue=None):
+        self.pairs = pairs
+        self.queue = queue
+        self.next = partial(next, starmap(Interval, pairs), None)
+
+
+_extremes = attrgetter("left", "right")
+
+
+def _pairs_of(stream):
+    """The pairs of an interval stream, read up to its first ``None`` and no further."""
+    return map(_extremes, iter(stream.next, None))
+
+
+def _inputs(streams):
+    if not streams:
+        raise ValueError("operator needs at least one input stream")
+    return [_pairs_of(stream) for stream in streams]
+
+
+def or_merge(streams) -> PairStream:
+    counts = QueueCounts()
+    return PairStream(or_pairs(_inputs(streams), counts), counts)
+
+
+def and_span(streams) -> PairStream:
+    counts = QueueCounts()
+    return PairStream(and_pairs(_inputs(streams), counts), counts)
+
+
+def block(streams) -> PairStream:
+    return PairStream(block_pairs(_inputs(streams)))
+
+
+def ordered_and(streams) -> PairStream:
+    return PairStream(ordered_pairs(_inputs(streams)))
+
+
+def lowpass(stream: IntervalStream, k: int) -> PairStream:
+    return PairStream(lowpass_pairs(_pairs_of(stream), k))
+
+
+def difference(minuend: IntervalStream, subtrahend: IntervalStream) -> PairStream:
+    return PairStream(difference_pairs(_pairs_of(minuend), _pairs_of(subtrahend)))

@@ -1,4 +1,4 @@
-"""Pull-based interval streams and read accounting.
+"""Pull-based interval streams, position leaves and read accounting.
 
 A stream hands out the intervals of an antichain in natural order (strictly
 increasing left *and* right extremes) through :meth:`IntervalStream.next`,
@@ -6,6 +6,11 @@ and returns ``None`` forever once exhausted. Streams are single-consumer
 and hold no locks; a stream may be handed between threads between calls.
 Every operator also stops pulling an input once that input has returned
 ``None``, and stops pulling all inputs once it has returned ``None`` itself.
+
+The engine evaluates over ``(left, right)`` int pairs instead (see
+:mod:`minq.operators`): :func:`position_pairs` is the pair form of
+:func:`from_positions`, and :func:`materialize_pairs` the pair form of
+:func:`materialize`, which turns a root's pairs into intervals.
 
 :class:`CountingStream` records how many elements (the terminal ``None``
 included) were pulled from a source, and :func:`profile` snapshots those
@@ -18,6 +23,7 @@ over live streams, which the engine's per-document profiles (``minq query
 """
 
 from dataclasses import dataclass, field
+from itertools import starmap
 from operator import lt
 
 from .intervals import Interval
@@ -59,6 +65,14 @@ class _PositionStream(IntervalStream):
         return None
 
 
+def _check_increasing(positions):
+    if not all(map(lt, positions[:-1], positions[1:])):
+        # Rescan to name the first fault.
+        for prev, cur in zip(positions, positions[1:]):
+            if cur <= prev:
+                raise ValueError(f"positions not strictly increasing: {prev} before {cur}")
+
+
 def from_positions(positions) -> IntervalStream:
     """Stream of singleton intervals, one per position.
 
@@ -66,12 +80,18 @@ def from_positions(positions) -> IntervalStream:
     anything else is rejected here rather than downstream. The stream reads
     the sequence itself, not a copy, so it must not change meanwhile.
     """
-    if not all(map(lt, positions, positions[1:])):
-        # Rescan to name the first fault.
-        for prev, cur in zip(positions, positions[1:]):
-            if cur <= prev:
-                raise ValueError(f"positions not strictly increasing: {prev} before {cur}")
+    _check_increasing(positions)
     return _PositionStream(positions)
+
+
+def position_pairs(positions):
+    """:func:`from_positions` as an iterator of ``(p, p)`` pairs.
+
+    Each pair is read from two iterators over ``positions``; only the
+    first sees the terminal read.
+    """
+    _check_increasing(positions)
+    return zip(positions, positions)
 
 
 def materialize(stream: IntervalStream) -> list[Interval]:
@@ -84,6 +104,19 @@ def materialize(stream: IntervalStream) -> list[Interval]:
                 raise OrderViolation(f"{prev!r} followed by {item!r}")
         items.append(item)
     return items
+
+
+def materialize_pairs(pairs) -> list[Interval]:
+    """:func:`materialize` for a finite iterator of ``(left, right)`` pairs."""
+    pairs = list(pairs)
+    if len(pairs) > 1:
+        lefts, rights = zip(*pairs)
+        if not (all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))):
+            # Rescan to name the first fault.
+            for prev, item in zip(pairs, pairs[1:]):
+                if item[0] <= prev[0] or item[1] <= prev[1]:
+                    raise OrderViolation(f"{Interval(*prev)!r} followed by {Interval(*item)!r}")
+    return list(starmap(Interval, pairs))
 
 
 class CountingStream(IntervalStream):

@@ -1,12 +1,21 @@
 """Shared fixtures-in-spirit: worked-example data, random generators, the
-linear-scan reference queue, prefix-check composition and the per-token
-reference index build."""
+reference queues and operator classes, prefix-check composition and the
+per-token reference index build."""
 
 import hashlib
 import random
 import re
 
-from minq import EmptyQueueError, Interval, NEG_INF, PositionalIndex
+from minq import (
+    Interval,
+    NEG_INF,
+    POS_INF,
+    PositionalIndex,
+    cmp_end,
+    cmp_start,
+    contains,
+    length,
+)
 from minq.index import DocInfo, TermPostings
 from minq.streams import IntervalStream, ListStream
 
@@ -69,7 +78,7 @@ def random_inputs(rng: random.Random, max_m=5, allow_empty=True):
 
 
 class CountedIterator:
-    """Iterator over a position list that counts its ``next`` calls.
+    """Iterator over a list (positions or pairs) that counts its ``next`` calls.
 
     It appends itself to ``leaves`` when made, so a run's leaves can be
     read back in the order they were opened.
@@ -107,11 +116,498 @@ class CountedSingletons(IntervalStream):
         return Interval(value, value)
 
 
+# Reference implementations of the operators: an indirect priority queue
+# over a reference array of per-list intervals, and one instrumented class
+# per operator over interval streams, as the paper states them. The shipped
+# generators in minq.operators must make the very same reads, outputs and
+# queue counts (tests/test_kernels.py).
+#
+# The queue holds *indices* into a reference array with one interval slot
+# per input list; priorities come from cmp_end (the merge) or cmp_start (the
+# span conjunction), ties broken toward the smallest list index. enqueue
+# stores each list's first interval, and every later read goes through
+# advance, which stores the top list's next interval or drops the list. The
+# queue also keeps right_extreme, the running maximum right extreme over
+# every interval ever stored. The heap is binary; only the top is ever
+# changed or removed. Mutation and comparison counts are tracked.
+
+
+class EmptyQueueError(Exception):
+    """dequeue/advance requested on a queue holding no indices."""
+
+
+class IndirectQueue:
+    def __init__(self, size: int, compare):
+        if compare is not cmp_end and compare is not cmp_start:
+            raise ValueError("the queue orders by cmp_end or cmp_start only")
+        self.reference: list[Interval | None] = [None] * size
+        self.right_extreme = NEG_INF
+        self._cmp = compare
+        self._heap: list[int] = []
+        self.mutations = 0
+        self.comparisons = 0
+        self.max_mutation_comparisons = 0
+
+    def enqueue(self, index: int, interval: Interval) -> None:
+        """Store ``interval`` in slot ``index`` and add the index to the heap."""
+        self.reference[index] = interval
+        if interval.right > self.right_extreme:
+            self.right_extreme = interval.right
+        heap = self._heap
+        heap.append(index)
+        self._account(self._sift_up(len(heap) - 1))
+
+    def dequeue(self) -> int:
+        heap = self._heap
+        if not heap:
+            raise EmptyQueueError("dequeue of empty queue")
+        result = heap[0]
+        last = heap.pop()
+        used = 0
+        if heap:
+            heap[0] = last
+            used = self._sift_down(0)
+        self._account(used)
+        return result
+
+    def _account(self, used):
+        self.comparisons += used
+        if used > self.max_mutation_comparisons:
+            self.max_mutation_comparisons = used
+        self.mutations += 1
+
+    def _sift_up(self, slot: int) -> int:
+        """Move the index at ``slot`` up into place; returns the comparisons made."""
+        heap, ref, cmp = self._heap, self.reference, self._cmp
+        index = heap[slot]
+        item = ref[index]
+        used = 0
+        while slot > 0:
+            parent = (slot - 1) // 2
+            above = heap[parent]
+            c = cmp(item, ref[above])
+            used += 1
+            if c > 0 or (c == 0 and index > above):
+                break
+            heap[slot] = above
+            slot = parent
+        heap[slot] = index
+        return used
+
+    def _sift_down(self, slot: int) -> int:
+        """Move the index at ``slot`` down into place; returns the comparisons made.
+
+        The moving index is held aside while smaller children shift up into
+        the hole, so each level costs the same one or two comparisons as a
+        swap-based sift but writes each moved index once.
+        """
+        heap, ref, cmp = self._heap, self.reference, self._cmp
+        n = len(heap)
+        index = heap[slot]
+        item = ref[index]
+        used = 0
+        child = 2 * slot + 1
+        while child < n:
+            best = heap[child]
+            best_item = ref[best]
+            if child + 1 < n:
+                other = heap[child + 1]
+                other_item = ref[other]
+                c = cmp(other_item, best_item)
+                used += 1
+                if c < 0 or (c == 0 and other < best):
+                    child += 1
+                    best, best_item = other, other_item
+            c = cmp(best_item, item)
+            used += 1
+            if c > 0 or (c == 0 and best > index):
+                break
+            heap[slot] = best
+            slot = child
+            child = 2 * slot + 1
+        heap[slot] = index
+        return used
+
+
+def advance(queue: IndirectQueue, streams) -> None:
+    """Replace the top slot with its list's next interval, or drop the list.
+
+    Reads exactly one element from the list bound to the top index: a real
+    interval lands in the reference array and is sifted into place (one
+    mutation), a terminal dequeues the index for good. The sift and its
+    accounting run inline, with the comparisons of the queue's order
+    written out, making the same heap moves and counts as
+    :meth:`_sift_down`.
+    """
+    heap = queue._heap
+    if not heap:
+        raise EmptyQueueError("advance on empty queue")
+    index = heap[0]
+    item = streams[index].next()
+    if item is None:
+        queue.dequeue()
+        return
+    ref = queue.reference
+    ref[index] = item
+    left, right = item.left, item.right
+    if right > queue.right_extreme:
+        queue.right_extreme = right
+    n = len(heap)
+    slot, child, used = 0, 1, 0
+    if queue._cmp is cmp_end:
+        while child < n:
+            best = heap[child]
+            b = ref[best]
+            if child + 1 < n:
+                used += 1
+                other = heap[child + 1]
+                o = ref[other]
+                if o.right < b.right or o.right == b.right and (
+                    o.left > b.left or o.left == b.left and other < best
+                ):
+                    child += 1
+                    best, b = other, o
+            used += 1
+            if b.right > right or b.right == right and (
+                b.left < left or b.left == left and best > index
+            ):
+                break
+            heap[slot] = best
+            slot = child
+            child = 2 * slot + 1
+        heap[slot] = index
+    else:
+        while child < n:
+            best = heap[child]
+            b = ref[best]
+            if child + 1 < n:
+                used += 1
+                other = heap[child + 1]
+                o = ref[other]
+                if o.left < b.left or o.left == b.left and (
+                    o.right > b.right or o.right == b.right and other < best
+                ):
+                    child += 1
+                    best, b = other, o
+            used += 1
+            if b.left > left or b.left == left and (
+                b.right < right or b.right == right and best > index
+            ):
+                break
+            heap[slot] = best
+            slot = child
+            child = 2 * slot + 1
+        heap[slot] = index
+    queue.comparisons += used
+    if used > queue.max_mutation_comparisons:
+        queue.max_mutation_comparisons = used
+    queue.mutations += 1
+
+
+_BOTTOM = Interval(NEG_INF, NEG_INF)
+
+
+def _require_inputs(streams):
+    if not streams:
+        raise ValueError("operator needs at least one input stream")
+    return list(streams)
+
+
+def _first_reads(streams):
+    """The first element of every input, or ``None`` if any input is empty.
+
+    Reads exactly one element from every input, also from those after an
+    empty one, so a conjunction-style operator that ends on an empty
+    operand has read the same from each input whichever one was empty.
+    """
+    firsts = [stream.next() for stream in streams]
+    return None if None in firsts else firsts
+
+
+class _QueueOperator(IntervalStream):
+    """Inputs, queue and output state shared by the two queue-driven operators.
+
+    The first pull reads every input's first interval and enqueues those
+    that exist. ``next`` reads the queue's ``_heap`` and
+    ``reference`` directly, since the top test runs once per posting read.
+    """
+
+    def __init__(self, streams, order):
+        self._streams = _require_inputs(streams)
+        self.queue = IndirectQueue(len(self._streams), order)
+        self._last_left = NEG_INF
+        self._started = False
+
+    def _start(self, firsts):
+        queue = self.queue
+        for i, first in enumerate(firsts):
+            if first is not None:
+                queue.enqueue(i, first)
+        self._started = True
+
+
+class OrMerge(_QueueOperator):
+    """Minimal intervals of the union of the inputs, merged lazily.
+
+    Keeps the last returned interval and advances the queue while the top
+    still contains it; because the top's right extreme only grows, that
+    containment test collapses to a single left-extreme comparison.
+    """
+
+    def __init__(self, streams):
+        super().__init__(streams, cmp_end)
+
+    def next(self):
+        if not self._started:
+            self._start([stream.next() for stream in self._streams])
+        q = self.queue
+        heap, ref, streams = q._heap, q.reference, self._streams
+        last_left = self._last_left
+        while heap and ref[heap[0]].left <= last_left:
+            advance(q, streams)
+        if not heap:
+            return None
+        top = ref[heap[0]]
+        self._last_left = top.left
+        return top
+
+
+class AndSpan(_QueueOperator):
+    """Minimal intervals spanned by one interval per input.
+
+    The queue is ordered by start; the candidate is the interval from the
+    top's left extreme to the queue's right extreme, refined while further
+    advances keep the span inside it. Both monotonicity shortcuts apply:
+    the skip-past-last-output test compares left extremes only, and the
+    still-contained test compares right extremes only. Output ends for good
+    the moment the queue stops being full; with an empty operand nothing is
+    enqueued.
+    """
+
+    def __init__(self, streams):
+        super().__init__(streams, cmp_start)
+
+    def next(self):
+        if not self._started:
+            firsts = _first_reads(self._streams)
+            if firsts is None:
+                self._started = True
+                return None
+            self._start(firsts)
+        q = self.queue
+        heap, ref, streams = q._heap, q.reference, self._streams
+        m = len(streams)
+        last_left = self._last_left
+        while len(heap) == m and ref[heap[0]].left == last_left:
+            advance(q, streams)
+        if len(heap) < m:
+            return None
+        while True:
+            # The candidate spans the top's left to the queue's right
+            # extreme; it is the top itself when their right extremes meet.
+            top = ref[heap[0]]
+            right = q.right_extreme
+            if top.right == right:
+                candidate = top
+                break
+            advance(q, streams)
+            if len(heap) < m or q.right_extreme != right:
+                candidate = Interval(top.left, right)
+                break
+        self._last_left = candidate.left
+        return candidate
+
+
+class BlockConcat(IntervalStream):
+    """Spans of chains of exactly adjacent intervals, one per input.
+
+    The first attempt starts from every list's first interval; each later
+    one advances the first list once. An attempt aligns each later list
+    until its interval starts past the previous one's right extreme; an
+    exact +1 adjacency extends the chain, a gap restarts from the first
+    list.
+    """
+
+    def __init__(self, streams):
+        self._streams = _require_inputs(streams)
+        self._cur = None
+        self._done = False
+
+    def next(self):
+        if self._done:
+            return None
+        cur = self._cur
+        streams = self._streams
+        m = len(streams)
+        if cur is None:
+            cur = self._cur = _first_reads(streams)
+            if cur is None:
+                self._done = True
+                return None
+        else:
+            head = streams[0].next()
+            if head is None:
+                self._done = True
+                return None
+            cur[0] = head
+        i = 1
+        while i < m:
+            while cur[i].left <= cur[i - 1].right:
+                item = streams[i].next()
+                if item is None:
+                    self._done = True
+                    return None
+                cur[i] = item
+            if cur[i].left == cur[i - 1].right + 1:
+                i += 1
+            else:
+                head = streams[0].next()
+                if head is None:
+                    self._done = True
+                    return None
+                cur[0] = head
+                i = 1
+        return Interval(cur[0].left, cur[m - 1].right)
+
+
+class OrderedSpan(IntervalStream):
+    """Minimal spans of strictly-ordered non-overlapping chains.
+
+    Greedily aligns list ``i`` until its interval starts past list
+    ``i-1``'s; a completed chain becomes the candidate and its last
+    component's left extreme the barrier. The candidate is final (and
+    returned) as soon as any aligning read would have to land at or past
+    the barrier, or an input runs dry. A candidate refines only while new
+    chains keep the same right extreme.
+
+    The first pull aligns the first chain from every list's first interval
+    on its own: the loop's shortcut of taking an aligned ``cur[i]`` as the
+    end of a chain holds only once ``cur[i:]`` has been aligned before.
+    """
+
+    def __init__(self, streams):
+        self._streams = _require_inputs(streams)
+        self._cur = None
+        self._i = len(self._streams)  # the first chain is aligned up front
+        self._done = False
+
+    def next(self):
+        if self._done:
+            return None
+        cur = self._cur
+        streams = self._streams
+        m = len(streams)
+        if cur is None:
+            cur = self._cur = _first_reads(streams)
+            if cur is None:
+                self._done = True
+                return None
+            # No barrier stands before the first candidate.
+            for i in range(1, m):
+                while cur[i].left <= cur[i - 1].right:
+                    item = streams[i].next()
+                    if item is None:
+                        self._done = True
+                        return None
+                    cur[i] = item
+        candidate = None
+        barrier = POS_INF
+        i = self._i
+        try:
+            while True:
+                while True:
+                    if cur[i - 1].right >= barrier:
+                        return candidate
+                    if i == m or cur[i].left > cur[i - 1].right:
+                        break
+                    while True:
+                        if cur[i].right >= barrier:
+                            return candidate
+                        item = streams[i].next()
+                        if item is None:
+                            self._done = True
+                            return candidate
+                        cur[i] = item
+                        if cur[i].left > cur[i - 1].right:
+                            break
+                    i += 1
+                candidate = Interval(cur[0].left, cur[m - 1].right)
+                barrier = cur[m - 1].left
+                i = 1
+                head = streams[0].next()
+                if head is None:
+                    self._done = True
+                    return candidate
+                cur[0] = head
+        finally:
+            self._i = i
+
+
+class LowPassFilter(IntervalStream):
+    """Passes through only intervals covering at most ``k`` positions."""
+
+    def __init__(self, stream: IntervalStream, k: int):
+        if k < 1:
+            raise ValueError(f"lowpass threshold must be positive, got {k}")
+        self._stream = stream
+        self._k = k
+        self._done = False
+
+    def next(self):
+        if self._done:
+            return None
+        while True:
+            item = self._stream.next()
+            if item is None:
+                self._done = True
+                return None
+            if length(item) <= self._k:
+                return item
+
+
+class Difference(IntervalStream):
+    """Minuend intervals containing no subtrahend interval.
+
+    For each minuend interval, the subtrahend is advanced only while its
+    current interval starts and ends strictly before the minuend's
+    extremes; the minuend interval survives unless the stopping interval
+    sits inside it.
+    """
+
+    def __init__(self, minuend: IntervalStream, subtrahend: IntervalStream):
+        self._minuend = minuend
+        self._subtrahend = subtrahend
+        self._last_sub = _BOTTOM
+        self._sub_exhausted = False
+        self._done = False
+
+    def next(self):
+        if self._done:
+            return None
+        while True:
+            item = self._minuend.next()
+            if item is None:
+                self._done = True
+                return None
+            while (
+                not self._sub_exhausted
+                and self._last_sub.left < item.left
+                and self._last_sub.right < item.right
+            ):
+                sub = self._subtrahend.next()
+                if sub is None:
+                    self._sub_exhausted = True
+                else:
+                    self._last_sub = sub
+            if self._sub_exhausted or not contains(item, self._last_sub):
+                return item
+
+
 class LinearScanQueue:
     """Array-backed variant: O(1) mutations, O(m) top retrieval.
 
-    Same contract and tie-breaking as :class:`minq.IndirectQueue` and
-    :func:`minq.advance`; kept as the obviously-correct reference for
+    Same contract and tie-breaking as :class:`IndirectQueue` and
+    :func:`advance`; kept as the obviously-correct reference for
     differential tests.
     """
 

@@ -1,9 +1,11 @@
-"""The int kernels against the operator classes they stand in for.
+"""The shipped generators against the reference classes of tests/helpers.py.
 
-On singleton inputs a kernel must yield the same intervals after the same
-per-input reads, end after the same reads (the terminal read included)
-and, for the queue kernels, report the same queue work, within criterion
-5's ceilings.
+The pair generators run on random antichains given as ``(left, right)``
+pairs, the int kernels on singleton inputs given as position lists. Each
+must yield the class's outputs after the same per-input reads, end after
+the same reads (the terminal read included) and, for the merge and the
+span conjunction, report the same queue work, within criterion 5's
+ceilings.
 """
 
 import math
@@ -11,65 +13,126 @@ import random
 
 import pytest
 
-from minq import CountingStream, ListStream, and_span, block, difference, or_merge, ordered_and
+from minq import CountingStream, ListStream, and_span, block, or_merge, ordered_and
 from minq.operators import (
-    KernelStream,
+    QueueCounts,
     and_kernel,
+    and_pairs,
     block_kernel,
+    block_pairs,
     difference_kernel,
+    difference_pairs,
+    lowpass_pairs,
     or_kernel,
+    or_pairs,
     ordered_kernel,
+    ordered_pairs,
 )
 
-from helpers import CountedIterator, singleton_antichain, singletons
+from helpers import (
+    AndSpan,
+    BlockConcat,
+    CountedIterator,
+    Difference,
+    LowPassFilter,
+    OrderedSpan,
+    OrMerge,
+    random_inputs,
+    singleton_antichain,
+    singletons,
+)
 
 SETS = 10_000
 
-PAIRS = [
-    (or_kernel, or_merge),
-    (and_kernel, and_span),
-    (block_kernel, block),
-    (ordered_kernel, ordered_and),
-    (difference_kernel, lambda streams: difference(*streams)),
-]
+
+def operators(k):
+    """(name, pair generator, int kernel, reference class); lowpass keeps width ``k``."""
+    return [
+        ("or", or_pairs, or_kernel, OrMerge),
+        ("and", and_pairs, and_kernel, AndSpan),
+        ("block", lambda its, _: block_pairs(its), lambda its, _: block_kernel(its), BlockConcat),
+        (
+            "ordered_and",
+            lambda its, _: ordered_pairs(its),
+            lambda its, _: ordered_kernel(its),
+            OrderedSpan,
+        ),
+        (
+            "difference",
+            lambda its, _: difference_pairs(*its),
+            lambda its, _: difference_kernel(*its),
+            lambda streams: Difference(*streams),
+        ),
+        (
+            "lowpass",
+            lambda its, _: lowpass_pairs(its[0], k),
+            None,
+            lambda streams: LowPassFilter(streams[0], k),
+        ),
+    ]
+
+
+def operands(name, inputs):
+    """The inputs an operator takes: two for difference, one for lowpass."""
+    if name == "difference":
+        return [inputs[0], inputs[1] if len(inputs) > 1 else []]
+    if name == "lowpass":
+        return inputs[:1]
+    return inputs
 
 
 def queue_counts(work):
     return (work.mutations, work.comparisons, work.max_mutation_comparisons)
 
 
-def run_class(operator, lists, rows_read=True):
-    """Outputs, read rows and queue work at each output, then the final reads.
+def run_class(operator, antichains, rows_read=True):
+    """Outputs as pairs, read rows and queue work at each output, then the final reads.
 
     Without ``rows_read`` a row holds no reads, only the output and the work.
     """
-    counters = [CountingStream(ListStream(singletons(p))) for p in lists]
+    counters = [CountingStream(ListStream(a)) for a in antichains]
     stream = operator(counters)
+    queued = hasattr(stream, "queue")
     rows = []
     while (item := stream.next()) is not None:
-        work = queue_counts(stream.queue) if hasattr(stream, "queue") else None
-        rows.append((item, rows_read and tuple(c.reads for c in counters), work))
+        work = queue_counts(stream.queue) if queued else None
+        rows.append(((item.left, item.right), rows_read and tuple(c.reads for c in counters), work))
     assert stream.next() is None
-    work = queue_counts(stream.queue) if hasattr(stream, "queue") else None
+    work = queue_counts(stream.queue) if queued else None
     return rows, tuple(c.reads for c in counters), work
 
 
-def run_kernel(kernel, lists, rows_read=True):
+def run_generator(generator, lists, queued, rows_read=True):
+    """:func:`run_class` for a generator over counted iterators of ``lists``."""
     leaves = []
-
-    class Positions(list):
-        def __iter__(self):
-            return CountedIterator(self, leaves)
-
-    stream = KernelStream(kernel, [Positions(p) for p in lists])
-    queued = kernel in (or_kernel, and_kernel)
+    counts = QueueCounts()
     rows = []
-    while (item := stream.next()) is not None:
-        work = queue_counts(stream.counts) if queued else None
+    for item in generator([CountedIterator(a, leaves) for a in lists], counts):
+        work = queue_counts(counts) if queued else None
         rows.append((item, rows_read and tuple(leaf.reads for leaf in leaves), work))
-    assert stream.next() is None
-    work = queue_counts(stream.counts) if queued else None
+    work = queue_counts(counts) if queued else None
     return rows, tuple(leaf.reads for leaf in leaves), work
+
+
+def within_criterion_5(work, lists):
+    m = len(lists)
+    cap = (math.ceil(math.log2(m)) if m > 1 else 0) + 1
+    return work[0] <= sum(map(len, lists)) + m and work[2] <= cap
+
+
+def test_pair_generators_equal_their_classes_on_random_inputs():
+    rng = random.Random(0xFA1125)
+    for _ in range(SETS):
+        inputs = random_inputs(rng)
+        k = rng.randint(1, 8)
+        for name, generator, _, operator in operators(k):
+            take = operands(name, inputs)
+            expected = run_class(operator, take)
+            pairs = [[(iv.left, iv.right) for iv in a] for a in take]
+            queued = expected[2] is not None
+            assert run_generator(generator, pairs, queued) == expected, (name, take)
+            if queued:
+                assert within_criterion_5(expected[2], take)
 
 
 def test_kernels_equal_their_classes_on_random_singleton_inputs():
@@ -77,17 +140,15 @@ def test_kernels_equal_their_classes_on_random_singleton_inputs():
     for _ in range(SETS):
         m = rng.randint(1, 5)
         lists = [[iv.left for iv in singleton_antichain(rng)] for _ in range(m)]
-        n = sum(map(len, lists))
-        cap = (math.ceil(math.log2(m)) if m > 1 else 0) + 1
-        for kernel, operator in PAIRS:
-            take = lists
-            if kernel is difference_kernel:
-                take = [lists[0], lists[1] if m > 1 else []]
-            expected = run_class(operator, take)
-            assert run_kernel(kernel, take) == expected, (kernel.__name__, take)
-            work = expected[2]
-            if work is not None:
-                assert work[0] <= n + m and work[2] <= cap
+        for name, _, kernel, operator in operators(1):
+            if kernel is None:
+                continue
+            take = operands(name, lists)
+            expected = run_class(operator, [singletons(p) for p in take])
+            queued = expected[2] is not None
+            assert run_generator(kernel, take, queued) == expected, (name, take)
+            if queued:
+                assert within_criterion_5(expected[2], take)
 
 
 def test_or_kernel_sorts_like_the_merge():
@@ -97,13 +158,14 @@ def test_or_kernel_sorts_like_the_merge():
     rng = random.Random(3)
     for n in (1, 2, 10, 100, 1000, 10_000):
         lists = [[v] for v in rng.sample(range(10 * n), n)]
-        rows, reads, work = run_kernel(or_kernel, lists, rows_read=n <= 100)
-        assert [item.left for item, _, _ in rows] == sorted(v for (v,) in lists)
-        assert (rows, reads, work) == run_class(or_merge, lists, rows_read=n <= 100)
+        rows, reads, work = run_generator(or_kernel, lists, True, rows_read=n <= 100)
+        assert [left for (left, _), _, _ in rows] == sorted(v for (v,) in lists)
+        expected = run_class(OrMerge, [singletons(p) for p in lists], rows_read=n <= 100)
+        assert (rows, reads, work) == expected
         assert work[0] <= 2 * n
 
 
 def test_kernel_needs_an_operand():
-    for kernel, _ in PAIRS:
+    for operator in (or_merge, and_span, block, ordered_and):
         with pytest.raises(ValueError):
-            KernelStream(kernel, [])
+            operator([])

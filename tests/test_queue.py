@@ -1,22 +1,20 @@
+"""The reference indirect queue of tests/helpers.py, and the pinned queue
+work of the shipped merge and span conjunction."""
+
 import math
 import random
 
 import pytest
 
-from minq import (
-    CountingStream,
+from minq import CountingStream, Interval, ListStream, and_span, cmp_end, cmp_start, or_merge
+
+from helpers import (
     EmptyQueueError,
     IndirectQueue,
-    Interval,
-    ListStream,
+    LinearScanQueue,
     advance,
-    and_span,
-    cmp_end,
-    cmp_start,
-    or_merge,
+    random_inputs,
 )
-
-from helpers import LinearScanQueue, random_inputs
 
 iv = lambda l, r: Interval(l, r)
 
@@ -216,7 +214,8 @@ def test_mutation_comparison_budget():
 
 def test_operation_counts_pinned_on_criterion_5_inputs():
     # Criterion 5 only bounds these counts; the exact totals pin the heap's
-    # behaviour, so a faster sift or advance must make the very same moves.
+    # behaviour, so the shipped generators, read through the adapters'
+    # QueueCounts, must make the very moves of the reference queue's advance.
     # The span conjunction loads nothing when an operand is empty.
     rng = random.Random(5)
     totals = {or_merge: [0, 0, 0], and_span: [0, 0, 0]}

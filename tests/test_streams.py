@@ -15,6 +15,7 @@ from minq import (
     or_merge,
     profile,
 )
+from minq.streams import materialize_pairs, position_pairs
 
 from helpers import (
     check_all_empty,
@@ -36,10 +37,12 @@ def test_from_positions():
 
 
 def test_from_positions_rejects_non_increasing():
-    with pytest.raises(ValueError):
-        from_positions((1, 1))
-    with pytest.raises(ValueError):
-        from_positions((2, 1))
+    for leaf in (from_positions, position_pairs):
+        with pytest.raises(ValueError):
+            leaf((1, 1))
+        with pytest.raises(ValueError):
+            leaf((2, 1))
+    assert list(position_pairs((0, 3))) == [(0, 0), (3, 3)]
 
 
 def test_terminal_repeats():
@@ -56,6 +59,14 @@ def test_materialize_validates_order():
         materialize(ListStream([iv(0, 3), iv(1, 2)]))
     with pytest.raises(OrderViolation):
         materialize(ListStream([iv(0, 3), iv(1, 3)]))
+    assert materialize_pairs(iter([(0, 1), (2, 3)])) == [iv(0, 1), iv(2, 3)]
+    assert materialize_pairs(iter([])) == []
+    for bad in ([(0, 3), (1, 2)], [(0, 3), (1, 3)], [(0, 1), (2, 3), (2, 4)]):
+        with pytest.raises(OrderViolation) as pairs_error:
+            materialize_pairs(iter(bad))
+        with pytest.raises(OrderViolation) as stream_error:
+            materialize(ListStream([iv(*pair) for pair in bad]))
+        assert str(pairs_error.value) == str(stream_error.value)
 
 
 @given(
