@@ -16,9 +16,11 @@ other matches are never opened.
 Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
 I/O or index-format trouble. Exit 2 also covers a negative ``--top`` or
 ``--snippets`` (rejected before evaluation, whether or not anything
-matches) and a printed document whose source file is missing or no longer
-matches its indexed word count and content digest. These errors print one
-``minq: ...`` line on stderr; a bad index file's line ends ``; re-index it``.
+matches), a source to index that is not UTF-8 (its path and the offset of
+the first bad byte are named), and a printed document whose source file is
+missing, no longer UTF-8, or no longer matches its indexed word count and
+content digest. These errors print one ``minq: ...`` line on stderr; a bad
+index file's line ends ``; re-index it``.
 """
 
 import argparse
@@ -33,7 +35,11 @@ def _cmd_index(args) -> int:
     documents = []
     for path in args.paths:
         with open(path, "rb") as src:
-            documents.append((path, src.read().decode("utf-8")))
+            data = src.read()
+        try:
+            documents.append((path, data.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path!r}: byte {exc.start} is not UTF-8") from None
     index = build_index(documents)
     save_index(index, args.output)
     print(

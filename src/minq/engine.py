@@ -21,15 +21,24 @@ may be processed in parallel. The query path creates no reference cycles,
 so everything a query builds, and an index dropped afterwards, is freed by
 reference counting even while the cyclic collector is paused.
 
-:func:`search` ranks every match and cuts to ``top`` before it extracts
-snippets, so snippets are extracted only for the returned results and the
-source files of the other matches are never opened. A returned document's
-source that is missing raises :class:`OSError`; one whose word count or
-content digest no longer matches the index raises :class:`StaleSourceError`.
+:func:`search` without ``top`` evaluates and ranks every candidate. With
+``top`` it evaluates candidates in decreasing order of an upper bound on
+their score (:func:`score_bounds`, one rule per node type in the table),
+keeps the best ``top`` in a heap, and stops at the first candidate that
+could not enter them even at its bound; the results are exactly those of
+ranking every candidate and cutting to ``top``. Snippets are extracted only
+for the returned results, so the source files of the other matches are
+never opened. A returned document's source that is missing raises
+:class:`OSError`; one that is no longer UTF-8, or whose word count or
+content digest no longer matches the index, raises :class:`StaleSourceError`.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from heapq import heappush, heappushpop
+from itertools import repeat
+from math import inf
+from operator import neg
 
 from .index import source_digest, words
 from .intervals import Interval, length
@@ -85,34 +94,53 @@ def _first(doc_sets):
     return next(doc_sets)
 
 
+# Bound lists are combined two at a time by comprehensions, which cost about
+# a third of map(sum, ...) or map(min, ...) passes (CPython 3.11).
+def _sums(bounds):
+    return reduce(_add, bounds)
+
+
+def _mins(bounds):
+    return reduce(_min, bounds)
+
+
+def _add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def _min(a, b):
+    return [x if x < y else y for x, y in zip(a, b)]
+
+
 # node type -> (its operand nodes, rule over an iterator of their doc-id
-# sets, operator over their interval streams, pair generator over their pair
-# iterators, int kernel over their position-list iterators when every
-# operand is a term). The operators, which only a profiled root runs, are
-# module globals looked up when called, so they can be rebound from outside.
+# sets, rule over an iterator of their score-bound lists, operator over their
+# interval streams, pair generator over their pair iterators, int kernel over
+# their position-list iterators when every operand is a term). The
+# operators, which only a profiled root runs, are module globals looked up
+# when called, so they can be rebound from outside.
 _NODES = {
     Or: (
-        _children, _union, lambda n, s: or_merge(s),
+        _children, _union, _sums, lambda n, s: or_merge(s),
         lambda n, s: or_pairs(s, QueueCounts()), lambda n, s: or_kernel(s, QueueCounts()),
     ),
     And: (
-        _children, _intersection, lambda n, s: and_span(s),
+        _children, _intersection, _sums, lambda n, s: and_span(s),
         lambda n, s: and_pairs(s, QueueCounts()), lambda n, s: and_kernel(s, QueueCounts()),
     ),
     Block: (
-        _children, _intersection, lambda n, s: block(s),
+        _children, _intersection, _mins, lambda n, s: block(s),
         lambda n, s: block_pairs(s), lambda n, s: block_kernel(s),
     ),
     OrderedAnd: (
-        _children, _intersection, lambda n, s: ordered_and(s),
+        _children, _intersection, _mins, lambda n, s: ordered_and(s),
         lambda n, s: ordered_pairs(s), lambda n, s: ordered_kernel(s),
     ),
     LowPass: (
-        lambda n: (n.child,), _first, lambda n, s: lowpass(s[0], n.k),
+        lambda n: (n.child,), _first, _first, lambda n, s: lowpass(s[0], n.k),
         lambda n, s: lowpass_pairs(s[0], n.k), None,
     ),
     Minus: (
-        lambda n: (n.minuend, n.subtrahend), _first, lambda n, s: difference(*s),
+        lambda n: (n.minuend, n.subtrahend), _first, _first, lambda n, s: difference(*s),
         lambda n, s: difference_pairs(*s), lambda n, s: difference_kernel(*s),
     ),
 }
@@ -129,7 +157,7 @@ def plan(ast, index):
     """
     if isinstance(ast, Term):
         return partial(_pair_leaf, *index.term_postings(ast.term))
-    operands, _, _, generator, kernel = _NODES[type(ast)]
+    operands, _, _, _, generator, kernel = _NODES[type(ast)]
     nodes = operands(ast)
     if kernel is not None and all(isinstance(node, Term) for node in nodes):
         postings = [index.term_postings(node.term) for node in nodes]
@@ -193,7 +221,7 @@ def _profile_plan(ast, index):
     if isinstance(ast, Term):
         inputs, operator = (ast,), _identity
     else:
-        operands, _, operator, _, _ = _NODES[type(ast)]
+        operands, _, _, operator, _, _ = _NODES[type(ast)]
         inputs = operands(ast)
     return partial(_profiled, ast, operator, [_stream_plan(node, index) for node in inputs])
 
@@ -225,13 +253,36 @@ def _docs(ast, index) -> set[int]:
     # the index in a reference cycle, which only the cyclic collector frees.
     if isinstance(ast, Term):
         return index.term_docs(ast.term)
-    operands, combine, _, _, _ = _NODES[type(ast)]
+    operands, combine, _, _, _, _ = _NODES[type(ast)]
     return combine(_docs(node, index) for node in operands(ast))
 
 
 def candidate_docs(ast, index) -> list[int]:
     """Sorted ids of documents that could possibly hold witnesses."""
     return sorted(_docs(ast, index))
+
+
+def score_bounds(ast, index, docs: list[int]) -> list[int]:
+    """Per document of ``docs``, an upper bound on the query's witness count.
+
+    A term's bound is its number of positions in the document, exact since
+    each is a witness. The witnesses of a merge are some of its operands';
+    distinct span-conjunction witnesses have distinct left extremes, each
+    the left extreme of an operand witness inside it; so both are bounded by
+    the sum of their operands' bounds. By minimality no operand witness is
+    part of two block or ordered-conjunction witnesses: the minimum of the
+    operands' bounds. A low-pass keeps some of its child's witnesses and a
+    difference some of its minuend's. The cost is one pass over ``docs`` per
+    node, whatever the terms' document counts.
+    """
+    if isinstance(ast, Term):
+        entries, starts, _ = index.term_postings(ast.term)
+        return [
+            starts[e + 1] - starts[e] if e >= 0 else 0
+            for e in map(entries.get, docs, repeat(-1))
+        ]
+    operands, _, combine, _, _, _ = _NODES[type(ast)]
+    return combine(score_bounds(node, index, docs) for node in operands(ast))
 
 
 def snippets(witnesses: list[Interval], k: int) -> list[Interval]:
@@ -258,7 +309,9 @@ def rank(witnesses) -> float:
     """Sum of per-witness credits, each saturating at 1 for short spans.
 
     A witness of length at most :data:`SATURATION_LENGTH` contributes 1,
-    longer ones proportionally less.
+    longer ones proportionally less. A replacement must keep every credit
+    at most 1: :func:`search` with ``top`` relies on no score exceeding
+    the witness count, which :func:`score_bounds` bounds from above.
     """
     return float(
         sum(min(1.0, SATURATION_LENGTH / (iv.right - iv.left + 1)) for iv in witnesses)
@@ -281,20 +334,26 @@ class StaleSourceError(ValueError):
 def document_words(index, doc_id: int) -> list[str]:
     """Re-tokenized words of a document, read back from its source path.
 
-    Raises :class:`StaleSourceError` if the file's word count or content
-    digest differs from the indexed one, since positions would then point
-    at the wrong words.
+    Raises :class:`StaleSourceError` if the file's bytes are no longer
+    UTF-8, or its word count or content digest differs from the indexed
+    one, since positions would then point at the wrong words.
     """
     doc = index.docs[doc_id]
     with open(doc.path, "rb") as src:
         data = src.read()
-    found = words(data.decode("utf-8"))
+    changed = source_digest(data) != doc.digest
+    try:
+        found = words(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise StaleSourceError(
+            f"stale source {doc.path}: byte {exc.start} is not UTF-8; re-index it"
+        ) from None
     if len(found) != doc.word_count:
         raise StaleSourceError(
             f"stale source {doc.path}: {len(found)} words, index has {doc.word_count}; "
             "re-index it"
         )
-    if source_digest(data) != doc.digest:
+    if changed:
         raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
     return found
 
@@ -306,30 +365,55 @@ def search(
     snippet_count: int = 0,
     with_profile: bool = False,
 ) -> list[QueryResult]:
-    """Evaluate a query over every candidate document, best score first.
+    """Evaluate a query over its candidate documents, best score first.
 
-    Every candidate is evaluated and ranked, the matches are sorted by
-    ``(-score, doc_id)`` and cut to ``top``, and only then are snippets
-    extracted, so only the returned documents' source files are read.
-    Raises :class:`ValueError` for a negative ``top`` or ``snippet_count``
-    before evaluating anything.
+    Results are ordered by ``(-score, doc_id)``. Without ``top``, or with
+    ``top`` at least the number of candidates, every candidate is evaluated
+    and ranked, in document order. Otherwise candidates are evaluated in
+    ``(-bound, doc_id)`` order, the bound being
+    :func:`score_bounds` (which :func:`rank` never exceeds); the best
+    ``top`` so far are kept in a heap, and the search stops at the first
+    candidate that sorts after the ``top``-th result even at its bound,
+    since neither it nor any later candidate can enter. The results are
+    those of ranking every candidate and cutting to ``top``. Only then are
+    snippets extracted, so only the returned documents' source files are
+    read. Raises :class:`ValueError` for a negative ``top`` or
+    ``snippet_count`` before evaluating anything.
     """
     if top is not None and top < 0:
         raise ValueError(f"top must not be negative, got {top}")
     if snippet_count < 0:
         raise ValueError(f"snippet count must not be negative, got {snippet_count}")
+    if top == 0:
+        return []
     run = _profile_plan(ast, index) if with_profile else partial(_witnesses, plan(ast, index))
-    found = []
-    for doc_id in candidate_docs(ast, index):
+    docs = candidate_docs(ast, index)
+    if top is None or top >= len(docs):
+        # No cut falls inside the candidates, so bounds could stop nothing.
+        top, order = len(docs), zip(repeat(0), docs)
+    else:
+        order = sorted(zip(map(neg, score_bounds(ast, index, docs)), docs))
+    # Heap of the best (score, -doc_id, witnesses, profile) so far, worst at
+    # [0]; no two entries tie on the first two fields. `last` is the worst
+    # one's (-score, doc_id) once the heap is full.
+    best, last = [], (inf,)
+    for key in order:
+        if key > last:
+            break
+        doc_id = key[1]
         witnesses, prof = run(doc_id)
         if witnesses:
-            found.append((rank(witnesses), doc_id, witnesses, prof))
-    found.sort(key=lambda r: (-r[0], r[1]))
-    if top is not None:
-        found = found[:top]
+            entry = (rank(witnesses), -doc_id, witnesses, prof)
+            if len(best) < top:
+                heappush(best, entry)
+            else:
+                heappushpop(best, entry)
+            if len(best) == top:
+                last = (-best[0][0], -best[0][1])
+    best.sort(reverse=True)
     results = [
-        QueryResult(doc_id=doc_id, score=score, witnesses=witnesses, snippets=[], profile=prof)
-        for score, doc_id, witnesses, prof in found
+        QueryResult(doc_id=-neg_id, score=score, witnesses=witnesses, snippets=[], profile=prof)
+        for score, neg_id, witnesses, prof in best
     ]
     if snippet_count:
         for result in results:

@@ -230,6 +230,17 @@ def test_source_with_two_words_swapped_is_stale(two_doc_idx):
     assert lines == [f"minq: stale source {a}: its text has changed; re-index it"]
 
 
+def test_source_no_longer_utf8_is_stale(two_doc_idx):
+    # The edit leaves bytes that do not decode: still a stale source, named.
+    idx, a, _ = two_doc_idx
+    a.write_bytes(b"ape \xff bee")
+    proc = run_cli("query", str(idx), "ape & bee", "--top", "1", "--snippets", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert lines == [f"minq: stale source {a}: byte 4 is not UTF-8; re-index it"]
+
+
 def test_truncated_index_exits_two_at_every_offset(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text("ape bee ape")
@@ -392,6 +403,10 @@ def test_index_argv_exits_0_or_2(sources, target, output_first):
             kind in ("text", "line break") for kind, _, _ in sources
         )
         assert (code == 0) == valid
+        # Sources are read in order; the first unreadable one is reported.
+        bad = [n for n, (kind, _, _) in enumerate(sources) if kind not in ("text", "line break")]
+        if bad and sources[bad[0]][0] == "undecodable":
+            assert err == f"minq: {paths[bad[0]]!r}: byte 4 is not UTF-8\n"
         leftovers = [name for _, _, names in os.walk(root) for name in names if name.endswith(".tmp")]
         assert leftovers == []
         if valid:

@@ -536,3 +536,77 @@ def test_search_rejects_negative_counts_before_evaluating(monkeypatch):
     for kwargs in ({"top": -1}, {"snippet_count": -1}):
         with pytest.raises(ValueError, match="negative"):
             search(index, parse_query("ape"), **kwargs)
+
+
+def test_score_bounds_hold_on_random_corpora():
+    # For every candidate document: bound >= witness count >= score, and a
+    # term's bound is exact.
+    rng = random.Random(1313)
+    vocab = ["a", "b", "c", "d"]
+    roots = set()
+    for _ in range(40):
+        corpus = [
+            (f"d{i}.txt", " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 30))))
+            for i in range(6)
+        ]
+        index = build_index(corpus)
+        for _ in range(15):
+            ast = random_ast(rng, vocab + ["absent"])
+            roots.add(type(ast))
+            docs = candidate_docs(ast, index)
+            bounds = engine.score_bounds(ast, index, docs)
+            assert len(bounds) == len(docs)
+            for doc_id, bound in zip(docs, bounds):
+                witnesses = evaluate(ast, index, doc_id)
+                assert bound >= len(witnesses) >= rank(witnesses)
+                if isinstance(ast, Term):
+                    assert bound == len(witnesses)
+    assert roots == {Term, Or, And, Block, OrderedAnd, LowPass, Minus}
+
+
+def test_top_search_is_exact_on_ties_and_profiles(tmp_path):
+    # Few words and short documents give many equal scores, so the doc-id
+    # tie-break decides which documents make the cut.
+    rng = random.Random(77)
+    vocab = ["a", "b", "c"]
+    corpus = []
+    for i in range(30):
+        path = tmp_path / f"d{i}.txt"
+        path.write_text(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6))))
+        corpus.append((str(path), path.read_text()))
+    index = build_index(corpus)
+    ties = 0
+    for _ in range(80):
+        ast = random_ast(rng, vocab + ["absent"])
+        s = rng.randint(0, 2)
+        full = search(index, ast, snippet_count=s, with_profile=True)
+        ties += len(full) - len({r.score for r in full})
+        for k in (0, 1, 3, len(full), len(full) + 2):
+            cut = search(index, ast, top=k, snippet_count=s, with_profile=True)
+            assert [result_key(r) for r in cut] == [result_key(r) for r in full[:k]]
+            assert [r.profile for r in cut] == [r.profile for r in full[:k]]
+    assert ties > 100
+
+
+def test_top_search_evaluates_fewer_documents(tmp_path, monkeypatch):
+    # A built corpus where a few documents repeat the words: with a cut, the
+    # search stops once the rest cannot enter it; without, it evaluates all.
+    corpus = [(f"d{i}.txt", "ape bee cow " * (5 if i % 10 == 0 else 1)) for i in range(40)]
+    index = build_index(corpus)
+    evaluated = []
+    real = engine._witnesses
+
+    def counting(make, doc_id):
+        evaluated.append(doc_id)
+        return real(make, doc_id)
+
+    monkeypatch.setattr(engine, "_witnesses", counting)
+    for query in ("ape | bee", "ape & cow", '"ape bee"', "ape - cow"):
+        ast = parse_query(query)
+        docs = candidate_docs(ast, index)
+        full = search(index, ast)
+        assert sorted(evaluated) == docs
+        evaluated.clear()
+        assert search(index, ast, top=3) == full[:3]
+        assert 0 < len(evaluated) < len(docs)
+        evaluated.clear()
