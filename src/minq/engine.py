@@ -28,9 +28,11 @@ keeps the best ``top`` in a heap, and stops at the first candidate that
 could not enter them even at its bound; the results are exactly those of
 ranking every candidate and cutting to ``top``. Snippets are extracted only
 for the returned results, so the source files of the other matches are
-never opened. A returned document's source that is missing raises
-:class:`OSError`; one that is no longer UTF-8, or whose word count or
-content digest no longer matches the index, raises :class:`StaleSourceError`.
+never opened. A returned document's source is read once, its digest
+checked, and its words split only up to its last snippet window. One that
+is missing raises :class:`OSError`; one that is no longer UTF-8, or whose
+word count or content digest no longer matches the index, raises
+:class:`StaleSourceError`.
 """
 
 from dataclasses import dataclass
@@ -331,8 +333,15 @@ class StaleSourceError(ValueError):
     """A source file no longer holds the text the index was built from."""
 
 
-def document_words(index, doc_id: int) -> list[str]:
-    """Re-tokenized words of a document, read back from its source path.
+def document_words(index, doc_id: int, stop: int) -> list[str]:
+    """At least the first ``stop`` words of a document, read back from its source.
+
+    The file is read once and its content digest checked before its words
+    are split. On a match, only a prefix of the text is split
+    (:func:`_prefix_words`, from a cut estimated with the indexed word
+    count). The whole text is split, and its word count checked, on a
+    mismatch or when no shorter prefix holds more than ``stop`` words, so a
+    source with fewer than ``stop`` words never yields a short list.
 
     Raises :class:`StaleSourceError` if the file's bytes are no longer
     UTF-8, or its word count or content digest differs from the indexed
@@ -343,11 +352,16 @@ def document_words(index, doc_id: int) -> list[str]:
         data = src.read()
     changed = source_digest(data) != doc.digest
     try:
-        found = words(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StaleSourceError(
             f"stale source {doc.path}: byte {exc.start} is not UTF-8; re-index it"
         ) from None
+    if not changed and stop < doc.word_count:
+        found = _prefix_words(text, stop, len(text) * (stop + 8) // doc.word_count + 16)
+        if found is not None:
+            return found
+    found = words(text)
     if len(found) != doc.word_count:
         raise StaleSourceError(
             f"stale source {doc.path}: {len(found)} words, index has {doc.word_count}; "
@@ -356,6 +370,22 @@ def document_words(index, doc_id: int) -> list[str]:
     if changed:
         raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
     return found
+
+
+def _prefix_words(text: str, stop: int, cut: int) -> list[str] | None:
+    """Words of ``text[:cut]``, ``cut > 0`` doubled until they are more than ``stop``.
+
+    None once the prefix would be the whole text.
+
+    :func:`~minq.index.words` maps one character at a time, so every word
+    of a prefix but its last, maybe cut, one is a word of the whole text.
+    """
+    while cut < len(text):
+        found = words(text[:cut])
+        if len(found) > stop:
+            return found
+        cut *= 2
+    return None
 
 
 def search(
@@ -377,8 +407,9 @@ def search(
     since neither it nor any later candidate can enter. The results are
     those of ranking every candidate and cutting to ``top``. Only then are
     snippets extracted, so only the returned documents' source files are
-    read. Raises :class:`ValueError` for a negative ``top`` or
-    ``snippet_count`` before evaluating anything.
+    read, each once and only up to its last snippet window
+    (:func:`document_words`). Raises :class:`ValueError` for a negative
+    ``top`` or ``snippet_count`` before evaluating anything.
     """
     if top is not None and top < 0:
         raise ValueError(f"top must not be negative, got {top}")
@@ -417,9 +448,8 @@ def search(
     ]
     if snippet_count:
         for result in results:
-            words = document_words(index, result.doc_id)
-            result.snippets = [
-                (window, words[window.left : window.right + 1])
-                for window in snippets(result.witnesses, snippet_count)
-            ]
+            windows = snippets(result.witnesses, snippet_count)
+            # By keyword: tracing proxies unpack (index, doc_id) from the positional ones.
+            words = document_words(index, result.doc_id, stop=max(w.right for w in windows) + 1)
+            result.snippets = [(w, words[w.left : w.right + 1]) for w in windows]
     return results

@@ -50,6 +50,17 @@ def test_index_summary_is_one_line_whatever_the_output_path(tmp_path):
     assert idx.exists()
 
 
+@pytest.mark.parametrize("output", ["dir", "dir/", "new/", "."])
+def test_index_output_naming_a_directory_exits_two_before_reading(tmp_path, output):
+    # The source is missing: only a check made before reading it can name the output.
+    (tmp_path / "dir").mkdir()
+    proc = run_cli("index", "missing.txt", "-o", output, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"minq: {output!r} names a directory, not an index file\n"
+    assert sorted(os.listdir(tmp_path)) == ["dir"] and os.listdir(tmp_path / "dir") == []
+
+
 def test_query_golden_bytes(rhyme_idx):
     proc = run_cli("query", str(rhyme_idx), CAPTION_QUERY, "--snippets", "3")
     assert proc.returncode == 0, proc.stderr
@@ -403,9 +414,12 @@ def test_index_argv_exits_0_or_2(sources, target, output_first):
             kind in ("text", "line break") for kind, _, _ in sources
         )
         assert (code == 0) == valid
-        # Sources are read in order; the first unreadable one is reported.
+        # A directory output is refused before any source is read; then
+        # sources are read in order, and the first unreadable one is reported.
         bad = [n for n, (kind, _, _) in enumerate(sources) if kind not in ("text", "line break")]
-        if bad and sources[bad[0]][0] == "undecodable":
+        if target == "directory":
+            assert err == f"minq: {str(output)!r} names a directory, not an index file\n"
+        elif bad and sources[bad[0]][0] == "undecodable":
             assert err == f"minq: {paths[bad[0]]!r}: byte 4 is not UTF-8\n"
         leftovers = [name for _, _, names in os.walk(root) for name in names if name.endswith(".tmp")]
         assert leftovers == []

@@ -1,13 +1,17 @@
 import gc
+import io
 import itertools
 import random
+import re
 import subprocess
 import sys
 import weakref
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minq import (
     And,
@@ -19,11 +23,13 @@ from minq import (
     Or,
     OrderedAnd,
     QuerySyntaxError,
+    StaleSourceError,
     Term,
     and_span,
     block,
     build_index,
     candidate_docs,
+    cli,
     difference,
     evaluate,
     evaluate_with_profile,
@@ -54,6 +60,7 @@ from helpers import (
     singletons,
     star_compose,
 )
+from minq.index import DocInfo, source_digest, words
 from minq.query import MAX_DEPTH
 
 iv = lambda l, r: Interval(l, r)
@@ -514,9 +521,9 @@ def test_top_cut_equals_full_search_prefix_and_reads_only_returned(tmp_path, mon
     opened = []
     real = engine.document_words
 
-    def counting(index, doc_id):
+    def counting(index, doc_id, stop):
         opened.append(doc_id)
-        return real(index, doc_id)
+        return real(index, doc_id, stop)
 
     monkeypatch.setattr(engine, "document_words", counting)
     for _ in range(60):
@@ -528,6 +535,96 @@ def test_top_cut_equals_full_search_prefix_and_reads_only_returned(tmp_path, mon
             cut = search(index, ast, top=k, snippet_count=s)
             assert [result_key(r) for r in cut] == [result_key(r) for r in full[:k]]
             assert opened == ([r.doc_id for r in cut] if s else [])
+
+
+# Characters whose case folding or word class is easy to get wrong: ß folds to
+# two letters, İ to i plus a combining dot (not a word character), ﬁ to two
+# letters; combining marks and _ split words, digits do not.
+TRICKY = st.sampled_from(list("ßİﬁ\u0301\u0307_07.,'- \n") + ["ape", "Bee", "ÉCLAIR"])
+TEXTS = st.lists(st.one_of(TRICKY, st.characters(blacklist_categories=("Cs",)))).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=TEXTS, data=st.data())
+def test_prefix_words_start_like_the_whole_text(tmp_path_factory, text, data):
+    full = words(text)
+    stop = data.draw(st.integers(0, len(full)), label="stop")
+    cut = data.draw(st.integers(1, len(text) + 1), label="cut")
+    found = engine._prefix_words(text, stop, cut)
+    assert found is None or (len(found) > stop and found[:stop] == full[:stop])
+    # The same through a source file, from document_words' own estimate.
+    path = tmp_path_factory.getbasetemp() / "prefix.txt"
+    path.write_bytes(text.encode("utf-8"))
+    found = engine.document_words(build_index([(str(path), text)]), 0, stop)
+    assert len(found) >= stop and found[:stop] == full[:stop]
+
+
+def test_snippet_words_are_slices_of_the_whole_source(tmp_path):
+    # Words of uneven length throw off the prefix estimate both ways.
+    rng = random.Random(1414)
+    vocab = ["a", "b", "ccccccccccccccc", "ß", "İd", "e_e", "ﬁx"]
+    seps = [" ", ", ", "\n", " -- ", "\u0301 "]
+    for trial in range(30):
+        corpus = []
+        for i in range(5):
+            path = tmp_path / f"t{trial}-{i}.txt"
+            n = rng.randint(0, 120)
+            path.write_text("".join(rng.choice(vocab) + rng.choice(seps) for _ in range(n)))
+            corpus.append((str(path), path.read_text()))
+        index = build_index(corpus)
+        for _ in range(10):
+            ast = random_ast(rng, ["a", "b", "ccccccccccccccc", "ss", "fix", "e"])
+            for result in search(index, ast, top=rng.choice([None, 2]),
+                                 snippet_count=rng.randint(1, 4)):
+                source = words(corpus[result.doc_id][1])
+                for window, found in result.snippets:
+                    assert found == source[window.left : window.right + 1]
+
+
+def test_snippet_word_cut_by_the_first_prefix_is_read_whole(tmp_path):
+    # 1,000 short words after a long one put the first estimated cut inside it.
+    long = "pneumonoultramicroscopicsilicovolcanoconiosis"
+    doc = tmp_path / "doc.txt"
+    doc.write_text(f"ape {long} " + "b " * 1000)
+    index = build_index([(str(doc), doc.read_text())])
+    assert engine.document_words(index, 0, 2)[:2] == ["ape", long]
+    (result,) = search(index, parse_query(f"ape & {long}"), snippet_count=1)
+    assert result.snippets == [(iv(0, 1), ["ape", long])]
+
+
+def stale_run(index_path, query, *options):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["query", str(index_path), query, *options])
+    return code, err.getvalue()
+
+
+def test_edit_after_the_last_snippet_window_is_stale(tmp_path):
+    doc = tmp_path / "doc.txt"
+    text = "ape bee " + "cat " * 100 + "dog"
+    doc.write_text(text)
+    idx = tmp_path / "idx.ivx"
+    save_index(build_index([(str(doc), text)]), idx)
+    assert stale_run(idx, "ape & bee", "--snippets", "1") == (0, "")
+    doc.write_text(text[:-3] + "eel")
+    assert stale_run(idx, "ape & bee", "--snippets", "1") == (
+        2, f"minq: stale source {doc}: its text has changed; re-index it\n"
+    )
+
+
+def test_window_past_a_matching_sources_last_word_is_stale(tmp_path):
+    # The digest matches the file, but the index counts more words than it holds.
+    doc = tmp_path / "doc.txt"
+    doc.write_text("ape bee")
+    index = build_index([(str(doc), "ape bee ape bee")])
+    index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee"))
+    message = f"stale source {doc}: 2 words, index has 4; re-index it"
+    with pytest.raises(StaleSourceError) as caught:
+        search(index, parse_query("ape & bee"), snippet_count=3)
+    assert str(caught.value) == message
+    for stop in (3, 4, 9):
+        with pytest.raises(StaleSourceError, match=re.escape(message)):
+            engine.document_words(index, 0, stop)
 
 
 def test_search_rejects_negative_counts_before_evaluating(monkeypatch):
