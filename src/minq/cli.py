@@ -12,18 +12,20 @@ followed, when requested, by indented snippet lines (interval, words) and
 read-profile lines (output number, reads per input of the root operator).
 Snippets are extracted only for the printed documents; the source files of
 other matches are never opened. A printed document's source is read once,
-its content digest checked, and its words split only up to its last
-snippet window; its word count is checked whenever the whole text is split.
+its digest (of its bytes and word count) checked, and its words split only
+from the end nearer its snippet windows; its word count is checked
+whenever the whole text is split.
 
 Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
 I/O or index-format trouble. Exit 2 also covers a negative ``--top`` or
 ``--snippets`` (rejected before evaluation, whether or not anything
-matches), an output path of ``minq index`` that names a directory (refused
-before any source is read), a source to index that is not UTF-8 (its path
-and the offset of the first bad byte are named), and a printed document
-whose source file is missing, no longer UTF-8, or no longer matches its
-indexed word count and content digest. These errors print one
-``minq: ...`` line on stderr; a bad index file's line ends ``; re-index it``.
+matches), an output path of ``minq index`` that names a directory or
+whose parent is not a directory (refused before any source is read), a
+source to index that is not UTF-8 (its path and the offset of the first
+bad byte are named), and a printed document whose source file is missing,
+no longer UTF-8, or no longer matches its indexed word count and content
+digest. These errors print one ``minq: ...`` line on stderr; a bad index
+file's line ends ``; re-index it``.
 """
 
 import argparse
@@ -38,6 +40,9 @@ from .query import QuerySyntaxError, parse_query
 def _cmd_index(args) -> int:
     if os.path.isdir(args.output) or not os.path.basename(args.output):
         raise ValueError(f"{args.output!r} names a directory, not an index file")
+    parent = os.path.dirname(args.output) or os.curdir
+    if not os.path.isdir(parent):
+        raise ValueError(f"{args.output!r}: {parent!r} is not a directory")
     documents = []
     for path in args.paths:
         with open(path, "rb") as src:

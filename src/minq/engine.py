@@ -29,12 +29,13 @@ could not enter them even at its bound; the results are exactly those of
 ranking every candidate and cutting to ``top``. Snippets are extracted only
 for the returned results, so the source files of the other matches are
 never opened. A returned document's source is read once, its digest
-checked, and its words split only up to its last snippet window. One that
-is missing raises :class:`OSError`; one that is no longer UTF-8, or whose
-word count or content digest no longer matches the index, raises
+checked, and its words split only from the end nearer its snippets. One
+that is missing raises :class:`OSError`; one that is no longer UTF-8, or
+whose word count or content digest no longer matches the index, raises
 :class:`StaleSourceError`.
 """
 
+import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from heapq import heappush, heappushpop
@@ -333,43 +334,63 @@ class StaleSourceError(ValueError):
     """A source file no longer holds the text the index was built from."""
 
 
-def document_words(index, doc_id: int, stop: int) -> list[str]:
-    """At least the first ``stop`` words of a document, read back from its source.
+def document_words(index, doc_id: int, stop: int, start: int = 0) -> list[str]:
+    """Words ``start`` to ``stop - 1`` of a document, read back from its source.
 
-    The file is read once and its content digest checked before its words
-    are split. On a match, only a prefix of the text is split
-    (:func:`_prefix_words`, from a cut estimated with the indexed word
-    count). The whole text is split, and its word count checked, on a
-    mismatch or when no shorter prefix holds more than ``stop`` words, so a
-    source with fewer than ``stop`` words never yields a short list.
+    The file is read once and its digest, of its bytes and word count,
+    checked before its words are split. On a match only the nearer end is
+    split: a prefix past ``stop``, or a suffix before ``start`` if fewer
+    words follow ``start`` than precede ``stop``. The whole text is split,
+    and its word count checked, on a mismatch or when no shorter end holds
+    the words, so a source with fewer than ``stop`` words never yields a
+    short list.
 
     Raises :class:`StaleSourceError` if the file's bytes are no longer
     UTF-8, or its word count or content digest differs from the indexed
     one, since positions would then point at the wrong words.
     """
     doc = index.docs[doc_id]
-    with open(doc.path, "rb") as src:
-        data = src.read()
-    changed = source_digest(data) != doc.digest
+    data = _read(doc.path)
+    count = doc.word_count
+    changed = source_digest(data, count) != doc.digest
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StaleSourceError(
             f"stale source {doc.path}: byte {exc.start} is not UTF-8; re-index it"
         ) from None
-    if not changed and stop < doc.word_count:
-        found = _prefix_words(text, stop, len(text) * (stop + 8) // doc.word_count + 16)
+    need = count - start
+    if not changed and need < stop <= count:
+        found = _suffix_words(text, need, len(text) * (need + 8) // count + 16)
+        if found is not None:  # its last `need` words are words start, start + 1, ...
+            return found[-need:][: stop - start]
+    elif not changed and stop < count:
+        found = _prefix_words(text, stop, len(text) * (stop + 8) // count + 16)
         if found is not None:
-            return found
+            return found[start:stop]
     found = words(text)
-    if len(found) != doc.word_count:
+    if len(found) != count:
         raise StaleSourceError(
-            f"stale source {doc.path}: {len(found)} words, index has {doc.word_count}; "
-            "re-index it"
+            f"stale source {doc.path}: {len(found)} words, index has {count}; re-index it"
         )
     if changed:
         raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
-    return found
+    return found[start:stop]
+
+
+def _read(path) -> bytes:
+    """The bytes of a file, without a buffered file object; errors name ``path``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b""
+        while chunk := os.read(fd, 1 << 16):
+            data += chunk
+        return data
+    except OSError as exc:  # os.read on a directory names no file, unlike open()
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
 
 
 def _prefix_words(text: str, stop: int, cut: int) -> list[str] | None:
@@ -385,6 +406,20 @@ def _prefix_words(text: str, stop: int, cut: int) -> list[str] | None:
         if len(found) > stop:
             return found
         cut *= 2
+    return None
+
+
+def _suffix_words(text: str, need: int, span: int) -> list[str] | None:
+    """Words of ``text[-span:]`` but its first, ``span > 0`` doubled until more than ``need``.
+
+    None once the suffix would be the whole text. The first word may be cut;
+    the others are words of the whole text, as for :func:`_prefix_words`.
+    """
+    while span < len(text):
+        found = words(text[-span:])
+        if len(found) > need + 1:
+            return found[1:]
+        span *= 2
     return None
 
 
@@ -407,7 +442,7 @@ def search(
     since neither it nor any later candidate can enter. The results are
     those of ranking every candidate and cutting to ``top``. Only then are
     snippets extracted, so only the returned documents' source files are
-    read, each once and only up to its last snippet window
+    read, each once, and split only from the end nearer the snippet windows
     (:func:`document_words`). Raises :class:`ValueError` for a negative
     ``top`` or ``snippet_count`` before evaluating anything.
     """
@@ -449,7 +484,8 @@ def search(
     if snippet_count:
         for result in results:
             windows = snippets(result.witnesses, snippet_count)
+            start, stop = min(w.left for w in windows), max(w.right for w in windows) + 1
             # By keyword: tracing proxies unpack (index, doc_id) from the positional ones.
-            words = document_words(index, result.doc_id, stop=max(w.right for w in windows) + 1)
-            result.snippets = [(w, words[w.left : w.right + 1]) for w in windows]
+            words = document_words(index, result.doc_id, start=start, stop=stop)
+            result.snippets = [(w, words[w.left - start : w.right + 1 - start]) for w in windows]
     return results

@@ -39,8 +39,9 @@ d-1``. A gap is the difference from the previous value, the first one
 counted from -1, so every gap is at least 1. Each of a term's three
 columns takes the narrowest width of 1, 2 or 4 bytes that holds its
 largest value, as the term's entry in the matching width column says. The
-digest is a 16-byte BLAKE2b of the document's text encoded as UTF-8, which
-for ``minq index`` are the source file's bytes.
+digest is a 16-byte BLAKE2b of the document's text encoded as UTF-8 (for
+``minq index``, the source file's bytes) personalised with its word count
+as 16 little-endian bytes; older files report every source as changed.
 
 Loading checks every column with C-level passes, so any file it accepts
 is a well-formed index, and it does Python-level work per term, not per
@@ -93,9 +94,10 @@ def tokenize(text: str):
     return list(zip(words(text), count()))
 
 
-def source_digest(data: bytes) -> bytes:
-    """The digest the index keeps of a document's text as UTF-8 bytes."""
-    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+def source_digest(data: bytes, word_count: int) -> bytes:
+    """The digest the index keeps of a document's UTF-8 bytes and its word count."""
+    person = word_count.to_bytes(16, "little")  # a match certifies the count too
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE, person=person).digest()
 
 
 @dataclass
@@ -171,7 +173,7 @@ def build_index(documents) -> PositionalIndex:
     for path, text in documents:
         doc_id = len(docs)
         terms = words(text)
-        docs.append(DocInfo(path, len(terms), source_digest(text.encode("utf-8"))))
+        docs.append(DocInfo(path, len(terms), source_digest(text.encode("utf-8"), len(terms))))
         numbers += range(len(numbers), len(terms))
         grouped = {}
         for pos, term in zip(numbers, terms):

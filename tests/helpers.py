@@ -2,7 +2,6 @@
 reference queues and operator classes, prefix-check composition and the
 per-token reference index build."""
 
-import hashlib
 import random
 import re
 
@@ -16,7 +15,7 @@ from minq import (
     contains,
     length,
 )
-from minq.index import DocInfo, TermPostings
+from minq.index import DocInfo, TermPostings, source_digest
 from minq.streams import IntervalStream, ListStream
 
 # Term positions of the rhyme corpus (tests/data/rhyme.txt).
@@ -786,7 +785,7 @@ def reference_build(documents):
     for path, text in documents:
         doc_id = len(docs)
         tokens = reference_tokenize(text)
-        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+        digest = source_digest(text.encode("utf-8"), len(tokens))
         docs.append(DocInfo(path=path, word_count=len(tokens), digest=digest))
         for term, pos in tokens:
             by_term.setdefault(term, {}).setdefault(doc_id, []).append(pos)

@@ -61,6 +61,20 @@ def test_index_output_naming_a_directory_exits_two_before_reading(tmp_path, outp
     assert sorted(os.listdir(tmp_path)) == ["dir"] and os.listdir(tmp_path / "dir") == []
 
 
+@pytest.mark.parametrize(
+    "output, parent", [("nowhere/new.ivx", "nowhere"), ("a.txt/x.ivx", "a.txt")]
+)
+def test_index_output_in_no_directory_exits_two_before_reading(tmp_path, output, parent):
+    # A missing parent, or one that is a file: refused before the missing
+    # source is read, naming the output as given.
+    (tmp_path / "a.txt").write_text("ape")
+    proc = run_cli("index", "missing.txt", "-o", output, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"minq: {output!r}: {parent!r} is not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["a.txt"]
+
+
 def test_query_golden_bytes(rhyme_idx):
     proc = run_cli("query", str(rhyme_idx), CAPTION_QUERY, "--snippets", "3")
     assert proc.returncode == 0, proc.stderr
@@ -150,7 +164,14 @@ def test_snippets_read_source_at_query_time(tmp_path):
     assert run_cli("index", str(doc), "-o", str(idx)).returncode == 0
     doc.unlink()
     proc = run_cli("query", str(idx), "bee", "--snippets", "1")
-    assert proc.returncode == 2
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"minq: [Errno 2] No such file or directory: {str(doc)!r}\n"
+    # A directory opens, and only reading it fails, with no file name: the
+    # line must still name the path.
+    doc.mkdir()
+    proc = run_cli("query", str(idx), "bee", "--snippets", "1")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"minq: [Errno 21] Is a directory: {str(doc)!r}\n"
 
 
 def test_non_decimal_width_exit_one(rhyme_idx):
@@ -414,11 +435,14 @@ def test_index_argv_exits_0_or_2(sources, target, output_first):
             kind in ("text", "line break") for kind, _, _ in sources
         )
         assert (code == 0) == valid
-        # A directory output is refused before any source is read; then
-        # sources are read in order, and the first unreadable one is reported.
+        # An output that is a directory, or whose parent is not one, is
+        # refused before any source is read; then sources are read in
+        # order, and the first unreadable one is reported.
         bad = [n for n, (kind, _, _) in enumerate(sources) if kind not in ("text", "line break")]
         if target == "directory":
             assert err == f"minq: {str(output)!r} names a directory, not an index file\n"
+        elif target == "missing directory":
+            assert err == f"minq: {str(output)!r}: {str(output.parent)!r} is not a directory\n"
         elif bad and sources[bad[0]][0] == "undecodable":
             assert err == f"minq: {paths[bad[0]]!r}: byte 4 is not UTF-8\n"
         leftovers = [name for _, _, names in os.walk(root) for name in names if name.endswith(".tmp")]

@@ -521,9 +521,9 @@ def test_top_cut_equals_full_search_prefix_and_reads_only_returned(tmp_path, mon
     opened = []
     real = engine.document_words
 
-    def counting(index, doc_id, stop):
+    def counting(index, doc_id, stop, start=0):
         opened.append(doc_id)
-        return real(index, doc_id, stop)
+        return real(index, doc_id, stop, start=start)
 
     monkeypatch.setattr(engine, "document_words", counting)
     for _ in range(60):
@@ -539,24 +539,70 @@ def test_top_cut_equals_full_search_prefix_and_reads_only_returned(tmp_path, mon
 
 # Characters whose case folding or word class is easy to get wrong: ß folds to
 # two letters, İ to i plus a combining dot (not a word character), ﬁ to two
-# letters; combining marks and _ split words, digits do not.
-TRICKY = st.sampled_from(list("ßİﬁ\u0301\u0307_07.,'- \n") + ["ape", "Bee", "ÉCLAIR"])
+# letters, the combining mark U+0345 to a letter; other combining marks and _
+# split words, digits do not.
+TRICKY = st.sampled_from(list("ßİﬁ\u0345\u0301\u0307_07.,'- \n") + ["ape", "Bee", "ÉCLAIR"])
 TEXTS = st.lists(st.one_of(TRICKY, st.characters(blacklist_categories=("Cs",)))).map("".join)
 
 
 @settings(max_examples=500, deadline=None)
 @given(text=TEXTS, data=st.data())
-def test_prefix_words_start_like_the_whole_text(tmp_path_factory, text, data):
+def test_prefix_words_start_like_the_whole_text(text, data):
     full = words(text)
     stop = data.draw(st.integers(0, len(full)), label="stop")
     cut = data.draw(st.integers(1, len(text) + 1), label="cut")
     found = engine._prefix_words(text, stop, cut)
     assert found is None or (len(found) > stop and found[:stop] == full[:stop])
-    # The same through a source file, from document_words' own estimate.
-    path = tmp_path_factory.getbasetemp() / "prefix.txt"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=TEXTS, data=st.data())
+def test_document_words_are_the_slice_of_the_whole_text(tmp_path_factory, text, data):
+    full = words(text)
+    stop = data.draw(st.integers(0, len(full)), label="stop")
+    start = data.draw(st.integers(0, max(stop - 1, 0)), label="start")
+    need = len(full) - start
+    span = data.draw(st.integers(1, len(text) + 1), label="span")
+    found = engine._suffix_words(text, need, span)
+    assert found is None or (len(found) > need and found == full[len(full) - len(found) :])
+    # The same through a source file, from whichever end document_words picks.
+    path = tmp_path_factory.getbasetemp() / "slice.txt"
     path.write_bytes(text.encode("utf-8"))
-    found = engine.document_words(build_index([(str(path), text)]), 0, stop)
-    assert len(found) >= stop and found[:stop] == full[:stop]
+    index = build_index([(str(path), text)])
+    assert engine.document_words(index, 0, stop, start=start) == full[start:stop]
+
+
+def test_snippets_near_the_end_or_in_both_halves_are_slices(tmp_path, monkeypatch):
+    # Long documents with the query's words planted in their last quarter, or
+    # at both ends, so that snippets are split from a suffix or span the text.
+    rng = random.Random(1515)
+    filler = ["x", "yyyyyyyyyyyy", "ß", "İz", "w_w", "ﬁn", "\u0345", "7"]
+    seps = [" ", ", ", "\n", " -- ", "\u0301 "]
+    suffixes = []
+    real = engine._suffix_words
+    monkeypatch.setattr(
+        engine, "_suffix_words", lambda *args: suffixes.append(args[1]) or real(*args)
+    )
+    for trial in range(20):
+        corpus = []
+        for i in range(4):
+            n = rng.randint(200, 600)
+            tokens = [rng.choice(filler) for _ in range(n)]
+            tail = range(3 * n // 4, n)
+            head = tail if i % 2 else range(n // 4)
+            for spot in rng.sample(head, 2) + rng.sample(tail, 2):
+                tokens[spot] = rng.choice(["ape", "bee"])
+            path = tmp_path / f"t{trial}-{i}.txt"
+            path.write_text("".join(t + rng.choice(seps) for t in tokens))
+            corpus.append((str(path), path.read_text()))
+        index = build_index(corpus)
+        for query in ("ape & bee", "ape | bee", "ape < bee", "(ape & bee)~40"):
+            for result in search(index, parse_query(query), top=rng.choice([None, 2]),
+                                 snippet_count=rng.randint(1, 4)):
+                source = words(corpus[result.doc_id][1])
+                for window, found in result.snippets:
+                    assert found == source[window.left : window.right + 1]
+    assert suffixes
 
 
 def test_snippet_words_are_slices_of_the_whole_source(tmp_path):
@@ -617,7 +663,7 @@ def test_window_past_a_matching_sources_last_word_is_stale(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text("ape bee")
     index = build_index([(str(doc), "ape bee ape bee")])
-    index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee"))
+    index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee", 4))
     message = f"stale source {doc}: 2 words, index has 4; re-index it"
     with pytest.raises(StaleSourceError) as caught:
         search(index, parse_query("ape & bee"), snippet_count=3)
@@ -625,6 +671,28 @@ def test_window_past_a_matching_sources_last_word_is_stale(tmp_path):
     for stop in (3, 4, 9):
         with pytest.raises(StaleSourceError, match=re.escape(message)):
             engine.document_words(index, 0, stop)
+
+
+def test_edited_word_count_with_the_old_digest_is_stale(tmp_path):
+    # The digest covers the word count: the suffix holding the window would
+    # otherwise be numbered from the wrong count and show the wrong words.
+    doc = tmp_path / "doc.txt"
+    text = "cat " * 100 + "ape bee " + "cat " * 10
+    doc.write_text(text)
+    index = build_index([(str(doc), text)])
+    digest = index.docs[0].digest
+    for count in (107, 117):
+        index.docs[0] = DocInfo(str(doc), count, digest)
+        message = f"stale source {doc}: 112 words, index has {count}; re-index it"
+        with pytest.raises(StaleSourceError, match=re.escape(message)):
+            search(index, parse_query("ape & bee"), snippet_count=1)
+    # Through an index file (a smaller count would fail the load already).
+    idx = tmp_path / "idx.ivx"
+    save_index(index, idx)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["query", str(idx), "ape & bee", "--snippets", "1"])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"minq: {message}\n")
 
 
 def test_search_rejects_negative_counts_before_evaluating(monkeypatch):

@@ -292,12 +292,15 @@ def test_two_document_index_bytes(tmp_path):
     # Pins the layout and the byte order: every number is little-endian.
     target = tmp_path / "idx.ivx"
     save_index(build_index([("a.txt", "ape bee ape"), ("b.txt", "bee")]), target)
-    digest = lambda text: hashlib.blake2b(text, digest_size=16).digest()
+    # BLAKE2b-128 of the bytes, personalised with the word count.
+    digest = lambda text, n: hashlib.blake2b(
+        text, digest_size=16, person=n.to_bytes(16, "little")
+    ).digest()
     assert target.read_bytes() == b"".join([
         b"IVX2", bytes.fromhex("02000000 02000000 04000000"),  # docs, terms, words
         bytes.fromhex("03000000 01000000"),  # word counts
         bytes.fromhex("05000000 05000000"),  # path lengths
-        digest(b"ape bee ape"), digest(b"bee"),
+        digest(b"ape bee ape", 3), digest(b"bee", 1),
         b"a.txt", b"b.txt",
         bytes.fromhex("03000000 03000000"),  # term lengths
         bytes.fromhex("01000000 02000000"),  # documents per term
