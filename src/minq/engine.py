@@ -4,13 +4,13 @@
 document, a tree of lazy generators over the index's position lists (see
 :mod:`minq.operators`) and returns its witnesses as ``(left, right)``
 pairs. One table maps each operator node type to its operands, its
-candidate-document rule, its interval-stream operator, its pair generator
-and its int kernel. A node whose operands are all terms runs its int kernel
-over the position lists; any other node runs its pair generator over its
+candidate-document rule, its score-bound rule, its pair generator and its
+int kernel. A node whose operands are all terms runs its int kernel over
+the position lists; any other node runs its pair generator over its
 operands' pairs, a term under it read as ``(p, p)`` pairs. Only the root's
-pairs become :class:`~minq.intervals.Interval` objects, except under
-profiling, where the root runs its interval-stream operator over counted
-streams of its operands. Each generator first reads every operand once
+pairs become :class:`~minq.intervals.Interval` objects. A profile (``minq
+query --show-rho``) runs that same root over one counting iterator per
+operand. Each generator first reads every operand once
 (difference: the minuend), so an empty operand (an absent term, say) ends
 it at once unless the operator is the merge or the operand a subtrahend.
 
@@ -46,7 +46,6 @@ from operator import neg
 from .index import source_digest, words
 from .intervals import Interval, length
 from .operators import (
-    PairStream,
     QueueCounts,
     and_kernel,
     and_pairs,
@@ -69,14 +68,17 @@ from .operators import (
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
 from .streams import (
     IntervalStream,
+    PairStream,
     RhoProfile,
     from_positions,
     materialize_pairs,
     position_pairs,
-    profile_streams,
 )
 
-star_compose = None  # placeholder: bench/tracer.py rebinds this name at install
+# The engine calls none of or_merge, and_span, block, ordered_and, lowpass,
+# difference, from_positions or star_compose (a placeholder); they stay bound
+# here only because bench/tracer.py rebinds each of them at install.
+star_compose = None
 
 SATURATION_LENGTH = 8
 
@@ -116,34 +118,32 @@ def _min(a, b):
 
 
 # node type -> (its operand nodes, rule over an iterator of their doc-id
-# sets, rule over an iterator of their score-bound lists, operator over their
-# interval streams, pair generator over their pair iterators, int kernel over
-# their position-list iterators when every operand is a term). The
-# operators, which only a profiled root runs, are module globals looked up
-# when called, so they can be rebound from outside.
+# sets, rule over an iterator of their score-bound lists, pair generator over
+# their pair iterators, int kernel over their position-list iterators when
+# every operand is a term).
 _NODES = {
     Or: (
-        _children, _union, _sums, lambda n, s: or_merge(s),
+        _children, _union, _sums,
         lambda n, s: or_pairs(s, QueueCounts()), lambda n, s: or_kernel(s, QueueCounts()),
     ),
     And: (
-        _children, _intersection, _sums, lambda n, s: and_span(s),
+        _children, _intersection, _sums,
         lambda n, s: and_pairs(s, QueueCounts()), lambda n, s: and_kernel(s, QueueCounts()),
     ),
     Block: (
-        _children, _intersection, _mins, lambda n, s: block(s),
+        _children, _intersection, _mins,
         lambda n, s: block_pairs(s), lambda n, s: block_kernel(s),
     ),
     OrderedAnd: (
-        _children, _intersection, _mins, lambda n, s: ordered_and(s),
+        _children, _intersection, _mins,
         lambda n, s: ordered_pairs(s), lambda n, s: ordered_kernel(s),
     ),
     LowPass: (
-        lambda n: (n.child,), _first, _first, lambda n, s: lowpass(s[0], n.k),
+        lambda n: (n.child,), _first, _first,
         lambda n, s: lowpass_pairs(s[0], n.k), None,
     ),
     Minus: (
-        lambda n: (n.minuend, n.subtrahend), _first, _first, lambda n, s: difference(*s),
+        lambda n: (n.minuend, n.subtrahend), _first, _first,
         lambda n, s: difference_pairs(*s), lambda n, s: difference_kernel(*s),
     ),
 }
@@ -160,7 +160,7 @@ def plan(ast, index):
     """
     if isinstance(ast, Term):
         return partial(_pair_leaf, *index.term_postings(ast.term))
-    operands, _, _, _, generator, kernel = _NODES[type(ast)]
+    operands, _, _, generator, kernel = _NODES[type(ast)]
     nodes = operands(ast)
     if kernel is not None and all(isinstance(node, Term) for node in nodes):
         postings = [index.term_postings(node.term) for node in nodes]
@@ -185,57 +185,58 @@ def _pair_node(generator, ast, inputs, doc_id):
     return generator(ast, [make(doc_id) for make in inputs])
 
 
-def _stream_plan(ast, index):
-    """Like :func:`plan`, but to an interval stream.
-
-    A term is a :func:`~minq.streams.from_positions` stream, any other node
-    a :class:`~minq.operators.PairStream` over its plan.
-    """
-    if isinstance(ast, Term):
-        return partial(_leaf, *index.term_postings(ast.term))
-    return partial(_stream, plan(ast, index))
-
-
-def _leaf(entries, starts, positions, doc_id):
-    e = entries.get(doc_id, -1)
-    return from_positions(positions[starts[e] : starts[e + 1]])
-
-
-def _stream(make, doc_id):
-    return PairStream(make(doc_id))
-
-
 def _witnesses(make, doc_id):
     return materialize_pairs(make(doc_id)), None
-
-
-def _profiled(ast, operator, inputs, doc_id):
-    prof = profile_streams(partial(operator, ast), [make(doc_id) for make in inputs])
-    return prof.outputs, prof
 
 
 def _profile_plan(ast, index):
     """Like :func:`plan`, but to (witnesses, profile of the root's inputs).
 
-    The root runs its interval-stream operator over counted interval
-    streams of its operands; a term root is profiled as the single input
-    of an identity operator.
+    The root is the one :func:`plan` builds, run over one counting
+    iterator per operand: over the terms' position lists for an int kernel,
+    over the child plans' pairs for a pair generator. A term root is
+    profiled as the single input of an identity.
     """
-    if isinstance(ast, Term):
-        inputs, operator = (ast,), _identity
-    else:
-        operands, _, _, operator, _, _ = _NODES[type(ast)]
-        inputs = operands(ast)
-    return partial(_profiled, ast, operator, [_stream_plan(node, index) for node in inputs])
+    root = plan(ast, index)
+    if root.func is _pair_leaf:
+        return partial(_profiled, _identity, ast, [root])
+    operator, ast, inputs = root.args
+    if root.func is _kernel_node:
+        inputs = [partial(_position_list, *postings) for postings in inputs]
+    return partial(_profiled, operator, ast, inputs)
 
 
-def _identity(node, streams):
-    return streams[0]
+def _position_list(entries, starts, positions, doc_id):
+    e = entries.get(doc_id, -1)
+    return iter(positions[starts[e] : starts[e + 1]])
+
+
+def _identity(ast, inputs):
+    return inputs[0]
+
+
+def _profiled(operator, ast, inputs, doc_id):
+    reads = [0] * len(inputs)
+    counted = [_counted(make(doc_id), reads, i) for i, make in enumerate(inputs)]
+    pairs, rho = [], []
+    for pair in operator(ast, counted):
+        pairs.append(pair)
+        rho.append(tuple(reads))
+    witnesses = materialize_pairs(pairs)
+    return witnesses, RhoProfile(len(inputs), witnesses, rho)
+
+
+def _counted(items, reads, i):
+    """``items``, counting each pull, the terminal one included, into ``reads[i]``."""
+    for item in items:
+        reads[i] += 1
+        yield item
+    reads[i] += 1
 
 
 def compile_query(ast, index, doc_id: int) -> IntervalStream:
     """The lazy stream of the query's witnesses within one document."""
-    return _stream_plan(ast, index)(doc_id)
+    return PairStream(plan(ast, index)(doc_id))
 
 
 def evaluate(ast, index, doc_id: int) -> list[Interval]:
@@ -256,7 +257,7 @@ def _docs(ast, index) -> set[int]:
     # the index in a reference cycle, which only the cyclic collector frees.
     if isinstance(ast, Term):
         return index.term_docs(ast.term)
-    operands, combine, _, _, _, _ = _NODES[type(ast)]
+    operands, combine, _, _, _ = _NODES[type(ast)]
     return combine(_docs(node, index) for node in operands(ast))
 
 
@@ -284,7 +285,7 @@ def score_bounds(ast, index, docs: list[int]) -> list[int]:
             starts[e + 1] - starts[e] if e >= 0 else 0
             for e in map(entries.get, docs, repeat(-1))
         ]
-    operands, _, combine, _, _, _ = _NODES[type(ast)]
+    operands, _, combine, _, _ = _NODES[type(ast)]
     return combine(score_bounds(node, index, docs) for node in operands(ast))
 
 
@@ -382,10 +383,8 @@ def _read(path) -> bytes:
     """The bytes of a file, without a buffered file object; errors name ``path``."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        data = b""
-        while chunk := os.read(fd, 1 << 16):
-            data += chunk
-        return data
+        # Joined once: growing a bytes object chunk by chunk copies it each time.
+        return b"".join(iter(partial(os.read, fd, 1 << 16), b""))
     except OSError as exc:  # os.read on a directory names no file, unlike open()
         exc.filename = path
         raise

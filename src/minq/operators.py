@@ -36,15 +36,13 @@ engine runs one for a node whose operands are all terms.
 The public names ``or_merge``, ``and_span``, ``block``, ``ordered_and``,
 ``lowpass`` and ``difference`` adapt the generators to
 :class:`~minq.streams.IntervalStream` inputs and output, as a
-:class:`PairStream`.
+:class:`~minq.streams.PairStream`. The engine runs none of them.
 """
 
-from functools import partial
-from itertools import starmap
 from operator import attrgetter
 
-from .intervals import Interval, NEG_INF, POS_INF
-from .streams import IntervalStream
+from .intervals import NEG_INF, POS_INF
+from .streams import IntervalStream, PairStream
 
 
 class QueueCounts:
@@ -565,20 +563,6 @@ def difference_kernel(minuend, subtrahend):
 
 
 # -- adapters from interval streams ---------------------------------------
-
-
-class PairStream(IntervalStream):
-    """The pairs of ``pairs`` as an interval stream of :class:`Interval`.
-
-    ``pairs`` stays reachable, so a generator's frame (its operator state)
-    can be inspected; ``queue`` holds the heap counts of a merge or span
-    conjunction, and is ``None`` for the other operators.
-    """
-
-    def __init__(self, pairs, queue=None):
-        self.pairs = pairs
-        self.queue = queue
-        self.next = partial(next, starmap(Interval, pairs), None)
 
 
 _extremes = attrgetter("left", "right")

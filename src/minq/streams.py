@@ -8,21 +8,22 @@ Every operator also stops pulling an input once that input has returned
 ``None``, and stops pulling all inputs once it has returned ``None`` itself.
 
 The engine evaluates over ``(left, right)`` int pairs instead (see
-:mod:`minq.operators`): :func:`position_pairs` is the pair form of
-:func:`from_positions`, and :func:`materialize_pairs` the pair form of
-:func:`materialize`, which turns a root's pairs into intervals.
+:mod:`minq.operators`): :func:`position_pairs` turns a term's positions
+into ``(p, p)`` pairs, :func:`materialize_pairs` turns a root's pairs into
+intervals, and :class:`PairStream` shows any pair iterator as an interval
+stream; :func:`from_positions` is the two together.
 
 :class:`CountingStream` records how many elements (the terminal ``None``
 included) were pulled from a source, and :func:`profile` snapshots those
 counters each time a downstream operator emits an output, yielding a
 :class:`RhoProfile`: row ``p`` holds the per-input read counts at the
 moment output ``p`` appeared. This is the measurable form of laziness used
-throughout the test harness; :func:`profile_streams` is the same recording
-over live streams, which the engine's per-document profiles (``minq query
---show-rho``) use.
+throughout the test harness; the engine's per-document profiles (``minq
+query --show-rho``) count the pulls of its own pair iterators the same way.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import starmap
 from operator import lt
 
@@ -55,14 +56,18 @@ class ListStream(IntervalStream):
         return item
 
 
-class _PositionStream(IntervalStream):
-    def __init__(self, positions):
-        self._positions = iter(positions)
+class PairStream(IntervalStream):
+    """The pairs of ``pairs`` as an interval stream of :class:`Interval`.
 
-    def next(self):
-        for p in self._positions:
-            return Interval(p, p)
-        return None
+    ``pairs`` stays reachable, so a generator's frame (its operator state)
+    can be inspected; ``queue`` holds the heap counts of a merge or span
+    conjunction, and is ``None`` for the other operators.
+    """
+
+    def __init__(self, pairs, queue=None):
+        self.pairs = pairs
+        self.queue = queue
+        self.next = partial(next, starmap(Interval, pairs), None)
 
 
 def _check_increasing(positions):
@@ -80,12 +85,11 @@ def from_positions(positions) -> IntervalStream:
     anything else is rejected here rather than downstream. The stream reads
     the sequence itself, not a copy, so it must not change meanwhile.
     """
-    _check_increasing(positions)
-    return _PositionStream(positions)
+    return PairStream(position_pairs(positions))
 
 
 def position_pairs(positions):
-    """:func:`from_positions` as an iterator of ``(p, p)`` pairs.
+    """Iterator of singleton ``(p, p)`` pairs, ``positions`` checked as by :func:`from_positions`.
 
     Each pair is read from two iterators over ``positions``; only the
     first sees the terminal read.
@@ -152,12 +156,7 @@ def profile(op, antichains) -> RhoProfile:
     ``op`` takes a list of streams and returns a stream; ``antichains`` is
     a list of materialized inputs.
     """
-    return profile_streams(op, [ListStream(a) for a in antichains])
-
-
-def profile_streams(op, streams) -> RhoProfile:
-    """:func:`profile` over live input streams rather than materialized lists."""
-    counters = [CountingStream(s) for s in streams]
+    counters = [CountingStream(ListStream(a)) for a in antichains]
     out = op(counters)
     result = RhoProfile(m=len(counters))
     while (item := out.next()) is not None:

@@ -143,18 +143,27 @@ def test_top_limits_documents(tmp_path):
 
 
 def test_show_rho_lines(rhyme_idx):
-    proc = run_cli("query", str(rhyme_idx), '"pease porridge"', "--show-rho")
-    assert proc.returncode == 0
-    lines = proc.stdout.decode().splitlines()
-    rho_lines = [l for l in lines if l.startswith("\trho\t")]
-    # five phrase matches, read counts pinned by the concatenation chain
-    assert rho_lines == [
-        "\trho\t1\t1 1",
-        "\trho\t2\t2 2",
-        "\trho\t3\t3 3",
-        "\trho\t4\t4 4",
-        "\trho\t5\t5 5",
-    ]
+    # One query per root shape: phrase (read counts pinned by the
+    # concatenation chain), int kernel, mixed, term, low-pass, difference.
+    expected = {
+        '"pease porridge"': ["1 1", "2 2", "3 3", "4 4", "5 5"],
+        "hot & cold": ["2 1", "2 2", "3 2", "3 3", "4 3"],
+        CAPTION_QUERY: [
+            "1 1 2", "1 2 2", "2 2 2", "2 2 3", "2 3 3", "3 3 3", "3 3 4",
+            "3 4 4", "5 4 4", "5 4 5", "5 5 5", "6 5 5", "6 5 6",
+        ],
+        "pease": ["1", "2", "3", "4", "5"],
+        '"pease porridge"~3': ["1", "2", "3", "4", "5"],
+        '(pease | hot) - "porridge cold"': [
+            "1 1", "2 1", "3 1", "4 2", "5 2", "6 2", "7 2", "8 2",
+        ],
+    }
+    for query, rows in expected.items():
+        proc = run_cli("query", str(rhyme_idx), query, "--show-rho")
+        assert proc.returncode == 0
+        lines = proc.stdout.decode().splitlines()
+        rho_lines = [l for l in lines if l.startswith("\trho\t")]
+        assert rho_lines == [f"\trho\t{p}\t{row}" for p, row in enumerate(rows, 1)], query
 
 
 def test_snippets_read_source_at_query_time(tmp_path):

@@ -30,6 +30,7 @@ from minq import (
     build_index,
     candidate_docs,
     cli,
+    compile_query,
     difference,
     evaluate,
     evaluate_with_profile,
@@ -153,7 +154,11 @@ def test_evaluate_matches_oracle_composition_on_random_corpora():
         for _ in range(12):
             ast = random_ast(rng, vocab)
             for doc_id in range(index.doc_count()):
-                assert evaluate(ast, index, doc_id) == oracle_eval(ast, index, doc_id)
+                expected = oracle_eval(ast, index, doc_id)
+                assert evaluate(ast, index, doc_id) == expected
+                stream = compile_query(ast, index, doc_id)
+                assert materialize(stream) == expected
+                assert stream.next() is None and stream.next() is None
 
 
 @pytest.mark.parametrize(
@@ -433,9 +438,9 @@ def count_position_reads(index, leaves):
 def test_emptiness_checks_left_out_change_no_read(monkeypatch):
     # The engine composes no check; for every node type the outputs, root rho
     # rows and per-leaf reads must be those of a tree with the check in front
-    # of every operator. Leaves are counted in creation order: term roots and
-    # the term inputs of a profiled root through from_positions, every other
-    # leaf, under a kernel or a pair generator, through its position list.
+    # of every operator. Leaves are counted in creation order: the reference
+    # tree's through from_positions, the engine's, profiled roots included,
+    # through their position lists, under a kernel or a pair generator.
     leaves = []
     real = engine.from_positions
 
@@ -478,13 +483,10 @@ def test_emptiness_checks_left_out_change_no_read(monkeypatch):
 
 
 def test_engine_looks_up_its_collaborators_when_called(rhyme_index, monkeypatch):
-    # Tracing rebinds these module globals; a table that captured them at
-    # import time would bypass the rebound names. The engine's star_compose
-    # is a None placeholder that the benchmark tracer still rebinds, so the
-    # name must stay, and it is never called. Search plans the query once
-    # and runs every node as a kernel or pair generator, so none of these
-    # names is called; with profiles, the root (a difference) runs its
-    # interval-stream operator, over a from_positions leaf for its term.
+    # Tracing rebinds these module globals, so every name must stay bound
+    # in the engine; star_compose is a None placeholder. Search plans the
+    # query once and runs every node as a kernel or pair generator, with
+    # profiles or without, so none of these names is called.
     calls = Counter()
     names = (
         "or_merge", "and_span", "block", "ordered_and", "lowpass", "difference",
@@ -502,7 +504,7 @@ def test_engine_looks_up_its_collaborators_when_called(rhyme_index, monkeypatch)
     assert search(rhyme_index, ast)
     assert calls == {}
     assert search(rhyme_index, ast, with_profile=True)
-    assert calls == {"difference": 1, "from_positions": 1}
+    assert calls == {}
 
 
 def result_key(result):
@@ -570,6 +572,20 @@ def test_document_words_are_the_slice_of_the_whole_text(tmp_path_factory, text, 
     path.write_bytes(text.encode("utf-8"))
     index = build_index([(str(path), text)])
     assert engine.document_words(index, 0, stop, start=start) == full[start:stop]
+
+
+def test_document_words_of_a_source_longer_than_two_reads(tmp_path):
+    # The source is read 64 KiB at a time; this one ends inside a third read.
+    text = " ".join(f"w{i % 997}ß" for i in range(30_000)) + "\n"
+    data = text.encode("utf-8")
+    assert len(data) > 2 << 16 and len(data) % (1 << 16)
+    doc = tmp_path / "long.txt"
+    doc.write_bytes(data)
+    index = build_index([(str(doc), text)])
+    full = words(text)
+    n = len(full)
+    for start, stop in ((0, 3), (5, 40), (n - 40, n - 5), (n - 3, n), (2, n - 2)):
+        assert engine.document_words(index, 0, stop, start=start) == full[start:stop]
 
 
 def test_snippets_near_the_end_or_in_both_halves_are_slices(tmp_path, monkeypatch):
