@@ -12,20 +12,21 @@ followed, when requested, by indented snippet lines (interval, words) and
 read-profile lines (output number, reads per input of the root operator).
 Snippets are extracted only for the printed documents; the source files of
 other matches are never opened. A printed document's source is read once,
-its digest (of its bytes and word count) checked, and its words split only
-from the end nearer its snippet windows; its word count is checked
-whenever the whole text is split.
+its digest (of its bytes and word count) checked, and only the slices of
+its text around its snippet windows split, between the word offsets the
+index samples; its word count is checked whenever the whole text is split.
 
 Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
 I/O or index-format trouble. Exit 2 also covers a negative ``--top`` or
 ``--snippets`` (rejected before evaluation, whether or not anything
 matches), an output path of ``minq index`` that names a directory or
-whose parent is not a directory (refused before any source is read), a
-source to index that is not UTF-8 (its path and the offset of the first
-bad byte are named), and a printed document whose source file is missing,
-no longer UTF-8, or no longer matches its indexed word count and content
-digest. These errors print one ``minq: ...`` line on stderr; a bad index
-file's line ends ``; re-index it``.
+whose parent is not a directory, or a source path that cannot be encoded
+as UTF-8 (each refused before any source is read), a source to index
+that is not UTF-8 (its path and the offset of the first bad byte are
+named), and a printed document whose source file is missing, no longer
+UTF-8, or no longer matches its indexed word count and content digest.
+These errors print one ``minq: ...`` line on stderr; a bad index file's
+line ends ``; re-index it``.
 """
 
 import argparse
@@ -43,6 +44,11 @@ def _cmd_index(args) -> int:
     parent = os.path.dirname(args.output) or os.curdir
     if not os.path.isdir(parent):
         raise ValueError(f"{args.output!r}: {parent!r} is not a directory")
+    for path in args.paths:
+        try:
+            path.encode("utf-8")  # the index stores paths as UTF-8
+        except UnicodeEncodeError:
+            raise ValueError(f"{path!r}: path cannot be encoded as UTF-8") from None
     documents = []
     for path in args.paths:
         with open(path, "rb") as src:

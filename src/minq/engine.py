@@ -29,9 +29,10 @@ could not enter them even at its bound; the results are exactly those of
 ranking every candidate and cutting to ``top``. Snippets are extracted only
 for the returned results, so the source files of the other matches are
 never opened. A returned document's source is read once, its digest
-checked, and its words split only from the end nearer its snippets. One
-that is missing raises :class:`OSError`; one that is no longer UTF-8, or
-whose word count or content digest no longer matches the index, raises
+checked, and only the slices of its text around its snippets split, found
+through the index's sampled word offsets. One that is missing raises
+:class:`OSError`; one that is no longer UTF-8, or whose word count or
+content digest no longer matches the index, raises
 :class:`StaleSourceError`.
 """
 
@@ -43,7 +44,7 @@ from itertools import repeat
 from math import inf
 from operator import neg
 
-from .index import source_digest, words
+from .index import OFFSET_STRIDE, source_digest, words
 from .intervals import Interval, length
 from .operators import (
     QueueCounts,
@@ -335,16 +336,19 @@ class StaleSourceError(ValueError):
     """A source file no longer holds the text the index was built from."""
 
 
-def document_words(index, doc_id: int, stop: int, start: int = 0) -> list[str]:
-    """Words ``start`` to ``stop - 1`` of a document, read back from its source.
+def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
+    """The words of a document in each half-open ``(start, stop)`` span, from its source.
 
     The file is read once and its digest, of its bytes and word count,
-    checked before its words are split. On a match only the nearer end is
-    split: a prefix past ``stop``, or a suffix before ``start`` if fewer
-    words follow ``start`` than precede ``stop``. The whole text is split,
-    and its word count checked, on a mismatch or when no shorter end holds
-    the words, so a source with fewer than ``stop`` words never yields a
-    short list.
+    checked before any word is split. On a match each span's words are
+    split only from the slice of the text between the sampled word offsets
+    around it (see :mod:`minq.index`); the text is case-folded whole first
+    when its folding changes its length, since the offsets index the
+    folded text. A slice that does not start and end at word starts, or
+    does not hold the expected number of words, voids them: the whole text
+    is then split and its word count checked, as it is on a digest
+    mismatch, so a source with fewer words than a span needs never yields
+    a short list and a bad offset never shows wrong words.
 
     Raises :class:`StaleSourceError` if the file's bytes are no longer
     UTF-8, or its word count or content digest differs from the indexed
@@ -360,15 +364,10 @@ def document_words(index, doc_id: int, stop: int, start: int = 0) -> list[str]:
         raise StaleSourceError(
             f"stale source {doc.path}: byte {exc.start} is not UTF-8; re-index it"
         ) from None
-    need = count - start
-    if not changed and need < stop <= count:
-        found = _suffix_words(text, need, len(text) * (need + 8) // count + 16)
-        if found is not None:  # its last `need` words are words start, start + 1, ...
-            return found[-need:][: stop - start]
-    elif not changed and stop < count:
-        found = _prefix_words(text, stop, len(text) * (stop + 8) // count + 16)
+    if not changed:
+        found = _window_words(text, count, doc.offsets, spans)
         if found is not None:
-            return found[start:stop]
+            return found
     found = words(text)
     if len(found) != count:
         raise StaleSourceError(
@@ -376,7 +375,41 @@ def document_words(index, doc_id: int, stop: int, start: int = 0) -> list[str]:
         )
     if changed:
         raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
-    return found[start:stop]
+    return [found[start:stop] for start, stop in spans]
+
+
+def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | None:
+    """Each span's words, split from between its enclosing sampled offsets.
+
+    None if a span ends past word ``count`` or a slice fails its checks.
+    """
+    if offsets[-1] != len(text):  # folding changes the length: offsets index the folded text
+        text = text.casefold()
+    found = []
+    for start, stop in spans:
+        if stop > count:
+            return None
+        first, last = start // OFFSET_STRIDE, -(-stop // OFFSET_STRIDE)
+        left, right = offsets[first], offsets[last]
+        split = words(text[left:right])
+        skip = first * OFFSET_STRIDE
+        if (
+            len(split) != min(last * OFFSET_STRIDE, count) - skip
+            or not _word_starts(text, left)
+            or not (right == len(text) or _word_starts(text, right))
+        ):
+            return None
+        found.append(split[start - skip : stop - skip])
+    return found
+
+
+def _word_starts(text: str, at: int) -> bool:
+    """Whether a word starts at ``text[at]`` once folded, one character at a time.
+
+    For one character, :meth:`str.isalnum` is the word class of
+    :func:`~minq.index.words`; ``text[-1:0]`` is empty.
+    """
+    return text[at : at + 1].casefold().isalnum() and not text[at - 1 : at].casefold().isalnum()
 
 
 def _read(path) -> bytes:
@@ -390,36 +423,6 @@ def _read(path) -> bytes:
         raise
     finally:
         os.close(fd)
-
-
-def _prefix_words(text: str, stop: int, cut: int) -> list[str] | None:
-    """Words of ``text[:cut]``, ``cut > 0`` doubled until they are more than ``stop``.
-
-    None once the prefix would be the whole text.
-
-    :func:`~minq.index.words` maps one character at a time, so every word
-    of a prefix but its last, maybe cut, one is a word of the whole text.
-    """
-    while cut < len(text):
-        found = words(text[:cut])
-        if len(found) > stop:
-            return found
-        cut *= 2
-    return None
-
-
-def _suffix_words(text: str, need: int, span: int) -> list[str] | None:
-    """Words of ``text[-span:]`` but its first, ``span > 0`` doubled until more than ``need``.
-
-    None once the suffix would be the whole text. The first word may be cut;
-    the others are words of the whole text, as for :func:`_prefix_words`.
-    """
-    while span < len(text):
-        found = words(text[-span:])
-        if len(found) > need + 1:
-            return found[1:]
-        span *= 2
-    return None
 
 
 def search(
@@ -441,7 +444,7 @@ def search(
     since neither it nor any later candidate can enter. The results are
     those of ranking every candidate and cutting to ``top``. Only then are
     snippets extracted, so only the returned documents' source files are
-    read, each once, and split only from the end nearer the snippet windows
+    read, each once, and split only around the snippet windows
     (:func:`document_words`). Raises :class:`ValueError` for a negative
     ``top`` or ``snippet_count`` before evaluating anything.
     """
@@ -483,8 +486,8 @@ def search(
     if snippet_count:
         for result in results:
             windows = snippets(result.witnesses, snippet_count)
-            start, stop = min(w.left for w in windows), max(w.right for w in windows) + 1
+            spans = [(w.left, w.right + 1) for w in windows]
             # By keyword: tracing proxies unpack (index, doc_id) from the positional ones.
-            words = document_words(index, result.doc_id, start=start, stop=stop)
-            result.snippets = [(w, words[w.left - start : w.right + 1 - start]) for w in windows]
+            found = document_words(index, result.doc_id, spans=spans)
+            result.snippets = list(zip(windows, found))
     return results

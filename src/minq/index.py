@@ -13,35 +13,43 @@ run, which is ``positions[starts[e]:starts[e + 1]]``. A lookup is one dict
 get and one list slice, both done in C; ``e = -1`` for a document without
 the term gives the empty slice ``positions[len:0]``. Built and loaded
 indexes share this layout, plus a document table of source path, word
-count and content digest. Once built (or loaded) an index is never mutated
-by queries, so it can be shared freely across threads. Building, saving and
-loading pause the cyclic garbage collector, which is process-wide, and
-restore the state they found; other threads meanwhile run without cyclic
-collection. The pause is safe because an index holds no reference cycles,
-and it pays: otherwise collections triggered by set-up's allocations walk
-every object already built.
+count, content digest and sampled word offsets (see below), which let
+snippets split only the part of a source around their words. Once built
+(or loaded) an index is never mutated by queries, so it can be shared
+freely across threads. Building, saving and loading pause the cyclic
+garbage collector, which is process-wide, and restore the state they
+found; other threads meanwhile run without cyclic collection. The pause
+is safe because an index holds no reference cycles, and it pays:
+otherwise collections triggered by set-up's allocations walk every object
+already built.
 
-On disk the index is IVX2, a binary file. Every number is an unsigned
+On disk the index is IVX3, a binary file. Every number is an unsigned
 little-endian integer; ``u32[n]`` is a column of n four-byte ones:
 
-    header      b"IVX2", u32 doc count D, u32 term count T, u32 total words
+    header      b"IVX3", u32 doc count D, u32 term count T, u32 total words
     doc table   u32[D] word counts, u32[D] path byte lengths,
                 D 16-byte digests, the D paths (UTF-8, concatenated)
+    offsets     u8 column width, then per document its sampled word
+                offsets and its folded text's length, as gaps
     term table  u32[T] term byte lengths, u32[T] document counts,
                 u32[T] position counts, three u8[T] column widths,
                 the T terms (UTF-8, sorted, concatenated)
     postings    per term, in term order: its doc-id gaps, its position
                 count per document, its position gaps
 
-A term's positions are numbered over the concatenated collection: position
-``p`` of document ``d`` is ``p`` plus the word counts of documents ``0 ..
-d-1``. A gap is the difference from the previous value, the first one
-counted from -1, so every gap is at least 1. Each of a term's three
-columns takes the narrowest width of 1, 2 or 4 bytes that holds its
-largest value, as the term's entry in the matching width column says. The
-digest is a 16-byte BLAKE2b of the document's text encoded as UTF-8 (for
-``minq index``, the source file's bytes) personalised with its word count
-as 16 little-endian bytes; older files report every source as changed.
+Positions are numbered per document, from 0. A gap is the difference from
+the previous value, so every gap is at least 1: a term's first doc-id gap
+is counted from -1, and the first position gap of each of its documents
+from -1 too. A document's sampled offsets are the starts of its words 0,
+K, 2K, ... (K = :data:`OFFSET_STRIDE`) in its case-folded text, followed
+by that text's length; there are ``ceil(n / K) + 1`` of them for a
+document of n words, and its first gap is counted from 0. Each of a
+term's three columns, and the offsets column, takes the narrowest width
+of 1, 2 or 4 bytes that holds its largest value, as the matching width
+says. The digest is a 16-byte BLAKE2b of the document's text encoded as
+UTF-8 (for ``minq index``, the source file's bytes) personalised with its
+word count as 16 little-endian bytes. Files in an earlier format (IVX1
+text, IVX2) fail to load at their first bytes.
 
 Loading checks every column with C-level passes, so any file it accepts
 is a well-formed index, and it does Python-level work per term, not per
@@ -66,9 +74,12 @@ from operator import add, lt, mul, setitem, sub
 from typing import NamedTuple
 
 _WORD = re.compile(r"[^\W_]+")
+_SPLIT = re.compile(f"({_WORD.pattern})")  # separators and words, alternating
+
+OFFSET_STRIDE = 16  # a document keeps the start of every 16th word
 
 _HEADER = struct.Struct("<4sIII")
-_MAGIC = b"IVX2"
+_MAGIC = b"IVX3"
 _DIGEST_SIZE = 16
 _LIMIT = 1 << 32  # every stored number is below this
 _TYPECODES = {1: "B", 2: "H", 4: "I" if array("I").itemsize == 4 else "L"}
@@ -105,6 +116,7 @@ class DocInfo:
     path: str
     word_count: int
     digest: bytes
+    offsets: array  # sampled word starts in the folded text, then its length
 
 
 class TermPostings(NamedTuple):
@@ -172,8 +184,15 @@ def build_index(documents) -> PositionalIndex:
     numbers = []  # numbers[k] == k; positions share these ints, not one int each
     for path, text in documents:
         doc_id = len(docs)
-        terms = words(text)
-        docs.append(DocInfo(path, len(terms), source_digest(text.encode("utf-8"), len(terms))))
+        folded = text.casefold()  # as words() does
+        parts = _SPLIT.split(folded)
+        terms = parts[1::2]
+        # Word k is parts[2k + 1], so it starts where parts[:2k + 1] end.
+        ends = accumulate(map(len, parts))
+        offsets = array("Q", islice(ends, 0, len(parts) - 1, 2 * OFFSET_STRIDE))
+        offsets.append(len(folded))
+        digest = source_digest(text.encode("utf-8"), len(terms))
+        docs.append(DocInfo(path, len(terms), digest, offsets))
         numbers += range(len(numbers), len(terms))
         grouped = {}
         for pos, term in zip(numbers, terms):
@@ -189,18 +208,19 @@ def build_index(documents) -> PositionalIndex:
     return PositionalIndex(docs, postings)
 
 
-def _rebase(steps: list[int], starts: list[int], shifts: list[int], op) -> None:
-    """Fold each run's change of shift into its first step, in place.
+def _restart(steps: list[int], starts: list[int]) -> None:
+    """Let one running sum over ``steps`` restart at each run, in place.
 
-    ``steps[starts[e]]`` becomes ``op(it, shifts[e] - shifts[e - 1])``,
-    reading ``shifts[-1]`` as 0. With ``shifts`` the runs' document offsets,
-    ``add`` turns steps between local positions into gaps between
-    collection-wide ones, and ``sub`` turns them back.
+    ``steps[starts[e]:starts[e + 1]]`` is run e, and each run's first step
+    counts from the same base. Subtracting from it the sum of the run
+    before makes ``accumulate(steps, initial=base)`` yield every run's
+    values as if summed alone.
     """
     firsts = starts[:-1]
-    changes = map(sub, shifts, chain((0,), shifts))
-    rebased = map(op, map(steps.__getitem__, firsts), changes)
-    deque(map(setitem, repeat(steps), firsts, rebased), maxlen=0)  # a C-level pass
+    sums = list(accumulate(steps, initial=0))
+    before = list(map(sums.__getitem__, firsts))  # sum of the runs before each
+    restarted = map(sub, map(steps.__getitem__, firsts), map(sub, before, chain((0,), before)))
+    deque(map(setitem, repeat(steps), firsts, restarted), maxlen=0)  # a C-level pass
 
 
 def _u32s(values) -> bytes:
@@ -220,12 +240,13 @@ def _packed(values: list[int]) -> tuple[int, bytes]:
     return 1, raw[::4]
 
 
-def _term_columns(postings: TermPostings, offsets: list[int]):
-    """One term's three packed columns; ``offsets[d]`` is 1 + d's first global position."""
+def _term_columns(postings: TermPostings):
+    """One term's three packed columns."""
     entries, starts, positions = postings
     docs = list(entries)
-    gaps = list(map(sub, positions, chain((0,), positions)))
-    _rebase(gaps, starts, list(map(offsets.__getitem__, docs)), add)
+    before = [-1, *positions]
+    deque(map(setitem, repeat(before), starts[:-1], repeat(-1)), maxlen=0)  # runs count from -1
+    gaps = list(map(sub, positions, before))
     return (
         _packed(list(map(sub, docs, chain((-1,), docs)))),
         _packed(list(map(sub, islice(starts, 1, None), starts))),
@@ -240,23 +261,29 @@ def save_index(index: PositionalIndex, path) -> None:
     Everything is encoded before the file is opened; then it is written
     under a temporary name in the same directory and renamed into place.
     Raises :class:`ValueError` for an index of 2**32 or more words, which
-    IVX2 cannot number.
+    IVX3 cannot count.
     """
     docs = index.docs
-    offsets = list(accumulate((doc.word_count for doc in docs), initial=1))
-    if offsets[-1] > _LIMIT:
-        raise ValueError("index too large for IVX2: 2**32 words or more")
+    total = sum(doc.word_count for doc in docs)
+    if total >= _LIMIT:
+        raise ValueError("index too large for IVX3: 2**32 words or more")
     paths = [doc.path.encode("utf-8") for doc in docs]
+    offset_gaps = []
+    for doc in docs:
+        offset_gaps += map(sub, doc.offsets, chain((0,), doc.offsets))
+    offset_width, offsets = _packed(offset_gaps)
     terms = sorted(index.postings)
     names = [term.encode("utf-8") for term in terms]
     held = [index.postings[term] for term in terms]
-    columns = [_term_columns(postings, offsets) for postings in held]
+    columns = list(map(_term_columns, held))
     chunks = [
-        _HEADER.pack(_MAGIC, len(docs), len(terms), offsets[-1] - 1),
+        _HEADER.pack(_MAGIC, len(docs), len(terms), total),
         _u32s(doc.word_count for doc in docs),
         _u32s(map(len, paths)),
         *(doc.digest for doc in docs),
         *paths,
+        bytes([offset_width]),
+        offsets,
         _u32s(map(len, names)),
         _u32s(len(postings.entries) for postings in held),
         _u32s(len(postings.positions) for postings in held),
@@ -320,21 +347,21 @@ class _Reader:
 
 @_collector_paused()
 def load_index(path) -> PositionalIndex:
-    """Read an IVX2 file; :class:`IndexFormatError` if it is not a well-formed one."""
+    """Read an IVX3 file; :class:`IndexFormatError` if it is not a well-formed one."""
     with open(path, "rb") as src:
         data = src.read()
     read = _Reader(data)
     if data[:4] != _MAGIC:
-        raise read.fail(f"not an IVX2 index file (it starts {data[:8]!r})")
+        raise read.fail(f"not an IVX3 index file (it starts {data[:8]!r})")
     _, doc_count, term_count, total = _HEADER.unpack_from(data, read.take(_HEADER.size, "header"))
     word_counts = read.column(doc_count, 4, "document word counts")
     path_sizes = read.column(doc_count, 4, "document path lengths")
     digests = read.pieces([_DIGEST_SIZE] * doc_count, "document digests")
     paths = read.strings(path_sizes, "document paths")
-    offsets = list(accumulate(word_counts, initial=1))
-    if offsets[-1] - 1 != total:
-        raise read.fail(f"header says {total} words, documents hold {offsets[-1] - 1}", 12)
-    docs = list(map(DocInfo, paths, word_counts, digests))
+    if sum(word_counts) != total:
+        raise read.fail(f"header says {total} words, documents hold {sum(word_counts)}", 12)
+    offsets = _offsets(read, word_counts)
+    docs = list(map(DocInfo, paths, word_counts, digests, offsets))
 
     term_sizes = read.column(term_count, 4, "term lengths")
     doc_counts = read.column(term_count, 4, "term document counts")
@@ -370,14 +397,38 @@ def load_index(path) -> PositionalIndex:
         if doc_ids[-1] >= doc_count:
             raise IndexFormatError(f"term {term!r}: unknown document id {doc_ids[-1]}")
         starts = list(accumulate(counts, initial=0))
-        _rebase(gaps, starts, list(map(offsets.__getitem__, doc_ids)), sub)
-        positions = list(accumulate(gaps, initial=0))  # positions[k + 1] is the k-th
+        _restart(gaps, starts)
+        positions = list(accumulate(gaps, initial=-1))  # positions[k + 1] is the k-th
         lasts = map(positions.__getitem__, islice(starts, 1, None))
-        if min(positions) < 0 or not all(map(lt, lasts, map(word_counts.__getitem__, doc_ids))):
+        if not all(map(lt, lasts, map(word_counts.__getitem__, doc_ids))):
             raise IndexFormatError(f"term {term!r}: a position lies outside its document")
         del positions[0]
         postings[term] = TermPostings(dict(zip(doc_ids, count())), starts, positions)
     return PositionalIndex(docs, postings)
+
+
+def _offsets(read: _Reader, word_counts: list[int]) -> list[array]:
+    """Each document's sampled word offsets, from the column after the doc table."""
+    (width,) = read.column(1, 1, "offset column width")
+    if width not in _TYPECODES:
+        raise read.fail("offset column width not 1, 2 or 4", read.at - 1)
+    sampled = [-(-n // OFFSET_STRIDE) + 1 for n in word_counts]
+    bounds = list(accumulate(sampled, initial=0))
+    at = read.at
+    gaps = read.column(bounds[-1], width, "sampled word offsets")
+    firsts = bounds[:-1]
+    zeros = gaps.count(0)  # only a document's first offset may equal the one before
+    if zeros and zeros != list(map(gaps.__getitem__, firsts)).count(0):
+        doc = next(d for d in range(len(firsts)) if 0 in gaps[bounds[d] + 1 : bounds[d + 1]])
+        k = gaps.index(0, bounds[doc] + 1)
+        if k + 1 == bounds[doc + 1]:
+            problem = "a sampled word offset at or past its text's length"
+        else:
+            problem = "sampled word offsets not increasing"
+        raise read.fail(f"document {doc}: {problem}", at + k * width)
+    _restart(gaps, bounds)
+    flat = array("Q", accumulate(gaps))
+    return list(map(flat.__getitem__, map(slice, firsts, islice(bounds, 1, None))))
 
 
 def _fault(term, n, doc_gaps, counts, gaps, m) -> IndexFormatError:

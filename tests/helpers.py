@@ -4,6 +4,7 @@ per-token reference index build."""
 
 import random
 import re
+from array import array
 
 from minq import (
     Interval,
@@ -15,7 +16,7 @@ from minq import (
     contains,
     length,
 )
-from minq.index import DocInfo, TermPostings, source_digest
+from minq.index import OFFSET_STRIDE, DocInfo, TermPostings, source_digest
 from minq.streams import IntervalStream, ListStream
 
 # Term positions of the rhyme corpus (tests/data/rhyme.txt).
@@ -786,7 +787,10 @@ def reference_build(documents):
         doc_id = len(docs)
         tokens = reference_tokenize(text)
         digest = source_digest(text.encode("utf-8"), len(tokens))
-        docs.append(DocInfo(path=path, word_count=len(tokens), digest=digest))
+        folded = text.casefold()
+        starts = [m.start() for m in _REFERENCE_WORD.finditer(folded)]
+        offsets = array("Q", starts[::OFFSET_STRIDE] + [len(folded)])
+        docs.append(DocInfo(path=path, word_count=len(tokens), digest=digest, offsets=offsets))
         for term, pos in tokens:
             by_term.setdefault(term, {}).setdefault(doc_id, []).append(pos)
     return PositionalIndex(docs, {term: postings_of(runs) for term, runs in by_term.items()})

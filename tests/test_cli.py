@@ -61,6 +61,18 @@ def test_index_output_naming_a_directory_exits_two_before_reading(tmp_path, outp
     assert sorted(os.listdir(tmp_path)) == ["dir"] and os.listdir(tmp_path / "dir") == []
 
 
+def test_source_path_utf8_cannot_encode_exits_two_before_reading(tmp_path):
+    # On Linux a file name's byte \xff reaches argv as the lone surrogate
+    # U+DCFF, which the index, storing paths as UTF-8, cannot hold. The
+    # missing a.txt shows that no source is read first.
+    name = os.fsdecode(b"f\xff.txt")
+    (tmp_path / name).write_text("ape")
+    proc = run_cli("index", "a.txt", name, "-o", "x.ivx", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"minq: {name!r}: path cannot be encoded as UTF-8\n"
+    assert os.listdir(tmp_path) == [name]
+
+
 @pytest.mark.parametrize(
     "output, parent", [("nowhere/new.ivx", "nowhere"), ("a.txt/x.ivx", "a.txt")]
 )
@@ -105,8 +117,20 @@ def test_malformed_index_exit_two(tmp_path):
     proc = run_cli("query", str(bad), "a")
     assert proc.returncode == 2
     assert proc.stderr.decode() == (
-        "minq: bad index file: byte 0: not an IVX2 index file (it starts b'WHAT 1\\n'); "
+        "minq: bad index file: byte 0: not an IVX3 index file (it starts b'WHAT 1\\n'); "
         "re-index it\n"
+    )
+
+
+def test_ivx2_index_exit_two_asking_to_reindex(tmp_path):
+    # The previous binary format, here an empty index: its header alone.
+    old = tmp_path / "old.ivx"
+    old.write_bytes(b"IVX2" + bytes(12))
+    proc = run_cli("query", str(old), "a")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == (
+        "minq: bad index file: byte 0: not an IVX3 index file "
+        "(it starts b'IVX2\\x00\\x00\\x00\\x00'); re-index it\n"
     )
 
 
@@ -119,7 +143,7 @@ def test_text_format_index_exit_two_with_one_line(rhyme_idx):
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("minq: bad index file: byte 0: not an IVX2 index file")
+    assert lines[0].startswith("minq: bad index file: byte 0: not an IVX3 index file")
     assert lines[0].endswith("; re-index it")
 
 

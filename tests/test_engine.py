@@ -523,9 +523,9 @@ def test_top_cut_equals_full_search_prefix_and_reads_only_returned(tmp_path, mon
     opened = []
     real = engine.document_words
 
-    def counting(index, doc_id, stop, start=0):
+    def counting(index, doc_id, *, spans):
         opened.append(doc_id)
-        return real(index, doc_id, stop, start=start)
+        return real(index, doc_id, spans=spans)
 
     monkeypatch.setattr(engine, "document_words", counting)
     for _ in range(60):
@@ -547,31 +547,59 @@ TRICKY = st.sampled_from(list("ßİﬁ\u0345\u0301\u0307_07.,'- \n") + ["ape", "
 TEXTS = st.lists(st.one_of(TRICKY, st.characters(blacklist_categories=("Cs",)))).map("".join)
 
 
-@settings(max_examples=500, deadline=None)
-@given(text=TEXTS, data=st.data())
-def test_prefix_words_start_like_the_whole_text(text, data):
-    full = words(text)
-    stop = data.draw(st.integers(0, len(full)), label="stop")
-    cut = data.draw(st.integers(1, len(text) + 1), label="cut")
-    found = engine._prefix_words(text, stop, cut)
-    assert found is None or (len(found) > stop and found[:stop] == full[:stop])
+# Documents of TEXTS pieces with a word between each two, so that spans
+# cross sampled offsets; a tail makes some fold to a longer text (ß, İ, ﬁ)
+# or turn a non-word character into a word character (U+0345).
+DOCUMENTS = st.tuples(
+    st.lists(TEXTS, max_size=50).map(" w ".join), st.sampled_from(["", "ß", "İ", "ﬁ", "\u0345"])
+).map(" ".join)
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=TEXTS, data=st.data())
+@given(text=DOCUMENTS, data=st.data())
 def test_document_words_are_the_slice_of_the_whole_text(tmp_path_factory, text, data):
     full = words(text)
-    stop = data.draw(st.integers(0, len(full)), label="stop")
-    start = data.draw(st.integers(0, max(stop - 1, 0)), label="start")
-    need = len(full) - start
-    span = data.draw(st.integers(1, len(text) + 1), label="span")
-    found = engine._suffix_words(text, need, span)
-    assert found is None or (len(found) > need and found == full[len(full) - len(found) :])
-    # The same through a source file, from whichever end document_words picks.
+    ends = st.integers(0, max(len(full) - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=4 if full else 0), label="pairs")
+    spans = sorted((min(pair), max(pair) + 1) for pair in pairs)
+    expected = [full[start:stop] for start, stop in spans]
     path = tmp_path_factory.getbasetemp() / "slice.txt"
     path.write_bytes(text.encode("utf-8"))
     index = build_index([(str(path), text)])
-    assert engine.document_words(index, 0, stop, start=start) == full[start:stop]
+    # Split from the sampled offsets, with no fall-back to the whole text.
+    assert engine._window_words(text, len(full), index.docs[0].offsets, spans) == expected
+    assert engine.document_words(index, 0, spans=spans) == expected
+
+
+def test_a_shifted_sampled_offset_shows_no_wrong_words(tmp_path):
+    # Each stored offset, the folded length included, moved a little either
+    # way: the words must come out right (the slice checks send them to the
+    # whole-text split) or the source be called stale, never wrong.
+    rng = random.Random(1717)
+    vocab = ["x", "ape", "yyyyyyyy", "ß", "İz", "w_w", "ﬁn", "\u0345", "7"]
+    seps = [" ", ", ", "\n", " -- ", "\u0301 "]
+    for trial in range(12):
+        path = tmp_path / f"t{trial}.txt"
+        text = "".join(rng.choice(vocab) + rng.choice(seps) for _ in range(rng.randint(1, 70)))
+        if trial % 2:
+            text = text.replace("ß", "s").replace("İ", "I").replace("ﬁ", "f")
+        path.write_text(text)
+        index = build_index([(str(path), text)])
+        full = words(text)
+        spans = [(k, k + 1) for k in range(len(full))] + [(0, len(full))]
+        offsets = index.docs[0].offsets
+        for k in range(len(offsets)):
+            for shift in (-3, -2, -1, 1, 2, 3):
+                if offsets[k] + shift < 0:
+                    continue
+                index.docs[0].offsets = shifted = offsets[:]
+                shifted[k] += shift
+                for span in spans:
+                    try:
+                        found = engine.document_words(index, 0, spans=[span])
+                    except StaleSourceError:
+                        continue
+                    assert found == [full[span[0] : span[1]]], (text, k, shift, span)
 
 
 def test_document_words_of_a_source_longer_than_two_reads(tmp_path):
@@ -584,20 +612,20 @@ def test_document_words_of_a_source_longer_than_two_reads(tmp_path):
     index = build_index([(str(doc), text)])
     full = words(text)
     n = len(full)
-    for start, stop in ((0, 3), (5, 40), (n - 40, n - 5), (n - 3, n), (2, n - 2)):
-        assert engine.document_words(index, 0, stop, start=start) == full[start:stop]
+    spans = [(0, 3), (5, 40), (n - 40, n - 5), (n - 3, n), (2, n - 2)]
+    assert engine.document_words(index, 0, spans=spans) == [full[a:b] for a, b in spans]
 
 
 def test_snippets_near_the_end_or_in_both_halves_are_slices(tmp_path, monkeypatch):
     # Long documents with the query's words planted in their last quarter, or
-    # at both ends, so that snippets are split from a suffix or span the text.
+    # at both ends, so that snippets lie near the end or far apart.
     rng = random.Random(1515)
     filler = ["x", "yyyyyyyyyyyy", "ß", "İz", "w_w", "ﬁn", "\u0345", "7"]
     seps = [" ", ", ", "\n", " -- ", "\u0301 "]
-    suffixes = []
-    real = engine._suffix_words
+    served = []
+    real = engine._window_words
     monkeypatch.setattr(
-        engine, "_suffix_words", lambda *args: suffixes.append(args[1]) or real(*args)
+        engine, "_window_words", lambda *args: served.append(real(*args)) or served[-1]
     )
     for trial in range(20):
         corpus = []
@@ -618,7 +646,8 @@ def test_snippets_near_the_end_or_in_both_halves_are_slices(tmp_path, monkeypatc
                 source = words(corpus[result.doc_id][1])
                 for window, found in result.snippets:
                     assert found == source[window.left : window.right + 1]
-    assert suffixes
+    # Every one was split from the sampled offsets, none from the whole text.
+    assert served and None not in served
 
 
 def test_snippet_words_are_slices_of_the_whole_source(tmp_path):
@@ -649,7 +678,7 @@ def test_snippet_word_cut_by_the_first_prefix_is_read_whole(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text(f"ape {long} " + "b " * 1000)
     index = build_index([(str(doc), doc.read_text())])
-    assert engine.document_words(index, 0, 2)[:2] == ["ape", long]
+    assert engine.document_words(index, 0, spans=[(0, 2)]) == [["ape", long]]
     (result,) = search(index, parse_query(f"ape & {long}"), snippet_count=1)
     assert result.snippets == [(iv(0, 1), ["ape", long])]
 
@@ -679,14 +708,14 @@ def test_window_past_a_matching_sources_last_word_is_stale(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text("ape bee")
     index = build_index([(str(doc), "ape bee ape bee")])
-    index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee", 4))
+    index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee", 4), index.docs[0].offsets)
     message = f"stale source {doc}: 2 words, index has 4; re-index it"
     with pytest.raises(StaleSourceError) as caught:
         search(index, parse_query("ape & bee"), snippet_count=3)
     assert str(caught.value) == message
     for stop in (3, 4, 9):
         with pytest.raises(StaleSourceError, match=re.escape(message)):
-            engine.document_words(index, 0, stop)
+            engine.document_words(index, 0, spans=[(0, stop)])
 
 
 def test_edited_word_count_with_the_old_digest_is_stale(tmp_path):
@@ -698,7 +727,8 @@ def test_edited_word_count_with_the_old_digest_is_stale(tmp_path):
     index = build_index([(str(doc), text)])
     digest = index.docs[0].digest
     for count in (107, 117):
-        index.docs[0] = DocInfo(str(doc), count, digest)
+        offsets = build_index([("", "w " * count)]).docs[0].offsets  # as many as count needs
+        index.docs[0] = DocInfo(str(doc), count, digest, offsets)
         message = f"stale source {doc}: 112 words, index has {count}; re-index it"
         with pytest.raises(StaleSourceError, match=re.escape(message)):
             search(index, parse_query("ape & bee"), snippet_count=1)

@@ -82,7 +82,7 @@ def test_path_with_spaces_round_trips(tmp_path):
 @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
 def test_path_with_line_break_rejected_before_writing(tmp_path, brk):
     # The text format held one document per line and refused such paths
-    # before writing. IVX2 stores every path length-prefixed, so any path
+    # before writing. IVX3 stores every path length-prefixed, so any path
     # round-trips and the old file is replaced.
     path = f"a{brk}b.txt"
     target = tmp_path / "idx.ivx"
@@ -111,13 +111,17 @@ def test_failed_save_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
 _TYPES = {1: "B", 2: "H", 4: "I"}
 
 
-def ivx2(docs, terms, total=None, doc_count=None):
-    """IVX2 bytes put together field by field, for files save_index never writes.
+def ivx3(docs, terms, total=None, doc_count=None, offsets=None):
+    """IVX3 bytes put together field by field, for files save_index never writes.
 
     ``docs`` holds (word count, path bytes) pairs; ``terms`` holds (term
-    bytes, the three column widths, doc-id gaps, counts, position gaps). A
-    width other than 1, 2 or 4 is written as it is, over one-byte values.
+    bytes, the three column widths, doc-id gaps, counts, position gaps);
+    ``offsets`` is the offsets column's (width, gaps), by default a first
+    gap of 0 and then gaps of 1 for each document. A width other than 1, 2
+    or 4 is written as it is, over one-byte values.
     """
+    if offsets is None:
+        offsets = (1, [gap for words, _ in docs for gap in [0] + [1] * -(-words // 16)])
 
     def column(width, values):
         return struct.pack(f"<{len(values)}{_TYPES.get(width, 'B')}", *values)
@@ -127,9 +131,10 @@ def ivx2(docs, terms, total=None, doc_count=None):
         len(terms),
         sum(words for words, _ in docs) if total is None else total,
     )
-    parts = [b"IVX2", column(4, header)]
+    parts = [b"IVX3", column(4, header)]
     parts += [column(4, [words for words, _ in docs]), column(4, [len(path) for _, path in docs])]
     parts += [bytes(16) * len(docs), *(path for _, path in docs)]
+    parts += [bytes([offsets[0]]), column(*offsets)]
     parts += [column(4, [len(term) for term, *_ in terms])]
     parts += [column(4, [len(doc_gaps) for _, _, doc_gaps, _, _ in terms])]
     parts += [column(4, [len(gaps) for *_, gaps in terms])]
@@ -140,28 +145,45 @@ def ivx2(docs, terms, total=None, doc_count=None):
     return b"".join(parts)
 
 
-def one_doc(*terms, **header):
+def one_doc(*terms, **fields):
     """One three-word document, x.txt, holding ``terms``; by default a at 1 and 2."""
-    return ivx2([(3, b"x.txt")], terms or [(b"a", (1, 1, 1), [1], [2], [2, 1])], **header)
+    return ivx3([(3, b"x.txt")], terms or [(b"a", (1, 1, 1), [1], [2], [2, 1])], **fields)
 
 
 TWO_DOCS = [(3, b"x.txt"), (3, b"y.txt")]
 VALID = one_doc()
 
 # Name -> (file bytes, what the error must say). The header is 16 bytes,
-# and one document's table 4 + 4 + 16 bytes plus its path.
+# and one document's table 4 + 4 + 16 bytes plus its path: the offsets
+# column of x.txt starts at byte 45 with its width.
 MALFORMED = {
-    "empty file": (b"", "byte 0: not an IVX2 index file"),
-    "bad magic": (b"NOPE" + VALID[4:], "byte 0: not an IVX2 index file"),
+    "empty file": (b"", "byte 0: not an IVX3 index file"),
+    "bad magic": (b"NOPE" + VALID[4:], "byte 0: not an IVX3 index file"),
     "short header": (VALID[:6], "byte 0: file ends inside the header"),
     "document count past the end": (
         one_doc(doc_count=0xFFFFFFFF), "byte 16: file ends inside the document word counts"
     ),
     "more documents than the file holds": (
-        ivx2([(3, b"x.txt")], [], doc_count=2), "byte 32: file ends inside the document digests"
+        ivx3([(3, b"x.txt")], [], doc_count=2),
+        "byte 32: file ends inside the document digests",
     ),
     "word total mismatch": (one_doc(total=4), "byte 12: header says 4 words, documents hold 3"),
-    "path not UTF-8": (ivx2([(3, b"\xff.txt")], []), "byte 40: document paths not UTF-8"),
+    "path not UTF-8": (ivx3([(3, b"\xff.txt")], []), "byte 40: document paths not UTF-8"),
+    "bad offset column width": (
+        one_doc(offsets=(3, [0, 1])), "byte 45: offset column width not 1, 2 or 4"
+    ),
+    "truncated offsets": (
+        ivx3([(17, b"x.txt")], [], offsets=(1, [0, 1])),
+        "byte 46: file ends inside the sampled word offsets",
+    ),
+    "zero offset gap after a first word": (
+        ivx3([(17, b"x.txt")], [], offsets=(1, [0, 0, 5])),
+        "byte 47: document 0: sampled word offsets not increasing",
+    ),
+    "sampled offset at the text's length": (
+        ivx3([(3, b"x.txt"), (17, b"y.txt")], [], offsets=(1, [2, 5, 0, 4, 0])),
+        "byte 79: document 1: a sampled word offset at or past its text's length",
+    ),
     "bad column width": (one_doc((b"a", (3, 1, 1), [1], [2], [2, 1])), "column width not 1, 2 or 4"),
     "empty term": (one_doc((b"", (1, 1, 1), [1], [2], [2, 1])), "empty term"),
     "unsorted terms": (
@@ -177,7 +199,7 @@ MALFORMED = {
         one_doc((b"a", (1, 1, 1), [6], [1], [1])), "term 'a': unknown document id 5"
     ),
     "zero document gap": (
-        ivx2(TWO_DOCS, [(b"a", (1, 1, 1), [1, 0], [1, 1], [2, 1])]),
+        ivx3(TWO_DOCS, [(b"a", (1, 1, 1), [1, 0], [1, 1], [2, 1])]),
         "term 'a': document ids not strictly increasing",
     ),
     "zero count": (
@@ -194,12 +216,13 @@ MALFORMED = {
         one_doc((b"a", (1, 1, 1), [1], [2], [2, 2])),
         "term 'a': a position lies outside its document",
     ),
-    "position in an earlier document": (
-        ivx2(TWO_DOCS, [(b"a", (1, 1, 1), [2], [1], [2])]),
-        "term 'a': a position lies outside its document",
+    # Each document's first position gap counts from -1, so 0 is position -1.
+    "position before its document's first word": (
+        ivx3(TWO_DOCS, [(b"a", (1, 1, 1), [2], [1], [0])]),
+        "term 'a': positions not strictly increasing",
     ),
     "position in a later document": (
-        ivx2(TWO_DOCS, [(b"a", (1, 1, 1), [1], [2], [2, 3])]),
+        ivx3(TWO_DOCS, [(b"a", (1, 1, 1), [1], [2], [2, 3])]),
         "term 'a': a position lies outside its document",
     ),
     "truncated postings": (VALID[:-1], f"byte {len(VALID) - 1}: file ends inside the postings"),
@@ -220,7 +243,7 @@ COUNTERPARTS = {
     "IVX1 2\nD 0 3 x.txt\n": "more documents than the file holds",
     "IVX1 1\nD 0 3 x.txt\nT a\nP\n": "no documents",
     "IVX1 1\nD 0 3 x.txt\nT a\nP 0\n": "zero count",
-    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 -1 2\n": "position in an earlier document",
+    "IVX1 1\nD 0 3 x.txt\nT a\nP 0 -1 2\n": "position before its document's first word",
     "IVX1 1\nD 0 3 x.txt\nT a\nP 0 1 3\n": "position past its document's words",
     "IVX1 1\nD 0 3 x.txt\nT a\nP 0 1\nP 0 2\n": "zero document gap",
     "IVX1 1\nD 0 3 x.txt\nT \n": "empty term",
@@ -270,7 +293,7 @@ def test_malformed_files_report_line(tmp_path, content, line):
     # binary counterpart of each fault is refused naming a byte or a term.
     assert 1 <= line <= content.count("\n") + 1
     target = tmp_path / "bad.ivx"
-    assert_refused(target, content.encode(), "byte 0: not an IVX2 index file")
+    assert_refused(target, content.encode(), "byte 0: not an IVX3 index file")
     assert_refused(target, *MALFORMED[COUNTERPARTS[content]])
 
 
@@ -297,28 +320,32 @@ def test_two_document_index_bytes(tmp_path):
         text, digest_size=16, person=n.to_bytes(16, "little")
     ).digest()
     assert target.read_bytes() == b"".join([
-        b"IVX2", bytes.fromhex("02000000 02000000 04000000"),  # docs, terms, words
+        b"IVX3", bytes.fromhex("02000000 02000000 04000000"),  # docs, terms, words
         bytes.fromhex("03000000 01000000"),  # word counts
         bytes.fromhex("05000000 05000000"),  # path lengths
         digest(b"ape bee ape", 3), digest(b"bee", 1),
         b"a.txt", b"b.txt",
+        bytes.fromhex("01 000b 0003"),  # offsets: width, then word 0 at 0 and the length
         bytes.fromhex("03000000 03000000"),  # term lengths
         bytes.fromhex("01000000 02000000"),  # documents per term
         bytes.fromhex("02000000 02000000"),  # positions per term
         bytes.fromhex("0101 0101 0101"),  # widths of doc gaps, counts, position gaps
         b"ape", b"bee",
         bytes.fromhex("01 02 0102"),  # ape: doc 0, two positions, at 0 and 2
-        bytes.fromhex("0101 0101 0202"),  # bee: docs 0 and 1, at 1 and 3 overall
+        bytes.fromhex("0101 0101 0201"),  # bee: docs 0 and 1, at 1 and 0 in each
     ])
 
 
 def test_wide_columns_round_trip(tmp_path):
     # Counts and gaps past one and two bytes take two- and four-byte columns.
+    # Positions count from each document's start, so a position gap is wide
+    # only inside one document: mid's 300 words apart in b, rare's 70,000 in
+    # c. Across documents (rare from a to d) gaps stay narrow.
     index = build_index([
         ("a.txt", "rare"),
-        ("b.txt", "mid " + "pad " * 299),
-        ("c.txt", "mid " + "filler " * 69999),
-        ("d.txt", "rare"),
+        ("b.txt", "mid " + "pad " * 299 + "mid"),
+        ("c.txt", "mid " + "filler " * 69999 + "rare"),
+        ("d.txt", " " * 70000 + "rare"),
     ])
     target = tmp_path / "idx.ivx"
     save_index(index, target)
@@ -327,7 +354,10 @@ def test_wide_columns_round_trip(tmp_path):
     # then position gaps, each for filler, mid, pad and rare.
     data = target.read_bytes()
     widths = data.index(b"fillermidpadrare") - 3 * 4
-    assert data[widths : widths + 12] == bytes([1] * 4 + [4, 1, 2, 1] + [2, 2, 1, 4])
+    assert data[widths : widths + 12] == bytes([1] * 4 + [4, 1, 2, 1] + [1, 2, 1, 4])
+    # d's first word starts 70,000 characters in: the offsets column, after
+    # the paths, is four bytes wide.
+    assert data[data.index(b"d.txt") + 5] == 4
 @pytest.mark.parametrize("enabled", [True, False])
 def test_build_and_load_restore_collector_state(tmp_path, enabled):
     seen = []
