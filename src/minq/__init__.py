@@ -44,6 +44,7 @@ from .oracle import (
 from .index import (
     IndexFormatError,
     PositionalIndex,
+    StaleSourceError,
     build_index,
     load_index,
     save_index,
@@ -62,7 +63,6 @@ from .query import (
 )
 from .engine import (
     QueryResult,
-    StaleSourceError,
     candidate_docs,
     compile_query,
     evaluate,

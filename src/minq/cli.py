@@ -11,22 +11,23 @@ document in descending score order:
 followed, when requested, by indented snippet lines (interval, words) and
 read-profile lines (output number, reads per input of the root operator).
 Snippets are extracted only for the printed documents; the source files of
-other matches are never opened. A printed document's source is read once,
-its digest (of its bytes and word count) checked, and only the slices of
-its text around its snippet windows split, between the word offsets the
-index samples; its word count is checked whenever the whole text is split.
+other matches are never opened. A printed document's source is read back
+as :func:`minq.index.document_words` describes: once, its digest (of its
+bytes and word count) checked, and split only around the snippet windows.
 
 Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
-I/O or index-format trouble. Exit 2 also covers a negative ``--top`` or
-``--snippets`` (rejected before evaluation, whether or not anything
-matches), an output path of ``minq index`` that names a directory or
-whose parent is not a directory, or a source path that cannot be encoded
-as UTF-8 (each refused before any source is read), a source to index
-that is not UTF-8 (its path and the offset of the first bad byte are
-named), and a printed document whose source file is missing, no longer
-UTF-8, or no longer matches its indexed word count and content digest.
-These errors print one ``minq: ...`` line on stderr; a bad index file's
-line ends ``; re-index it``.
+I/O or index-format trouble. The query is parsed before the index is read,
+so a bad query exits 1 even when the index file is missing or malformed.
+Exit 2 also covers a negative ``--top`` or ``--snippets`` (rejected before
+evaluation, whether or not anything matches), an output path of ``minq
+index`` that names a directory or whose parent is not a directory, or a
+source path that cannot be encoded as UTF-8 (each refused before any
+source is read), a source to index that cannot be read (missing, or a
+directory) or is not UTF-8 (its path and the offset of the first bad byte
+are named), and a printed document whose source file is missing, no
+longer UTF-8, or no longer matches its indexed word count and content
+digest. These errors print one ``minq: ...`` line on stderr; a bad index
+file's line ends ``; re-index it``.
 """
 
 import argparse
@@ -34,7 +35,7 @@ import os
 import sys
 
 from .engine import search
-from .index import IndexFormatError, build_index, load_index, save_index
+from .index import IndexFormatError, build_index, load_index, read_source, save_index
 from .query import QuerySyntaxError, parse_query
 
 
@@ -51,8 +52,7 @@ def _cmd_index(args) -> int:
             raise ValueError(f"{path!r}: path cannot be encoded as UTF-8") from None
     documents = []
     for path in args.paths:
-        with open(path, "rb") as src:
-            data = src.read()
+        data = read_source(path)
         try:
             documents.append((path, data.decode("utf-8")))
         except UnicodeDecodeError as exc:
@@ -67,8 +67,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    index = load_index(args.indexfile)
     ast = parse_query(args.query)
+    index = load_index(args.indexfile)
     results = search(
         index,
         ast,

@@ -5,12 +5,14 @@ document, a tree of lazy generators over the index's position lists (see
 :mod:`minq.operators`) and returns its witnesses as ``(left, right)``
 pairs. One table maps each operator node type to its operands, its
 candidate-document rule, its score-bound rule, its pair generator and its
-int kernel. A node whose operands are all terms runs its int kernel over
-the position lists; any other node runs its pair generator over its
-operands' pairs, a term under it read as ``(p, p)`` pairs. Only the root's
-pairs become :class:`~minq.intervals.Interval` objects. A profile (``minq
-query --show-rho``) runs that same root over one counting iterator per
-operand. Each generator first reads every operand once
+int kernel. Every node is one shape, an operator over its inputs' iterators:
+a node whose operands are all terms runs its int kernel over their position
+lists; any other node runs its pair generator over its operands' pairs, a
+term under it read as ``(p, p)`` pairs. A term's positions come from
+:func:`minq.index.run`, as only :mod:`minq.index` knows the postings
+layout. Only the root's pairs become :class:`~minq.intervals.Interval`
+objects. A profile (``minq query --show-rho``) runs that same root over one
+counting iterator per input. Each generator first reads every operand once
 (difference: the minuend), so an empty operand (an absent term, say) ends
 it at once unless the operator is the merge or the operand a subtrahend.
 
@@ -27,16 +29,10 @@ their score (:func:`score_bounds`, one rule per node type in the table),
 keeps the best ``top`` in a heap, and stops at the first candidate that
 could not enter them even at its bound; the results are exactly those of
 ranking every candidate and cutting to ``top``. Snippets are extracted only
-for the returned results, so the source files of the other matches are
-never opened. A returned document's source is read once, its digest
-checked, and only the slices of its text around its snippets split, found
-through the index's sampled word offsets. One that is missing raises
-:class:`OSError`; one that is no longer UTF-8, or whose word count or
-content digest no longer matches the index, raises
-:class:`StaleSourceError`.
+for the returned results, through :func:`minq.index.document_words`, so
+the source files of the other matches are never opened.
 """
 
-import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from heapq import heappush, heappushpop
@@ -44,7 +40,7 @@ from itertools import repeat
 from math import inf
 from operator import neg
 
-from .index import OFFSET_STRIDE, source_digest, words
+from .index import StaleSourceError, document_words, run  # search calls document_words as a global
 from .intervals import Interval, length
 from .operators import (
     QueueCounts,
@@ -155,35 +151,26 @@ def plan(ast, index):
 
     The witnesses come as an iterator of ``(left, right)`` pairs. Each
     term's postings are looked up here, once; per document, a term costs
-    one dict get and one list slice (see :mod:`minq.index`). Plans are
-    built from :func:`functools.partial` over module functions, so they
-    hold no reference cycle.
+    one :func:`~minq.index.run` call. Every operator node is
+    ``partial(_node, operator, ast, inputs)``; plans are built from
+    :func:`functools.partial` over module functions, so they hold no
+    reference cycle.
     """
     if isinstance(ast, Term):
-        return partial(_pair_leaf, *index.term_postings(ast.term))
+        return partial(run, position_pairs, index.term_postings(ast.term))
     operands, _, _, generator, kernel = _NODES[type(ast)]
     nodes = operands(ast)
     if kernel is not None and all(isinstance(node, Term) for node in nodes):
-        postings = [index.term_postings(node.term) for node in nodes]
-        return partial(_kernel_node, kernel, ast, postings)
-    return partial(_pair_node, generator, ast, [plan(node, index) for node in nodes])
+        inputs = [partial(run, iter, index.term_postings(node.term)) for node in nodes]
+        return partial(_node, kernel, ast, inputs)
+    return partial(_node, generator, ast, [plan(node, index) for node in nodes])
 
 
-def _pair_leaf(entries, starts, positions, doc_id):
-    e = entries.get(doc_id, -1)
-    return position_pairs(positions[starts[e] : starts[e + 1]])
-
-
-def _kernel_node(kernel, ast, postings, doc_id):
-    lists = []
-    for entries, starts, positions in postings:
-        e = entries.get(doc_id, -1)
-        lists.append(iter(positions[starts[e] : starts[e + 1]]))
-    return kernel(ast, lists)
-
-
-def _pair_node(generator, ast, inputs, doc_id):
-    return generator(ast, [make(doc_id) for make in inputs])
+def _node(operator, ast, inputs, doc_id):
+    made = []  # a loop: a list comprehension makes a function object per call (CPython 3.11)
+    for make in inputs:
+        made.append(make(doc_id))
+    return operator(ast, made)
 
 
 def _witnesses(make, doc_id):
@@ -194,22 +181,12 @@ def _profile_plan(ast, index):
     """Like :func:`plan`, but to (witnesses, profile of the root's inputs).
 
     The root is the one :func:`plan` builds, run over one counting
-    iterator per operand: over the terms' position lists for an int kernel,
-    over the child plans' pairs for a pair generator. A term root is
-    profiled as the single input of an identity.
+    iterator per input; a term root is the single input of an identity.
     """
     root = plan(ast, index)
-    if root.func is _pair_leaf:
+    if root.func is run:
         return partial(_profiled, _identity, ast, [root])
-    operator, ast, inputs = root.args
-    if root.func is _kernel_node:
-        inputs = [partial(_position_list, *postings) for postings in inputs]
-    return partial(_profiled, operator, ast, inputs)
-
-
-def _position_list(entries, starts, positions, doc_id):
-    e = entries.get(doc_id, -1)
-    return iter(positions[starts[e] : starts[e + 1]])
+    return partial(_profiled, *root.args)
 
 
 def _identity(ast, inputs):
@@ -281,11 +258,7 @@ def score_bounds(ast, index, docs: list[int]) -> list[int]:
     node, whatever the terms' document counts.
     """
     if isinstance(ast, Term):
-        entries, starts, _ = index.term_postings(ast.term)
-        return [
-            starts[e + 1] - starts[e] if e >= 0 else 0
-            for e in map(entries.get, docs, repeat(-1))
-        ]
+        return index.run_lengths(ast.term, docs)
     operands, _, combine, _, _ = _NODES[type(ast)]
     return combine(score_bounds(node, index, docs) for node in operands(ast))
 
@@ -332,99 +305,6 @@ class QueryResult:
     profile: RhoProfile | None = None
 
 
-class StaleSourceError(ValueError):
-    """A source file no longer holds the text the index was built from."""
-
-
-def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
-    """The words of a document in each half-open ``(start, stop)`` span, from its source.
-
-    The file is read once and its digest, of its bytes and word count,
-    checked before any word is split. On a match each span's words are
-    split only from the slice of the text between the sampled word offsets
-    around it (see :mod:`minq.index`); the text is case-folded whole first
-    when its folding changes its length, since the offsets index the
-    folded text. A slice that does not start and end at word starts, or
-    does not hold the expected number of words, voids them: the whole text
-    is then split and its word count checked, as it is on a digest
-    mismatch, so a source with fewer words than a span needs never yields
-    a short list and a bad offset never shows wrong words.
-
-    Raises :class:`StaleSourceError` if the file's bytes are no longer
-    UTF-8, or its word count or content digest differs from the indexed
-    one, since positions would then point at the wrong words.
-    """
-    doc = index.docs[doc_id]
-    data = _read(doc.path)
-    count = doc.word_count
-    changed = source_digest(data, count) != doc.digest
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise StaleSourceError(
-            f"stale source {doc.path}: byte {exc.start} is not UTF-8; re-index it"
-        ) from None
-    if not changed:
-        found = _window_words(text, count, doc.offsets, spans)
-        if found is not None:
-            return found
-    found = words(text)
-    if len(found) != count:
-        raise StaleSourceError(
-            f"stale source {doc.path}: {len(found)} words, index has {count}; re-index it"
-        )
-    if changed:
-        raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
-    return [found[start:stop] for start, stop in spans]
-
-
-def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | None:
-    """Each span's words, split from between its enclosing sampled offsets.
-
-    None if a span ends past word ``count`` or a slice fails its checks.
-    """
-    if offsets[-1] != len(text):  # folding changes the length: offsets index the folded text
-        text = text.casefold()
-    found = []
-    for start, stop in spans:
-        if stop > count:
-            return None
-        first, last = start // OFFSET_STRIDE, -(-stop // OFFSET_STRIDE)
-        left, right = offsets[first], offsets[last]
-        split = words(text[left:right])
-        skip = first * OFFSET_STRIDE
-        if (
-            len(split) != min(last * OFFSET_STRIDE, count) - skip
-            or not _word_starts(text, left)
-            or not (right == len(text) or _word_starts(text, right))
-        ):
-            return None
-        found.append(split[start - skip : stop - skip])
-    return found
-
-
-def _word_starts(text: str, at: int) -> bool:
-    """Whether a word starts at ``text[at]`` once folded, one character at a time.
-
-    For one character, :meth:`str.isalnum` is the word class of
-    :func:`~minq.index.words`; ``text[-1:0]`` is empty.
-    """
-    return text[at : at + 1].casefold().isalnum() and not text[at - 1 : at].casefold().isalnum()
-
-
-def _read(path) -> bytes:
-    """The bytes of a file, without a buffered file object; errors name ``path``."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        # Joined once: growing a bytes object chunk by chunk copies it each time.
-        return b"".join(iter(partial(os.read, fd, 1 << 16), b""))
-    except OSError as exc:  # os.read on a directory names no file, unlike open()
-        exc.filename = path
-        raise
-    finally:
-        os.close(fd)
-
-
 def search(
     index,
     ast,
@@ -454,7 +334,7 @@ def search(
         raise ValueError(f"snippet count must not be negative, got {snippet_count}")
     if top == 0:
         return []
-    run = _profile_plan(ast, index) if with_profile else partial(_witnesses, plan(ast, index))
+    witnesses_of = _profile_plan(ast, index) if with_profile else partial(_witnesses, plan(ast, index))
     docs = candidate_docs(ast, index)
     if top is None or top >= len(docs):
         # No cut falls inside the candidates, so bounds could stop nothing.
@@ -469,7 +349,7 @@ def search(
         if key > last:
             break
         doc_id = key[1]
-        witnesses, prof = run(doc_id)
+        witnesses, prof = witnesses_of(doc_id)
         if witnesses:
             entry = (rank(witnesses), -doc_id, witnesses, prof)
             if len(best) < top:

@@ -9,19 +9,20 @@ In memory each term has one :class:`TermPostings` of three parts. Its
 after document. Its ``starts`` list holds where each document's run
 begins, plus the list's length at the end. Its ``entries`` dict maps each
 document holding the term, in increasing order, to the number ``e`` of its
-run, which is ``positions[starts[e]:starts[e + 1]]``. A lookup is one dict
-get and one list slice, both done in C; ``e = -1`` for a document without
-the term gives the empty slice ``positions[len:0]``. Built and loaded
-indexes share this layout, plus a document table of source path, word
-count, content digest and sampled word offsets (see below), which let
-snippets split only the part of a source around their words. Once built
-(or loaded) an index is never mutated by queries, so it can be shared
-freely across threads. Building, saving and loading pause the cyclic
-garbage collector, which is process-wide, and restore the state they
-found; other threads meanwhile run without cyclic collection. The pause
-is safe because an index holds no reference cycles, and it pays:
-otherwise collections triggered by set-up's allocations walk every object
-already built.
+run, which is ``positions[starts[e]:starts[e + 1]]``. Only this module
+reads that layout: :func:`run` looks a run up, one dict get and one list
+slice, both done in C (``e = -1`` for a document without the term gives
+the empty slice ``positions[len:0]``), and
+:meth:`PositionalIndex.run_lengths` measures runs without slicing them.
+Built and loaded indexes share this layout, plus a document table of
+source path, word count, content digest and sampled word offsets (see
+below). Once built (or loaded) an index is never mutated by queries, so
+it can be shared freely across threads. Building, saving and loading
+pause the cyclic garbage collector, which is process-wide, and restore
+the state they found; other threads meanwhile run without cyclic
+collection. The pause is safe because an index holds no reference
+cycles, and it pays: otherwise collections triggered by set-up's
+allocations walk every object already built.
 
 On disk the index is IVX3, a binary file. Every number is an unsigned
 little-endian integer; ``u32[n]`` is a column of n four-byte ones:
@@ -57,6 +58,14 @@ document of a term. A save replaces the file whole (temporary file, then
 rename), so a reader never sees a partial index and a failed save leaves
 the old one in place. The file is not fsynced: a power loss just after a
 save can still lose it.
+
+Snippets read a document's words back from its source
+(:func:`document_words`). The source is read once, its digest checked,
+and only the slices of its text around the snippets split, found through
+the sampled word offsets. One that is missing raises :class:`OSError`;
+one that is no longer UTF-8, or whose word count or content digest no
+longer matches the index, raises :class:`StaleSourceError`. ``minq
+index`` reads its sources through the same reader (:func:`read_source`).
 """
 
 import contextlib
@@ -69,6 +78,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, lt, mul, setitem, sub
 from typing import NamedTuple
@@ -88,6 +98,10 @@ _SWAP = sys.byteorder == "big"
 
 class IndexFormatError(ValueError):
     """An index file failed to load; the message names a byte offset or a term."""
+
+
+class StaleSourceError(ValueError):
+    """A source file no longer holds the text the index was built from."""
 
 
 def words(text: str) -> list[str]:
@@ -130,6 +144,17 @@ class TermPostings(NamedTuple):
 _ABSENT = TermPostings({}, [0], [])
 
 
+def run(wrap, postings: TermPostings, doc_id: int):
+    """``wrap`` of a new list of the term's positions in the document; empty if absent.
+
+    A query plan binds ``wrap`` and ``postings`` once per query, so a leaf
+    costs one Python call per document.
+    """
+    entries, starts, positions = postings
+    e = entries.get(doc_id, -1)
+    return wrap(positions[starts[e] : starts[e + 1]])
+
+
 class PositionalIndex:
     def __init__(self, docs: list[DocInfo], postings: dict[str, TermPostings]):
         self.docs = docs
@@ -147,9 +172,13 @@ class PositionalIndex:
 
     def positions(self, term: str, doc_id: int) -> list[int]:
         """Positions of term in document; empty when absent."""
-        entries, starts, positions = self.term_postings(term)
-        e = entries.get(doc_id, -1)
-        return positions[starts[e] : starts[e + 1]]
+        return run(list.copy, self.term_postings(term), doc_id)
+
+    def run_lengths(self, term: str, docs: list[int]) -> list[int]:
+        """Per document of ``docs``, the term's number of positions there."""
+        entries, starts, _ = self.term_postings(term)
+        runs = map(entries.get, docs, repeat(-1))
+        return [starts[e + 1] - starts[e] if e >= 0 else 0 for e in runs]
 
     def term_docs(self, term: str) -> set[int]:
         return set(self.term_postings(term).entries)
@@ -444,3 +473,92 @@ def _fault(term, n, doc_gaps, counts, gaps, m) -> IndexFormatError:
     else:
         problem = f"position counts sum to {sum(counts)}, term table says {m}"
     return IndexFormatError(f"term {term!r}: {problem}")
+
+
+def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
+    """The words of a document in each half-open ``(start, stop)`` span, from its source.
+
+    The file is read once and its digest, of its bytes and word count,
+    checked before any word is split. On a match each span's words are
+    split only from the slice of the text between the sampled word offsets
+    around it; the text is case-folded whole first when its folding changes
+    its length, since the offsets index the folded text. A slice that does
+    not start and end at word starts, or does not hold the expected number
+    of words, voids them: the whole text is then split and its word count
+    checked, as it is on a digest mismatch, so a source with fewer words
+    than a span needs never yields a short list and a bad offset never
+    shows wrong words.
+
+    Raises :class:`StaleSourceError` if the file's bytes are no longer
+    UTF-8, or its word count or content digest differs from the indexed
+    one, since positions would then point at the wrong words.
+    """
+    doc = index.docs[doc_id]
+    data = read_source(doc.path)
+    count = doc.word_count
+    changed = source_digest(data, count) != doc.digest
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StaleSourceError(
+            f"stale source {doc.path}: byte {exc.start} is not UTF-8; re-index it"
+        ) from None
+    if not changed:
+        found = _window_words(text, count, doc.offsets, spans)
+        if found is not None:
+            return found
+    found = words(text)
+    if len(found) != count:
+        raise StaleSourceError(
+            f"stale source {doc.path}: {len(found)} words, index has {count}; re-index it"
+        )
+    if changed:
+        raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
+    return [found[start:stop] for start, stop in spans]
+
+
+def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | None:
+    """Each span's words, split from between its enclosing sampled offsets.
+
+    None if a span ends past word ``count`` or a slice fails its checks.
+    """
+    if offsets[-1] != len(text):  # folding changes the length: offsets index the folded text
+        text = text.casefold()
+    found = []
+    for start, stop in spans:
+        if stop > count:
+            return None
+        first, last = start // OFFSET_STRIDE, -(-stop // OFFSET_STRIDE)
+        left, right = offsets[first], offsets[last]
+        split = words(text[left:right])
+        skip = first * OFFSET_STRIDE
+        if (
+            len(split) != min(last * OFFSET_STRIDE, count) - skip
+            or not _word_starts(text, left)
+            or not (right == len(text) or _word_starts(text, right))
+        ):
+            return None
+        found.append(split[start - skip : stop - skip])
+    return found
+
+
+def _word_starts(text: str, at: int) -> bool:
+    """Whether a word starts at ``text[at]`` once folded, one character at a time.
+
+    For one character, :meth:`str.isalnum` is the word class of
+    :func:`words`; ``text[-1:0]`` is empty.
+    """
+    return text[at : at + 1].casefold().isalnum() and not text[at - 1 : at].casefold().isalnum()
+
+
+def read_source(path) -> bytes:
+    """The bytes of a file, without a buffered file object; errors name ``path``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        # Joined once: growing a bytes object chunk by chunk copies it each time.
+        return b"".join(iter(partial(os.read, fd, 1 << 16), b""))
+    except OSError as exc:  # os.read on a directory names no file, unlike open()
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)

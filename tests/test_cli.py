@@ -111,6 +111,28 @@ def test_missing_index_exit_two(tmp_path):
     assert proc.stderr
 
 
+def test_bad_query_exits_one_before_the_index_is_read(tmp_path):
+    # The query is parsed first, so a missing or malformed index goes unread.
+    bad = tmp_path / "bad.ivx"
+    bad.write_text("WHAT 1\n")
+    for idx in (tmp_path / "none.ivx", bad):
+        proc = run_cli("query", str(idx), "a &")
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("minq: query error: ")
+
+
+def test_index_of_a_directory_source_exits_two_naming_it(tmp_path):
+    # Sources are read as snippets read them, without a buffered file
+    # object; the error must still name the path.
+    source = tmp_path / "dir.txt"
+    source.mkdir()
+    code, out, err = run_main(["index", str(source), "-o", str(tmp_path / "o.ivx")])
+    assert (code, out) == (2, "")
+    assert err == f"minq: [Errno 21] Is a directory: {str(source)!r}\n"
+    assert not (tmp_path / "o.ivx").exists()
+
+
 def test_malformed_index_exit_two(tmp_path):
     bad = tmp_path / "bad.ivx"
     bad.write_text("WHAT 1\n")

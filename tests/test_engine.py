@@ -34,6 +34,7 @@ from minq import (
     difference,
     evaluate,
     evaluate_with_profile,
+    load_index,
     lowpass,
     materialize,
     or_merge,
@@ -52,6 +53,7 @@ from minq import (
 )
 
 import minq.engine as engine
+import minq.index as index_module
 from helpers import (
     RHYME_ANTICHAIN,
     CountedIterator,
@@ -567,7 +569,7 @@ def test_document_words_are_the_slice_of_the_whole_text(tmp_path_factory, text, 
     path.write_bytes(text.encode("utf-8"))
     index = build_index([(str(path), text)])
     # Split from the sampled offsets, with no fall-back to the whole text.
-    assert engine._window_words(text, len(full), index.docs[0].offsets, spans) == expected
+    assert index_module._window_words(text, len(full), index.docs[0].offsets, spans) == expected
     assert engine.document_words(index, 0, spans=spans) == expected
 
 
@@ -623,9 +625,9 @@ def test_snippets_near_the_end_or_in_both_halves_are_slices(tmp_path, monkeypatc
     filler = ["x", "yyyyyyyyyyyy", "ß", "İz", "w_w", "ﬁn", "\u0345", "7"]
     seps = [" ", ", ", "\n", " -- ", "\u0301 "]
     served = []
-    real = engine._window_words
+    real = index_module._window_words
     monkeypatch.setattr(
-        engine, "_window_words", lambda *args: served.append(real(*args)) or served[-1]
+        index_module, "_window_words", lambda *args: served.append(real(*args)) or served[-1]
     )
     for trial in range(20):
         corpus = []
@@ -773,6 +775,42 @@ def test_score_bounds_hold_on_random_corpora():
                 if isinstance(ast, Term):
                     assert bound == len(witnesses)
     assert roots == {Term, Or, And, Block, OrderedAnd, LowPass, Minus}
+
+
+def test_one_run_lookup_agrees_with_the_text(tmp_path):
+    # positions, a term's pair leaf, its score bound and an int kernel's
+    # leaves all read a run through minq.index.run; on every (term,
+    # document) of built and loaded indexes, absent terms and documents
+    # included, each must give the positions counted from the text.
+    rng = random.Random(2718)
+    vocab = ["a", "b", "c"]
+    kernels = [
+        (lambda x, y: Or((x, y)), lambda x, y: oracle_or([x, y])),
+        (lambda x, y: And((x, y)), lambda x, y: oracle_and([x, y])),
+        (lambda x, y: Block((x, y)), lambda x, y: oracle_block([x, y])),
+        (lambda x, y: OrderedAnd((x, y)), lambda x, y: oracle_ordered_and([x, y])),
+        (Minus, oracle_difference),
+    ]
+    for trial in range(8):
+        texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(0, 20))) for _ in range(4)]
+        docs = range(len(texts) + 2)  # the last two are absent
+        truth = {
+            t: [[k for k, w in enumerate(words(text)) if w == t] for text in texts] + [[], []]
+            for t in vocab + ["absent"]
+        }
+        built = build_index([(f"d{i}.txt", text) for i, text in enumerate(texts)])
+        path = tmp_path / f"t{trial}.ivx"
+        save_index(built, path)
+        for index in (built, load_index(path)):
+            for t, runs in truth.items():
+                for d in docs:
+                    assert index.positions(t, d) == runs[d]
+                    assert evaluate(Term(t), index, d) == singletons(runs[d])
+                    assert engine.score_bounds(Term(t), index, [d]) == [len(runs[d])]
+                    for t2, runs2 in truth.items():
+                        for node, oracle in kernels:
+                            witnesses = evaluate(node(Term(t), Term(t2)), index, d)
+                            assert witnesses == oracle(singletons(runs[d]), singletons(runs2[d]))
 
 
 def test_top_search_is_exact_on_ties_and_profiles(tmp_path):
