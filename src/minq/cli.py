@@ -20,9 +20,10 @@ I/O or index-format trouble. The query is parsed before the index is read,
 so a bad query exits 1 even when the index file is missing or malformed.
 Exit 2 also covers a negative ``--top`` or ``--snippets`` (rejected before
 evaluation, whether or not anything matches), an output path of ``minq
-index`` that names a directory or whose parent is not a directory, or a
-source path that cannot be encoded as UTF-8 (each refused before any
-source is read), a source to index that cannot be read (missing, or a
+index`` that names a directory, whose parent is not a directory, or that
+is one of the sources (the same file, through a link or not), or a source
+path that cannot be encoded as UTF-8 (each refused before any source is
+read), a source to index that cannot be read (missing, or a
 directory) or is not UTF-8 (its path and the offset of the first bad byte
 are named), and a printed document whose source file is missing, no
 longer UTF-8, or no longer matches its indexed word count and content
@@ -50,6 +51,18 @@ def _cmd_index(args) -> int:
             path.encode("utf-8")  # the index stores paths as UTF-8
         except UnicodeEncodeError:
             raise ValueError(f"{path!r}: path cannot be encoded as UTF-8") from None
+    try:
+        output = os.stat(args.output)
+    except OSError:
+        output = None  # nothing there to overwrite
+    if output is not None:
+        for path in args.paths:
+            try:
+                source = os.stat(path)
+            except OSError:
+                continue  # read_source names it
+            if os.path.samestat(source, output):  # a link to the source counts too
+                raise ValueError(f"{args.output!r} is the source file {path!r}, not an index file")
     documents = []
     for path in args.paths:
         data = read_source(path)

@@ -4,17 +4,16 @@
 document, a tree of lazy generators over the index's position lists (see
 :mod:`minq.operators`) and returns its witnesses as ``(left, right)``
 pairs. One table maps each operator node type to its operands, its
-candidate-document rule, its score-bound rule, its pair generator and its
-int kernel. Every node is one shape, an operator over its inputs' iterators:
-a node whose operands are all terms runs its int kernel over their position
-lists; any other node runs its pair generator over its operands' pairs, a
-term under it read as ``(p, p)`` pairs. A term's positions come from
+candidate-document rule, its score-bound rule and its pair generator.
+Every node is one shape, the node's pair generator over its inputs' pair
+iterators; a term is read as ``(p, p)`` pairs straight from
 :func:`minq.index.run`, as only :mod:`minq.index` knows the postings
 layout. Only the root's pairs become :class:`~minq.intervals.Interval`
-objects. A profile (``minq query --show-rho``) runs that same root over one
-counting iterator per input. Each generator first reads every operand once
-(difference: the minuend), so an empty operand (an absent term, say) ends
-it at once unless the operator is the merge or the operand a subtrahend.
+objects, checked for order there. A profile (``minq query --show-rho``)
+runs that same root over one counting iterator per input. Each generator
+first reads every operand once (difference: the minuend), so an empty
+operand (an absent term, say) ends it at once unless the operator is the
+merge or the operand a subtrahend.
 
 Document-level filtering is conservative: it may admit documents without
 witnesses (evaluation weeds them out) but never drops one with witnesses.
@@ -44,33 +43,21 @@ from .index import StaleSourceError, document_words, run  # search calls documen
 from .intervals import Interval, length
 from .operators import (
     QueueCounts,
-    and_kernel,
     and_pairs,
     and_span,
     block,
-    block_kernel,
     block_pairs,
     difference,
-    difference_kernel,
     difference_pairs,
     lowpass,
     lowpass_pairs,
-    or_kernel,
     or_merge,
     or_pairs,
     ordered_and,
-    ordered_kernel,
     ordered_pairs,
 )
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
-from .streams import (
-    IntervalStream,
-    PairStream,
-    RhoProfile,
-    from_positions,
-    materialize_pairs,
-    position_pairs,
-)
+from .streams import IntervalStream, PairStream, RhoProfile, from_positions, materialize_pairs
 
 # The engine calls none of or_merge, and_span, block, ordered_and, lowpass,
 # difference, from_positions or star_compose (a placeholder); they stay bound
@@ -116,32 +103,15 @@ def _min(a, b):
 
 # node type -> (its operand nodes, rule over an iterator of their doc-id
 # sets, rule over an iterator of their score-bound lists, pair generator over
-# their pair iterators, int kernel over their position-list iterators when
-# every operand is a term).
+# their pair iterators).
 _NODES = {
-    Or: (
-        _children, _union, _sums,
-        lambda n, s: or_pairs(s, QueueCounts()), lambda n, s: or_kernel(s, QueueCounts()),
-    ),
-    And: (
-        _children, _intersection, _sums,
-        lambda n, s: and_pairs(s, QueueCounts()), lambda n, s: and_kernel(s, QueueCounts()),
-    ),
-    Block: (
-        _children, _intersection, _mins,
-        lambda n, s: block_pairs(s), lambda n, s: block_kernel(s),
-    ),
-    OrderedAnd: (
-        _children, _intersection, _mins,
-        lambda n, s: ordered_pairs(s), lambda n, s: ordered_kernel(s),
-    ),
-    LowPass: (
-        lambda n: (n.child,), _first, _first,
-        lambda n, s: lowpass_pairs(s[0], n.k), None,
-    ),
+    Or: (_children, _union, _sums, lambda n, s: or_pairs(s, QueueCounts())),
+    And: (_children, _intersection, _sums, lambda n, s: and_pairs(s, QueueCounts())),
+    Block: (_children, _intersection, _mins, lambda n, s: block_pairs(s)),
+    OrderedAnd: (_children, _intersection, _mins, lambda n, s: ordered_pairs(s)),
+    LowPass: (lambda n: (n.child,), _first, _first, lambda n, s: lowpass_pairs(s[0], n.k)),
     Minus: (
-        lambda n: (n.minuend, n.subtrahend), _first, _first,
-        lambda n, s: difference_pairs(*s), lambda n, s: difference_kernel(*s),
+        lambda n: (n.minuend, n.subtrahend), _first, _first, lambda n, s: difference_pairs(*s)
     ),
 }
 
@@ -152,18 +122,14 @@ def plan(ast, index):
     The witnesses come as an iterator of ``(left, right)`` pairs. Each
     term's postings are looked up here, once; per document, a term costs
     one :func:`~minq.index.run` call. Every operator node is
-    ``partial(_node, operator, ast, inputs)``; plans are built from
+    ``partial(_node, generator, ast, inputs)``; plans are built from
     :func:`functools.partial` over module functions, so they hold no
     reference cycle.
     """
     if isinstance(ast, Term):
-        return partial(run, position_pairs, index.term_postings(ast.term))
-    operands, _, _, generator, kernel = _NODES[type(ast)]
-    nodes = operands(ast)
-    if kernel is not None and all(isinstance(node, Term) for node in nodes):
-        inputs = [partial(run, iter, index.term_postings(node.term)) for node in nodes]
-        return partial(_node, kernel, ast, inputs)
-    return partial(_node, generator, ast, [plan(node, index) for node in nodes])
+        return partial(run, index.term_postings(ast.term))
+    operands, _, _, generator = _NODES[type(ast)]
+    return partial(_node, generator, ast, [plan(node, index) for node in operands(ast)])
 
 
 def _node(operator, ast, inputs, doc_id):
@@ -235,7 +201,7 @@ def _docs(ast, index) -> set[int]:
     # the index in a reference cycle, which only the cyclic collector frees.
     if isinstance(ast, Term):
         return index.term_docs(ast.term)
-    operands, combine, _, _, _ = _NODES[type(ast)]
+    operands, combine, _, _ = _NODES[type(ast)]
     return combine(_docs(node, index) for node in operands(ast))
 
 
@@ -259,7 +225,7 @@ def score_bounds(ast, index, docs: list[int]) -> list[int]:
     """
     if isinstance(ast, Term):
         return index.run_lengths(ast.term, docs)
-    operands, _, combine, _, _ = _NODES[type(ast)]
+    operands, _, combine, _ = _NODES[type(ast)]
     return combine(score_bounds(node, index, docs) for node in operands(ast))
 
 

@@ -10,9 +10,10 @@ after document. Its ``starts`` list holds where each document's run
 begins, plus the list's length at the end. Its ``entries`` dict maps each
 document holding the term, in increasing order, to the number ``e`` of its
 run, which is ``positions[starts[e]:starts[e + 1]]``. Only this module
-reads that layout: :func:`run` looks a run up, one dict get and one list
-slice, both done in C (``e = -1`` for a document without the term gives
-the empty slice ``positions[len:0]``), and
+reads that layout: :func:`run` (a query leaf's pairs) and
+:meth:`PositionalIndex.positions` (a list) look a run up, one dict get
+and one list slice, both done in C (``e = -1`` for a document without the
+term gives the empty slice ``positions[len:0]``), and
 :meth:`PositionalIndex.run_lengths` measures runs without slicing them.
 Built and loaded indexes share this layout, plus a document table of
 source path, word count, content digest and sampled word offsets (see
@@ -144,15 +145,18 @@ class TermPostings(NamedTuple):
 _ABSENT = TermPostings({}, [0], [])
 
 
-def run(wrap, postings: TermPostings, doc_id: int):
-    """``wrap`` of a new list of the term's positions in the document; empty if absent.
+def run(postings: TermPostings, doc_id: int):
+    """The term's positions in the document as ``(p, p)`` pairs; empty if absent.
 
-    A query plan binds ``wrap`` and ``postings`` once per query, so a leaf
-    costs one Python call per document.
+    A query plan binds ``postings`` once per query, so a leaf costs one
+    Python call per document. The run is read as stored, unchecked: the
+    loader checks every run's order, and :func:`build_index` writes them
+    in order.
     """
     entries, starts, positions = postings
     e = entries.get(doc_id, -1)
-    return wrap(positions[starts[e] : starts[e + 1]])
+    found = positions[starts[e] : starts[e + 1]]
+    return zip(found, found)
 
 
 class PositionalIndex:
@@ -171,8 +175,10 @@ class PositionalIndex:
         return self.postings.get(term, _ABSENT)
 
     def positions(self, term: str, doc_id: int) -> list[int]:
-        """Positions of term in document; empty when absent."""
-        return run(list.copy, self.term_postings(term), doc_id)
+        """A new list of the term's positions in the document; empty when absent."""
+        entries, starts, positions = self.term_postings(term)
+        e = entries.get(doc_id, -1)
+        return positions[starts[e] : starts[e + 1]]
 
     def run_lengths(self, term: str, docs: list[int]) -> list[int]:
         """Per document of ``docs``, the term's number of positions there."""

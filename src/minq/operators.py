@@ -2,8 +2,9 @@
 
 Each operator is one generator over iterators of antichains given as
 ``(left, right)`` tuples in natural order, and it yields its own antichain
-the same way. It pulls from its inputs as little as possible per yielded
-pair:
+the same way; a term's positions enter as singleton ``(p, p)`` pairs
+(:func:`minq.index.run`). It pulls from its inputs as little as possible
+per yielded pair:
 
 * ``or_pairs`` / ``and_pairs`` keep a binary heap with one key per input
   list (end order for the merge, start order for the span conjunction) and
@@ -25,13 +26,6 @@ interval order, ties going to the smaller list index ``i``. The sifts are
 written out in each generator and counted once per comparison; the counts
 are published on a :class:`QueueCounts` each time the generator yields or
 ends.
-
-Five operators also have an int kernel (``or_kernel``, ``and_kernel``,
-``block_kernel``, ``ordered_kernel``, ``difference_kernel``): the same
-generator over iterators of term position lists (strictly increasing
-ints), keyed ``position * m + i``, which makes the very same reads and
-heap moves on singleton intervals without building a pair per read. The
-engine runs one for a node whose operands are all terms.
 
 The public names ``or_merge``, ``and_span``, ``block``, ``ordered_and``,
 ``lowpass`` and ``difference`` adapt the generators to
@@ -340,226 +334,6 @@ def difference_pairs(minuend, subtrahend):
             sub_left, sub_right = sub
         if sub_left < left or right < sub_right:
             yield pair
-
-
-# -- int kernels over term position lists ---------------------------------
-
-
-def or_kernel(iterators, counts):
-    """:func:`or_pairs` over position lists."""
-    m = len(iterators)
-    heap = _enqueue_all(
-        [p * m + i for i, p in enumerate([next(it, None) for it in iterators]) if p is not None],
-        counts,
-    )
-    mutations = counts.mutations
-    comparisons = counts.comparisons
-    most = counts.max_mutation_comparisons
-    n = len(heap)
-    bound = NEG_INF  # keys below it are at or before the last output
-    while True:
-        while n and heap[0] < bound:
-            i = heap[0] % m
-            p = next(iterators[i], None)
-            if p is None:
-                key = heap.pop()
-                n -= 1
-            else:
-                key = p * m + i
-            mutations += 1
-            if n:
-                slot, child, used = 0, 1, 0
-                while child < n:
-                    best = heap[child]
-                    if child + 1 < n:
-                        used += 1
-                        other = heap[child + 1]
-                        if other < best:
-                            child += 1
-                            best = other
-                    used += 1
-                    if best > key:
-                        break
-                    heap[slot] = best
-                    slot = child
-                    child = 2 * slot + 1
-                heap[slot] = key
-                comparisons += used
-                if used > most:
-                    most = used
-        counts.mutations = mutations
-        counts.comparisons = comparisons
-        counts.max_mutation_comparisons = most
-        if not n:
-            return
-        p = heap[0] // m
-        bound = (p + 1) * m
-        yield p, p
-
-
-def and_kernel(iterators, counts):
-    """:func:`and_pairs` over position lists."""
-    m = len(iterators)
-    firsts = [next(it, None) for it in iterators]
-    if None in firsts:
-        return
-    heap = _enqueue_all([p * m + i for i, p in enumerate(firsts)], counts)
-    mutations = counts.mutations
-    comparisons = counts.comparisons
-    most = counts.max_mutation_comparisons
-    right = max(firsts)
-    bound = NEG_INF  # keys below it start at the last output's left
-    while True:
-        top = heap[0]
-        if top < bound:
-            left = None  # skipping past the last output
-        else:
-            left = top // m
-            if left == right:
-                bound = (left + 1) * m
-                counts.mutations = mutations
-                counts.comparisons = comparisons
-                counts.max_mutation_comparisons = most
-                yield left, left
-                continue
-            span = right
-        i = top % m
-        p = next(iterators[i], None)
-        n = m
-        if p is None:
-            key = heap.pop()
-            n -= 1
-        else:
-            key = p * m + i
-            if p > right:
-                right = p
-        mutations += 1
-        slot, child, used = 0, 1, 0
-        while child < n:
-            best = heap[child]
-            if child + 1 < n:
-                used += 1
-                other = heap[child + 1]
-                if other < best:
-                    child += 1
-                    best = other
-            used += 1
-            if best > key:
-                break
-            heap[slot] = best
-            slot = child
-            child = 2 * slot + 1
-        if n:
-            heap[slot] = key
-        comparisons += used
-        if used > most:
-            most = used
-        if p is None or (left is not None and right != span):
-            counts.mutations = mutations
-            counts.comparisons = comparisons
-            counts.max_mutation_comparisons = most
-            if left is not None:
-                bound = (left + 1) * m
-                yield left, span
-            if p is None:
-                return
-
-
-def block_kernel(iterators):
-    """:func:`block_pairs` over position lists."""
-    cur = [next(it, None) for it in iterators]
-    if None in cur:
-        return
-    m = len(cur)
-    first = iterators[0]
-    while True:
-        i = 1
-        while i < m:
-            prev = cur[i - 1]
-            p = cur[i]
-            if p <= prev:
-                it = iterators[i]
-                while True:
-                    p = next(it, None)
-                    if p is None:
-                        return
-                    if p > prev:
-                        break
-                cur[i] = p
-            if p == prev + 1:
-                i += 1
-            else:
-                head = next(first, None)
-                if head is None:
-                    return
-                cur[0] = head
-                i = 1
-        yield cur[0], cur[m - 1]
-        head = next(first, None)
-        if head is None:
-            return
-        cur[0] = head
-
-
-def ordered_kernel(iterators):
-    """:func:`ordered_pairs` over position lists."""
-    cur = [next(it, None) for it in iterators]
-    if None in cur:
-        return
-    m = len(cur)
-    for i in range(1, m):
-        while cur[i] <= cur[i - 1]:
-            p = next(iterators[i], None)
-            if p is None:
-                return
-            cur[i] = p
-    i = m
-    barrier = POS_INF  # finite exactly while a candidate is held
-    while True:
-        prev = cur[i - 1]
-        if prev >= barrier:
-            yield candidate
-            barrier = POS_INF
-        if i < m and cur[i] <= prev:
-            it = iterators[i]
-            while True:
-                if cur[i] >= barrier:
-                    yield candidate
-                    barrier = POS_INF
-                p = next(it, None)
-                if p is None:
-                    if barrier < POS_INF:
-                        yield candidate
-                    return
-                cur[i] = p
-                if p > prev:
-                    break
-            i += 1
-            continue
-        candidate = (cur[0], cur[m - 1])
-        barrier = cur[m - 1]
-        i = 1
-        head = next(iterators[0], None)
-        if head is None:
-            yield candidate
-            return
-        cur[0] = head
-
-
-def difference_kernel(minuend, subtrahend):
-    """:func:`difference_pairs` over two position lists."""
-    last = NEG_INF
-    for p in minuend:
-        while last < p:
-            s = next(subtrahend, None)
-            if s is None:
-                yield p, p
-                for p in minuend:
-                    yield p, p
-                return
-            last = s
-        if last != p:
-            yield p, p
 
 
 # -- adapters from interval streams ---------------------------------------

@@ -165,7 +165,12 @@ class _Parser:
             kind, value, offset = self.take()
             if kind != "chunk" or not value.isdecimal():
                 raise QuerySyntaxError(offset, "proximity filter needs an integer")
-            k = int(value)
+            try:
+                k = int(value)
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise QuerySyntaxError(
+                    offset, f"proximity width is too long ({len(value)} digits)"
+                ) from None
             if k <= 0:
                 raise QuerySyntaxError(offset, f"proximity width must be positive, got {k}")
             node = LowPass(node, k)

@@ -8,10 +8,11 @@ Every operator also stops pulling an input once that input has returned
 ``None``, and stops pulling all inputs once it has returned ``None`` itself.
 
 The engine evaluates over ``(left, right)`` int pairs instead (see
-:mod:`minq.operators`): :func:`position_pairs` turns a term's positions
-into ``(p, p)`` pairs, :func:`materialize_pairs` turns a root's pairs into
-intervals, and :class:`PairStream` shows any pair iterator as an interval
-stream; :func:`from_positions` is the two together.
+:mod:`minq.operators`), a term's positions read as ``(p, p)`` pairs
+(:func:`minq.index.run`): :func:`materialize_pairs` turns a root's pairs
+into intervals, checking their order, and :class:`PairStream` shows any
+pair iterator as an interval stream. :func:`from_positions` checks a
+caller's position list and streams it as singleton intervals.
 
 :class:`CountingStream` records how many elements (the terminal ``None``
 included) were pulled from a source, and :func:`profile` snapshots those
@@ -85,17 +86,8 @@ def from_positions(positions) -> IntervalStream:
     anything else is rejected here rather than downstream. The stream reads
     the sequence itself, not a copy, so it must not change meanwhile.
     """
-    return PairStream(position_pairs(positions))
-
-
-def position_pairs(positions):
-    """Iterator of singleton ``(p, p)`` pairs, ``positions`` checked as by :func:`from_positions`.
-
-    Each pair is read from two iterators over ``positions``; only the
-    first sees the terminal read.
-    """
     _check_increasing(positions)
-    return zip(positions, positions)
+    return PairStream(zip(positions, positions))
 
 
 def materialize(stream: IntervalStream) -> list[Interval]:

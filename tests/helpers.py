@@ -120,7 +120,7 @@ class CountedSingletons(IntervalStream):
 # over a reference array of per-list intervals, and one instrumented class
 # per operator over interval streams, as the paper states them. The shipped
 # generators in minq.operators must make the very same reads, outputs and
-# queue counts (tests/test_kernels.py).
+# queue counts (tests/test_generators.py).
 #
 # The queue holds *indices* into a reference array with one interval slot
 # per input list; priorities come from cmp_end (the merge) or cmp_start (the

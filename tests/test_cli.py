@@ -87,6 +87,21 @@ def test_index_output_in_no_directory_exits_two_before_reading(tmp_path, output,
     assert sorted(os.listdir(tmp_path)) == ["a.txt"]
 
 
+@pytest.mark.parametrize("output", ["notes.txt", "./notes.txt", "link.txt"])
+def test_index_output_that_is_a_source_exits_two_leaving_it(tmp_path, output):
+    # The same file by another spelling or through a symbolic link too.
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"ape bee\n")
+    (tmp_path / "link.txt").symlink_to("notes.txt")
+    proc = run_cli("index", "notes.txt", "-o", output, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"minq: {output!r} is the source file 'notes.txt', not an index file\n"
+    )
+    assert notes.read_bytes() == b"ape bee\n"
+
+
 def test_query_golden_bytes(rhyme_idx):
     proc = run_cli("query", str(rhyme_idx), CAPTION_QUERY, "--snippets", "3")
     assert proc.returncode == 0, proc.stderr
@@ -190,7 +205,8 @@ def test_top_limits_documents(tmp_path):
 
 def test_show_rho_lines(rhyme_idx):
     # One query per root shape: phrase (read counts pinned by the
-    # concatenation chain), int kernel, mixed, term, low-pass, difference.
+    # concatenation chain), conjunction of terms, mixed, term, low-pass,
+    # difference.
     expected = {
         '"pease porridge"': ["1 1", "2 2", "3 3", "4 4", "5 5"],
         "hot & cold": ["2 1", "2 2", "3 2", "3 3", "4 3"],
@@ -233,6 +249,20 @@ def test_non_decimal_width_exit_one(rhyme_idx):
     proc = run_cli("query", str(rhyme_idx), "pease~²")
     assert proc.returncode == 1
     assert proc.stderr.decode().startswith("minq: query error: offset 6:")
+
+
+def test_width_past_the_int_digit_limit_exit_one(rhyme_idx):
+    width = "9" * 5000
+    proc = run_cli("query", str(rhyme_idx), "pease~" + width)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0 or limit >= len(width):
+        assert proc.returncode == 0, proc.stderr  # the width parses
+        return
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "minq: query error: offset 6: proximity width is too long (5000 digits)\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--top", "--snippets"])

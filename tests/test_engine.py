@@ -421,8 +421,8 @@ def count_position_reads(index, leaves):
         counted = False
 
         def __iter__(self):
-            # A term under a mixed node is read as zip(run, run); the first
-            # iterator is read first, so it alone makes the leaf's reads.
+            # A term is read as zip(run, run); the first iterator is read
+            # first, so it alone makes the leaf's reads.
             if self.counted:
                 return list.__iter__(self)
             self.counted = True
@@ -442,7 +442,7 @@ def test_emptiness_checks_left_out_change_no_read(monkeypatch):
     # rows and per-leaf reads must be those of a tree with the check in front
     # of every operator. Leaves are counted in creation order: the reference
     # tree's through from_positions, the engine's, profiled roots included,
-    # through their position lists, under a kernel or a pair generator.
+    # through their position lists, each read as zip(run, run).
     leaves = []
     real = engine.from_positions
 
@@ -487,7 +487,7 @@ def test_emptiness_checks_left_out_change_no_read(monkeypatch):
 def test_engine_looks_up_its_collaborators_when_called(rhyme_index, monkeypatch):
     # Tracing rebinds these module globals, so every name must stay bound
     # in the engine; star_compose is a None placeholder. Search plans the
-    # query once and runs every node as a kernel or pair generator, with
+    # query once and runs every node as its pair generator, with
     # profiles or without, so none of these names is called.
     calls = Counter()
     names = (
@@ -778,13 +778,13 @@ def test_score_bounds_hold_on_random_corpora():
 
 
 def test_one_run_lookup_agrees_with_the_text(tmp_path):
-    # positions, a term's pair leaf, its score bound and an int kernel's
-    # leaves all read a run through minq.index.run; on every (term,
+    # positions, a term's pair leaf, its score bound and the leaves of a
+    # node over two terms all read a run from minq.index; on every (term,
     # document) of built and loaded indexes, absent terms and documents
     # included, each must give the positions counted from the text.
     rng = random.Random(2718)
     vocab = ["a", "b", "c"]
-    kernels = [
+    two_terms = [
         (lambda x, y: Or((x, y)), lambda x, y: oracle_or([x, y])),
         (lambda x, y: And((x, y)), lambda x, y: oracle_and([x, y])),
         (lambda x, y: Block((x, y)), lambda x, y: oracle_block([x, y])),
@@ -808,7 +808,7 @@ def test_one_run_lookup_agrees_with_the_text(tmp_path):
                     assert evaluate(Term(t), index, d) == singletons(runs[d])
                     assert engine.score_bounds(Term(t), index, [d]) == [len(runs[d])]
                     for t2, runs2 in truth.items():
-                        for node, oracle in kernels:
+                        for node, oracle in two_terms:
                             witnesses = evaluate(node(Term(t), Term(t2)), index, d)
                             assert witnesses == oracle(singletons(runs[d]), singletons(runs2[d]))
 

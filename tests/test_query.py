@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,18 @@ def test_nonpositive_width_rejected():
         parse_query("a~0")
     with pytest.raises(QuerySyntaxError):
         parse_query("a~-1")
+
+
+def test_width_past_the_int_digit_limit_is_a_syntax_error():
+    width = "9" * 5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0 or limit >= len(width):
+        assert parse_query("a~" + width) == LowPass(Term("a"), int(width))
+        return
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query("a~" + width)
+    assert err.value.offset == 2
+    assert "too long (5000 digits)" in str(err.value)
 
 
 def nested_queries(levels):
