@@ -13,7 +13,8 @@ read-profile lines (output number, reads per input of the root operator).
 Snippets are extracted only for the printed documents; the source files of
 other matches are never opened. A printed document's source is read back
 as :func:`minq.index.document_words` describes: once, its digest (of its
-bytes and word count) checked, and split only around the snippet windows.
+bytes, word count and sampled word offsets) checked, and split only around
+the snippet windows.
 
 Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
 I/O or index-format trouble. The query is parsed before the index is read,
@@ -26,8 +27,8 @@ path that cannot be encoded as UTF-8 (each refused before any source is
 read), a source to index that cannot be read (missing, or a
 directory) or is not UTF-8 (its path and the offset of the first bad byte
 are named), and a printed document whose source file is missing, no
-longer UTF-8, or no longer matches its indexed word count and content
-digest. These errors print one ``minq: ...`` line on stderr; a bad index
+longer UTF-8, or no longer matches its indexed word count and digest
+(an edit of its sampled offsets in the index file fails it too). These errors print one ``minq: ...`` line on stderr; a bad index
 file's line ends ``; re-index it``.
 """
 

@@ -49,9 +49,11 @@ document of n words, and its first gap is counted from 0. Each of a
 term's three columns, and the offsets column, takes the narrowest width
 of 1, 2 or 4 bytes that holds its largest value, as the matching width
 says. The digest is a 16-byte BLAKE2b of the document's text encoded as
-UTF-8 (for ``minq index``, the source file's bytes) personalised with its
-word count as 16 little-endian bytes. Files in an earlier format (IVX1
-text, IVX2) fail to load at their first bytes.
+UTF-8 (for ``minq index``, the source file's bytes) followed by its
+sampled offsets as u64s, personalised with its word count as 16 bytes
+(all little-endian), so a match certifies the text, the count and the
+offsets at once. Files in an earlier format (IVX1 text, IVX2) fail to load
+at their first bytes.
 
 Loading checks every column with C-level passes, so any file it accepts
 is a well-formed index, and it does Python-level work per term, not per
@@ -63,10 +65,11 @@ save can still lose it.
 Snippets read a document's words back from its source
 (:func:`document_words`). The source is read once, its digest checked,
 and only the slices of its text around the snippets split, found through
-the sampled word offsets. One that is missing raises :class:`OSError`;
-one that is no longer UTF-8, or whose word count or content digest no
-longer matches the index, raises :class:`StaleSourceError`. ``minq
-index`` reads its sources through the same reader (:func:`read_source`).
+the sampled word offsets that the digest certifies. One that is missing
+raises :class:`OSError`; one that is no longer UTF-8, or whose word count
+or digest no longer matches the index (as after an edit of the source or
+of its offsets), raises :class:`StaleSourceError`. ``minq index`` reads
+its sources through the same reader (:func:`read_source`).
 """
 
 import contextlib
@@ -120,10 +123,15 @@ def tokenize(text: str):
     return list(zip(words(text), count()))
 
 
-def source_digest(data: bytes, word_count: int) -> bytes:
-    """The digest the index keeps of a document's UTF-8 bytes and its word count."""
+def source_digest(data: bytes, word_count: int, offsets: array) -> bytes:
+    """The digest the index keeps of a document's UTF-8 bytes, word count and offsets."""
     person = word_count.to_bytes(16, "little")  # a match certifies the count too
-    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE, person=person).digest()
+    digest = hashlib.blake2b(data, digest_size=_DIGEST_SIZE, person=person)
+    if _SWAP:  # the array("Q") of sampled offsets is hashed as little-endian u64s
+        offsets = array("Q", offsets)
+        offsets.byteswap()
+    digest.update(offsets)
+    return digest.digest()
 
 
 @dataclass
@@ -226,7 +234,7 @@ def build_index(documents) -> PositionalIndex:
         ends = accumulate(map(len, parts))
         offsets = array("Q", islice(ends, 0, len(parts) - 1, 2 * OFFSET_STRIDE))
         offsets.append(len(folded))
-        digest = source_digest(text.encode("utf-8"), len(terms))
+        digest = source_digest(text.encode("utf-8"), len(terms), offsets)
         docs.append(DocInfo(path, len(terms), digest, offsets))
         numbers += range(len(numbers), len(terms))
         grouped = {}
@@ -484,25 +492,27 @@ def _fault(term, n, doc_gaps, counts, gaps, m) -> IndexFormatError:
 def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
     """The words of a document in each half-open ``(start, stop)`` span, from its source.
 
-    The file is read once and its digest, of its bytes and word count,
-    checked before any word is split. On a match each span's words are
-    split only from the slice of the text between the sampled word offsets
-    around it; the text is case-folded whole first when its folding changes
-    its length, since the offsets index the folded text. A slice that does
-    not start and end at word starts, or does not hold the expected number
-    of words, voids them: the whole text is then split and its word count
-    checked, as it is on a digest mismatch, so a source with fewer words
-    than a span needs never yields a short list and a bad offset never
-    shows wrong words.
+    The file is read once and its digest, of its bytes with the indexed
+    word count and sampled word offsets, checked before any word is split.
+    On a match the offsets are certified, and each span's words are split
+    only from the slice of the text between the offsets around it; the
+    text is case-folded whole first when its folding changes its length,
+    since the offsets index the folded text. A span past the word count,
+    or a slice that does not hold the expected number of words, voids them
+    (only a record whose digest was recomputed by hand gets there): the
+    whole text is then split and its word count checked, as it is on a
+    digest mismatch, so a source with fewer words than a span needs never
+    yields a short list.
 
     Raises :class:`StaleSourceError` if the file's bytes are no longer
-    UTF-8, or its word count or content digest differs from the indexed
-    one, since positions would then point at the wrong words.
+    UTF-8, or its word count or digest differs from the indexed one, since
+    positions would then point at the wrong words. An edited offsets record
+    fails the digest the same way, so a bad offset never shows wrong words.
     """
     doc = index.docs[doc_id]
     data = read_source(doc.path)
     count = doc.word_count
-    changed = source_digest(data, count) != doc.digest
+    changed = source_digest(data, count, doc.offsets) != doc.digest
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -526,7 +536,9 @@ def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
 def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | None:
     """Each span's words, split from between its enclosing sampled offsets.
 
-    None if a span ends past word ``count`` or a slice fails its checks.
+    The digest certifies the offsets, so a slice holds exactly its words.
+    None if a span ends past word ``count`` or a slice holds a wrong number
+    of words, which only a record whose digest was recomputed by hand can.
     """
     if offsets[-1] != len(text):  # folding changes the length: offsets index the folded text
         text = text.casefold()
@@ -535,26 +547,12 @@ def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | No
         if stop > count:
             return None
         first, last = start // OFFSET_STRIDE, -(-stop // OFFSET_STRIDE)
-        left, right = offsets[first], offsets[last]
-        split = words(text[left:right])
+        split = words(text[offsets[first] : offsets[last]])
         skip = first * OFFSET_STRIDE
-        if (
-            len(split) != min(last * OFFSET_STRIDE, count) - skip
-            or not _word_starts(text, left)
-            or not (right == len(text) or _word_starts(text, right))
-        ):
+        if len(split) != min(last * OFFSET_STRIDE, count) - skip:
             return None
         found.append(split[start - skip : stop - skip])
     return found
-
-
-def _word_starts(text: str, at: int) -> bool:
-    """Whether a word starts at ``text[at]`` once folded, one character at a time.
-
-    For one character, :meth:`str.isalnum` is the word class of
-    :func:`words`; ``text[-1:0]`` is empty.
-    """
-    return text[at : at + 1].casefold().isalnum() and not text[at - 1 : at].casefold().isalnum()
 
 
 def read_source(path) -> bytes:

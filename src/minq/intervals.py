@@ -15,9 +15,9 @@ Two total orders drive the merge machinery:
   ties broken toward the larger right extreme.
 
 All values here are immutable and freely shareable between threads.
-``Interval`` is built on every posting read, so its constructor writes the
-two slots through the slot descriptors' setters; ``__setattr__`` still
-refuses every later write.
+``Interval`` is built once per witness of a query's root, so its
+constructor writes the two slots through the slot descriptors' setters;
+``__setattr__`` still refuses every later write.
 """
 
 NEG_INF = float("-inf")

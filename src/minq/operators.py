@@ -33,10 +33,8 @@ The public names ``or_merge``, ``and_span``, ``block``, ``ordered_and``,
 :class:`~minq.streams.PairStream`. The engine runs none of them.
 """
 
-from operator import attrgetter
-
 from .intervals import NEG_INF, POS_INF
-from .streams import IntervalStream, PairStream
+from .streams import IntervalStream, PairStream, _extremes
 
 
 class QueueCounts:
@@ -337,9 +335,6 @@ def difference_pairs(minuend, subtrahend):
 
 
 # -- adapters from interval streams ---------------------------------------
-
-
-_extremes = attrgetter("left", "right")
 
 
 def _pairs_of(stream):

@@ -26,7 +26,7 @@ query --show-rho``) count the pulls of its own pair iterators the same way.
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import starmap
-from operator import lt
+from operator import attrgetter, lt
 
 from .intervals import Interval
 
@@ -90,20 +90,8 @@ def from_positions(positions) -> IntervalStream:
     return PairStream(zip(positions, positions))
 
 
-def materialize(stream: IntervalStream) -> list[Interval]:
-    """Drain a finite stream, enforcing the natural-order invariant."""
-    items = []
-    while (item := stream.next()) is not None:
-        if items:
-            prev = items[-1]
-            if item.left <= prev.left or item.right <= prev.right:
-                raise OrderViolation(f"{prev!r} followed by {item!r}")
-        items.append(item)
-    return items
-
-
 def materialize_pairs(pairs) -> list[Interval]:
-    """:func:`materialize` for a finite iterator of ``(left, right)`` pairs."""
+    """The intervals of a finite iterator of ``(left, right)`` pairs, checking their order."""
     pairs = list(pairs)
     if len(pairs) > 1:
         lefts, rights = zip(*pairs)
@@ -113,6 +101,18 @@ def materialize_pairs(pairs) -> list[Interval]:
                 if item[0] <= prev[0] or item[1] <= prev[1]:
                     raise OrderViolation(f"{Interval(*prev)!r} followed by {Interval(*item)!r}")
     return list(starmap(Interval, pairs))
+
+
+_extremes = attrgetter("left", "right")
+
+
+def materialize(stream: IntervalStream) -> list[Interval]:
+    """Drain a finite stream, enforcing the natural-order invariant.
+
+    The order is checked by :func:`materialize_pairs` once the stream is
+    drained, so a violation is raised then, not at the faulty pull.
+    """
+    return materialize_pairs(map(_extremes, iter(stream.next, None)))
 
 
 class CountingStream(IntervalStream):

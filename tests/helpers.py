@@ -786,10 +786,10 @@ def reference_build(documents):
     for path, text in documents:
         doc_id = len(docs)
         tokens = reference_tokenize(text)
-        digest = source_digest(text.encode("utf-8"), len(tokens))
         folded = text.casefold()
         starts = [m.start() for m in _REFERENCE_WORD.finditer(folded)]
         offsets = array("Q", starts[::OFFSET_STRIDE] + [len(folded)])
+        digest = source_digest(text.encode("utf-8"), len(tokens), offsets)
         docs.append(DocInfo(path=path, word_count=len(tokens), digest=digest, offsets=offsets))
         for term, pos in tokens:
             by_term.setdefault(term, {}).setdefault(doc_id, []).append(pos)

@@ -440,30 +440,31 @@ def test_query_text_and_options_exit_0_1_or_2(rhyme_index_file, query, top, snip
     assert_exit_contract(code, out, err)
 
 
-# Bytes that matter to the index format: digits, the minus sign, the field
-# separator, the record letters, line breaks (NEL both as a raw byte and
-# UTF-8 encoded) and a byte that is never valid UTF-8.
-INDEX_PIECES = st.sampled_from(
-    [bytes([b]) for b in b"0123456789 \n\r\x85\xff-PTD"] + ["\x85".encode()]
-)
+# Binary edits: a byte set to any value, raised or lowered by a small power
+# of two, deleted, or inserted.
 INDEX_EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(["replace", "delete", "insert"]), st.integers(0, 1 << 16), INDEX_PIECES
-    ),
+    st.tuples(st.sampled_from(["replace", "insert"]), st.integers(0, 1 << 16), st.integers(0, 255))
+    | st.tuples(
+        st.just("add"), st.integers(0, 1 << 16), st.sampled_from([-16, -4, -2, -1, 1, 2, 4, 16])
+    )
+    | st.tuples(st.just("delete"), st.integers(0, 1 << 16), st.just(0)),
     min_size=1,
     max_size=4,
 )
 
 
 def edit_bytes(data, edits):
-    for kind, at, piece in edits:
+    data = bytearray(data)
+    for kind, at, value in edits:
         if kind == "insert":
-            at %= len(data) + 1
-            data = data[:at] + piece + data[at:]
+            data.insert(at % (len(data) + 1), value)
         elif data:
             at %= len(data)
-            data = data[:at] + (piece if kind == "replace" else b"") + data[at + 1 :]
-    return data
+            if kind == "delete":
+                del data[at]
+            else:
+                data[at] = (data[at] + value) % 256 if kind == "add" else value
+    return bytes(data)
 
 
 @settings(max_examples=200, deadline=None)
@@ -473,6 +474,54 @@ def test_mutated_index_file_exits_0_1_or_2(rhyme_index_file, edits):
     mutated.write_bytes(edit_bytes(rhyme_index_file.read_bytes(), edits))
     argv = ["query", str(mutated), "pease & porridge", "--snippets", "2", "--show-rho"]
     assert_exit_contract(*run_main(argv))
+
+
+@pytest.fixture()
+def fifty_words(tmp_path):
+    """An index of ``w10 ... w59``, its source and where its offsets column starts.
+
+    The words are 4 bytes apart, so the sampled offsets are 0, 64, 128 and
+    192, then the length 200: gaps 0, 64, 64, 64 and 8, one byte each.
+    """
+    text = tmp_path / "w.txt"
+    text.write_text(" ".join(f"w{i}" for i in range(10, 60)) + "\n")
+    idx = tmp_path / "w.ivx"
+    assert run_main(["index", str(text), "-o", str(idx)])[0] == 0
+    # After the header, word count, path length, digest and path.
+    return idx, text, 16 + 4 + 4 + 16 + len(os.fsencode(text))
+
+
+def test_a_raised_offset_gap_in_the_index_file_is_stale(fifty_words):
+    # Raising one gap shifts every later offset by a word: each slice still
+    # starts and ends at word starts and holds 16 words, but the wrong ones.
+    idx, text, column = fifty_words
+    argv = ["query", str(idx), "w26 & w30", "--snippets", "1"]
+    assert run_main(argv) == (0, "0\t1.0000\t[16..20]\n\t[16..20]\tw26 w27 w28 w29 w30\n", "")
+    data = bytearray(idx.read_bytes())
+    assert data[column + 2] == 64  # the gap up to word 16's start
+    data[column + 2] += 4  # now word 17's
+    idx.write_bytes(data)
+    assert run_main(argv) == (
+        2, "", f"minq: stale source {text}: its text has changed; re-index it\n"
+    )
+
+
+def test_offsets_column_edits_print_the_same_words_or_exit_two(fifty_words):
+    idx, _, column = fifty_words
+    data = idx.read_bytes()
+    queries = [["w26 & w30", "--snippets", "1"], ["w11 | w58", "--snippets", "3"]]
+    expected = [run_main(["query", str(idx), *query]) for query in queries]
+    edited = idx.with_name("edited.ivx")
+    for at in range(column, column + 6):  # the width byte, then five gaps
+        for delta in range(1, 9):
+            edited.write_bytes(data[:at] + bytes([data[at] + delta]) + data[at + 1 :])
+            for query, unedited in zip(queries, expected):
+                code, out, err = run_main(["query", str(edited), *query])
+                if code:
+                    assert code == 2, (at, delta)
+                    assert_exit_contract(code, out, err)
+                else:
+                    assert (code, out, err) == unedited, (at, delta)
 
 
 SOURCES = st.sampled_from(["text", "missing", "directory", "undecodable", "line break"])

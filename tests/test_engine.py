@@ -575,8 +575,8 @@ def test_document_words_are_the_slice_of_the_whole_text(tmp_path_factory, text, 
 
 def test_a_shifted_sampled_offset_shows_no_wrong_words(tmp_path):
     # Each stored offset, the folded length included, moved a little either
-    # way: the words must come out right (the slice checks send them to the
-    # whole-text split) or the source be called stale, never wrong.
+    # way: the digest covers the offsets, so the source must be called
+    # stale; the words must never come out wrong.
     rng = random.Random(1717)
     vocab = ["x", "ape", "yyyyyyyy", "ß", "İz", "w_w", "ﬁn", "\u0345", "7"]
     seps = [" ", ", ", "\n", " -- ", "\u0301 "]
@@ -710,7 +710,8 @@ def test_window_past_a_matching_sources_last_word_is_stale(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text("ape bee")
     index = build_index([(str(doc), "ape bee ape bee")])
-    index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee", 4), index.docs[0].offsets)
+    offsets = index.docs[0].offsets
+    index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee", 4, offsets), offsets)
     message = f"stale source {doc}: 2 words, index has 4; re-index it"
     with pytest.raises(StaleSourceError) as caught:
         search(index, parse_query("ape & bee"), snippet_count=3)

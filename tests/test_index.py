@@ -315,15 +315,18 @@ def test_two_document_index_bytes(tmp_path):
     # Pins the layout and the byte order: every number is little-endian.
     target = tmp_path / "idx.ivx"
     save_index(build_index([("a.txt", "ape bee ape"), ("b.txt", "bee")]), target)
-    # BLAKE2b-128 of the bytes, personalised with the word count.
-    digest = lambda text, n: hashlib.blake2b(
-        text, digest_size=16, person=n.to_bytes(16, "little")
+    # BLAKE2b-128 of the bytes and then the sampled offsets as little-endian
+    # u64s, personalised with the word count.
+    digest = lambda text, n, offsets: hashlib.blake2b(
+        text + b"".join(o.to_bytes(8, "little") for o in offsets),
+        digest_size=16,
+        person=n.to_bytes(16, "little"),
     ).digest()
     assert target.read_bytes() == b"".join([
         b"IVX3", bytes.fromhex("02000000 02000000 04000000"),  # docs, terms, words
         bytes.fromhex("03000000 01000000"),  # word counts
         bytes.fromhex("05000000 05000000"),  # path lengths
-        digest(b"ape bee ape", 3), digest(b"bee", 1),
+        digest(b"ape bee ape", 3, [0, 11]), digest(b"bee", 1, [0, 3]),
         b"a.txt", b"b.txt",
         bytes.fromhex("01 000b 0003"),  # offsets: width, then word 0 at 0 and the length
         bytes.fromhex("03000000 03000000"),  # term lengths
