@@ -10,9 +10,11 @@ document in descending score order:
 
 followed, when requested, by indented snippet lines (interval, words) and
 read-profile lines (output number, reads per input of the root operator).
-Snippets are extracted only for the printed documents; the source files of
-other matches are never opened. A printed document's source is read back
-as :func:`minq.index.document_words` describes: once, its digest (of its
+Snippets and profiles are made only for the printed documents, so the
+source files of other matches are never opened; a profile evaluates the
+document once more, through :func:`minq.engine.evaluate_with_profile`. A
+printed document's source is read back as
+:func:`minq.index.document_words` describes: once, its digest (of its
 bytes, word count and sampled word offsets) checked, and split only around
 the snippet windows.
 
@@ -24,19 +26,22 @@ evaluation, whether or not anything matches), an output path of ``minq
 index`` that names a directory, whose parent is not a directory, or that
 is one of the sources (the same file, through a link or not), or a source
 path that cannot be encoded as UTF-8 (each refused before any source is
-read), a source to index that cannot be read (missing, or a
-directory) or is not UTF-8 (its path and the offset of the first bad byte
-are named), and a printed document whose source file is missing, no
-longer UTF-8, or no longer matches its indexed word count and digest
-(an edit of its sampled offsets in the index file fails it too). These errors print one ``minq: ...`` line on stderr; a bad index
-file's line ends ``; re-index it``.
+read), a source to index that cannot be read (missing, a directory,
+or not a regular file: a FIFO or a device is refused without waiting on
+it) or is not UTF-8 (its path and the offset of the first bad byte are
+named), and a printed document whose source file is missing, not a
+regular file, no longer UTF-8, or no longer matches its indexed word
+count and digest. When the source's own word offsets give the recorded
+digest, the index file's offsets record was edited, and the error is a
+bad index file's. These errors print one ``minq: ...`` line on stderr; a
+bad index file's line ends ``; re-index it``.
 """
 
 import argparse
 import os
 import sys
 
-from .engine import search
+from .engine import evaluate_with_profile, search
 from .index import IndexFormatError, build_index, load_index, read_source, save_index
 from .query import QuerySyntaxError, parse_query
 
@@ -83,21 +88,16 @@ def _cmd_index(args) -> int:
 def _cmd_query(args) -> int:
     ast = parse_query(args.query)
     index = load_index(args.indexfile)
-    results = search(
-        index,
-        ast,
-        top=args.top,
-        snippet_count=args.snippets,
-        with_profile=args.show_rho,
-    )
+    results = search(index, ast, top=args.top, snippet_count=args.snippets)
     out = sys.stdout
     for result in results:
         witnesses = " ".join(repr(iv) for iv in result.witnesses)
         out.write(f"{result.doc_id}\t{result.score:.4f}\t{witnesses}\n")
         for window, words in result.snippets:
             out.write(f"\t{window!r}\t{' '.join(words)}\n")
-        if result.profile is not None:
-            for p, row in enumerate(result.profile.rho, start=1):
+        if args.show_rho:
+            _, profile = evaluate_with_profile(ast, index, result.doc_id)
+            for p, row in enumerate(profile.rho, start=1):
                 counts = " ".join(str(r) for r in row)
                 out.write(f"\trho\t{p}\t{counts}\n")
     return 0

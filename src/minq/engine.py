@@ -9,8 +9,10 @@ Every node is one shape, the node's pair generator over its inputs' pair
 iterators; a term is read as ``(p, p)`` pairs straight from
 :func:`minq.index.run`, as only :mod:`minq.index` knows the postings
 layout. Only the root's pairs become :class:`~minq.intervals.Interval`
-objects, checked for order there. A profile (``minq query --show-rho``)
-runs that same root over one counting iterator per input. Each generator
+objects, checked for order there. A profile (:func:`evaluate_with_profile`,
+which ``minq query --show-rho`` calls for each printed document) runs
+that same root through the loop of :func:`minq.streams.profile`, over one
+counting stream per input. Each generator
 first reads every operand once (difference: the minuend), so an empty
 operand (an absent term, say) ends it at once unless the operator is the
 merge or the operand a subtrahend.
@@ -57,7 +59,16 @@ from .operators import (
     ordered_pairs,
 )
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
-from .streams import IntervalStream, PairStream, RhoProfile, from_positions, materialize_pairs
+from .streams import (
+    IntervalStream,
+    ListStream,
+    PairStream,
+    _pairs,
+    _profile,
+    from_positions,
+    materialize,
+    materialize_pairs,
+)
 
 # The engine calls none of or_merge, and_span, block, ordered_and, lowpass,
 # difference, from_positions or star_compose (a placeholder); they stay bound
@@ -139,45 +150,6 @@ def _node(operator, ast, inputs, doc_id):
     return operator(ast, made)
 
 
-def _witnesses(make, doc_id):
-    return materialize_pairs(make(doc_id)), None
-
-
-def _profile_plan(ast, index):
-    """Like :func:`plan`, but to (witnesses, profile of the root's inputs).
-
-    The root is the one :func:`plan` builds, run over one counting
-    iterator per input; a term root is the single input of an identity.
-    """
-    root = plan(ast, index)
-    if root.func is run:
-        return partial(_profiled, _identity, ast, [root])
-    return partial(_profiled, *root.args)
-
-
-def _identity(ast, inputs):
-    return inputs[0]
-
-
-def _profiled(operator, ast, inputs, doc_id):
-    reads = [0] * len(inputs)
-    counted = [_counted(make(doc_id), reads, i) for i, make in enumerate(inputs)]
-    pairs, rho = [], []
-    for pair in operator(ast, counted):
-        pairs.append(pair)
-        rho.append(tuple(reads))
-    witnesses = materialize_pairs(pairs)
-    return witnesses, RhoProfile(len(inputs), witnesses, rho)
-
-
-def _counted(items, reads, i):
-    """``items``, counting each pull, the terminal one included, into ``reads[i]``."""
-    for item in items:
-        reads[i] += 1
-        yield item
-    reads[i] += 1
-
-
 def compile_query(ast, index, doc_id: int) -> IntervalStream:
     """The lazy stream of the query's witnesses within one document."""
     return PairStream(plan(ast, index)(doc_id))
@@ -191,9 +163,25 @@ def evaluate(ast, index, doc_id: int) -> list[Interval]:
 def evaluate_with_profile(ast, index, doc_id: int):
     """Witnesses plus the read profile of the root operator's inputs.
 
-    A term root is profiled as the single input of an identity operator.
+    The root is the one :func:`plan` builds, run by the loop of
+    :func:`minq.streams.profile` over one lazy
+    :class:`~minq.streams.CountingStream` per input; a term root is the
+    single input of an identity. The witnesses' order is checked as
+    :func:`evaluate` checks it.
     """
-    return _profile_plan(ast, index)(doc_id)
+    root = plan(ast, index)
+    operator, _, inputs = (_identity, ast, [root]) if root.func is run else root.args
+    prof = _profile(partial(_root, operator, ast), [PairStream(make(doc_id)) for make in inputs])
+    prof.outputs = materialize(ListStream(prof.outputs))
+    return prof.outputs, prof
+
+
+def _identity(ast, inputs):
+    return inputs[0]
+
+
+def _root(operator, ast, counters):
+    return PairStream(operator(ast, list(map(_pairs, counters))))
 
 
 def _docs(ast, index) -> set[int]:
@@ -268,16 +256,9 @@ class QueryResult:
     score: float
     witnesses: list[Interval]
     snippets: list[tuple[Interval, list[str]]]
-    profile: RhoProfile | None = None
 
 
-def search(
-    index,
-    ast,
-    top: int | None = None,
-    snippet_count: int = 0,
-    with_profile: bool = False,
-) -> list[QueryResult]:
+def search(index, ast, top: int | None = None, snippet_count: int = 0) -> list[QueryResult]:
     """Evaluate a query over its candidate documents, best score first.
 
     Results are ordered by ``(-score, doc_id)``. Without ``top``, or with
@@ -300,24 +281,24 @@ def search(
         raise ValueError(f"snippet count must not be negative, got {snippet_count}")
     if top == 0:
         return []
-    witnesses_of = _profile_plan(ast, index) if with_profile else partial(_witnesses, plan(ast, index))
+    make = plan(ast, index)
     docs = candidate_docs(ast, index)
     if top is None or top >= len(docs):
         # No cut falls inside the candidates, so bounds could stop nothing.
         top, order = len(docs), zip(repeat(0), docs)
     else:
         order = sorted(zip(map(neg, score_bounds(ast, index, docs)), docs))
-    # Heap of the best (score, -doc_id, witnesses, profile) so far, worst at
-    # [0]; no two entries tie on the first two fields. `last` is the worst
-    # one's (-score, doc_id) once the heap is full.
+    # Heap of the best (score, -doc_id, witnesses) so far, worst at [0]; no
+    # two entries tie on the first two fields. `last` is the worst one's
+    # (-score, doc_id) once the heap is full.
     best, last = [], (inf,)
     for key in order:
         if key > last:
             break
         doc_id = key[1]
-        witnesses, prof = witnesses_of(doc_id)
+        witnesses = materialize_pairs(make(doc_id))
         if witnesses:
-            entry = (rank(witnesses), -doc_id, witnesses, prof)
+            entry = (rank(witnesses), -doc_id, witnesses)
             if len(best) < top:
                 heappush(best, entry)
             else:
@@ -326,8 +307,8 @@ def search(
                 last = (-best[0][0], -best[0][1])
     best.sort(reverse=True)
     results = [
-        QueryResult(doc_id=-neg_id, score=score, witnesses=witnesses, snippets=[], profile=prof)
-        for score, neg_id, witnesses, prof in best
+        QueryResult(doc_id=-neg_id, score=score, witnesses=witnesses, snippets=[])
+        for score, neg_id, witnesses in best
     ]
     if snippet_count:
         for result in results:

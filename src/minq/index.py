@@ -66,9 +66,12 @@ Snippets read a document's words back from its source
 (:func:`document_words`). The source is read once, its digest checked,
 and only the slices of its text around the snippets split, found through
 the sampled word offsets that the digest certifies. One that is missing
-raises :class:`OSError`; one that is no longer UTF-8, or whose word count
-or digest no longer matches the index (as after an edit of the source or
-of its offsets), raises :class:`StaleSourceError`. ``minq index`` reads
+raises :class:`OSError`, and one that is not a regular file
+:class:`ValueError`, without blocking; one that is no longer UTF-8, or
+whose word count or digest no longer matches the index, raises
+:class:`StaleSourceError`, unless the offsets recomputed from its text
+give the recorded digest: then the index's offsets record was edited,
+and :class:`IndexFormatError` names the document. ``minq index`` reads
 its sources through the same reader (:func:`read_source`).
 """
 
@@ -77,6 +80,7 @@ import gc
 import hashlib
 import os
 import re
+import stat
 import struct
 import sys
 from array import array
@@ -227,13 +231,7 @@ def build_index(documents) -> PositionalIndex:
     numbers = []  # numbers[k] == k; positions share these ints, not one int each
     for path, text in documents:
         doc_id = len(docs)
-        folded = text.casefold()  # as words() does
-        parts = _SPLIT.split(folded)
-        terms = parts[1::2]
-        # Word k is parts[2k + 1], so it starts where parts[:2k + 1] end.
-        ends = accumulate(map(len, parts))
-        offsets = array("Q", islice(ends, 0, len(parts) - 1, 2 * OFFSET_STRIDE))
-        offsets.append(len(folded))
+        terms, offsets = _sampled_words(text)
         digest = source_digest(text.encode("utf-8"), len(terms), offsets)
         docs.append(DocInfo(path, len(terms), digest, offsets))
         numbers += range(len(numbers), len(terms))
@@ -249,6 +247,17 @@ def build_index(documents) -> PositionalIndex:
             positions += found
             starts.append(len(positions))
     return PositionalIndex(docs, postings)
+
+
+def _sampled_words(text: str) -> tuple[list[str], array]:
+    """The text's words, as :func:`words` splits them, and its sampled word offsets."""
+    folded = text.casefold()
+    parts = _SPLIT.split(folded)
+    # Word k is parts[2k + 1], so it starts where parts[:2k + 1] end.
+    ends = accumulate(map(len, parts))
+    offsets = array("Q", islice(ends, 0, len(parts) - 1, 2 * OFFSET_STRIDE))
+    offsets.append(len(folded))
+    return parts[1::2], offsets
 
 
 def _restart(steps: list[int], starts: list[int]) -> None:
@@ -506,8 +515,11 @@ def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
 
     Raises :class:`StaleSourceError` if the file's bytes are no longer
     UTF-8, or its word count or digest differs from the indexed one, since
-    positions would then point at the wrong words. An edited offsets record
-    fails the digest the same way, so a bad offset never shows wrong words.
+    positions would then point at the wrong words. On a digest mismatch
+    the offsets are recomputed from the text as :func:`build_index` does;
+    if the digest matches with those, the source is intact and the index's
+    offsets record was edited: :class:`IndexFormatError`, naming the
+    document. So a bad offset never shows wrong words.
     """
     doc = index.docs[doc_id]
     data = read_source(doc.path)
@@ -523,12 +535,16 @@ def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
         found = _window_words(text, count, doc.offsets, spans)
         if found is not None:
             return found
-    found = words(text)
+    found, offsets = _sampled_words(text)
     if len(found) != count:
         raise StaleSourceError(
             f"stale source {doc.path}: {len(found)} words, index has {count}; re-index it"
         )
     if changed:
+        if source_digest(data, count, offsets) == doc.digest:
+            raise IndexFormatError(
+                f"document {doc_id}: sampled word offsets do not match its source {doc.path}"
+            )
         raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
     return [found[start:stop] for start, stop in spans]
 
@@ -556,11 +572,21 @@ def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | No
 
 
 def read_source(path) -> bytes:
-    """The bytes of a file, without a buffered file object; errors name ``path``."""
-    fd = os.open(path, os.O_RDONLY)
+    """The bytes of a regular file, without a buffered file object; errors name ``path``.
+
+    The file is opened without blocking, so a FIFO or a device is refused
+    (:class:`ValueError`) instead of waiting for a writer or reading
+    forever; a directory fails its read (:class:`IsADirectoryError`).
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        # Joined once: growing a bytes object chunk by chunk copies it each time.
-        return b"".join(iter(partial(os.read, fd, 1 << 16), b""))
+        info = os.fstat(fd)
+        if not (stat.S_ISREG(info.st_mode) or stat.S_ISDIR(info.st_mode)):
+            raise ValueError(f"{path!r}: not a regular file")
+        data = os.read(fd, info.st_size + 1)  # all of it in one call, unless it changes
+        if len(data) != info.st_size:  # a short read, or the file grew: read to the end
+            data += b"".join(iter(partial(os.read, fd, 1 << 16), b""))
+        return data
     except OSError as exc:  # os.read on a directory names no file, unlike open()
         exc.filename = path
         raise

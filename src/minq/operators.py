@@ -34,7 +34,7 @@ The public names ``or_merge``, ``and_span``, ``block``, ``ordered_and``,
 """
 
 from .intervals import NEG_INF, POS_INF
-from .streams import IntervalStream, PairStream, _extremes
+from .streams import IntervalStream, PairStream, _pairs
 
 
 class QueueCounts:
@@ -337,15 +337,10 @@ def difference_pairs(minuend, subtrahend):
 # -- adapters from interval streams ---------------------------------------
 
 
-def _pairs_of(stream):
-    """The pairs of an interval stream, read up to its first ``None`` and no further."""
-    return map(_extremes, iter(stream.next, None))
-
-
 def _inputs(streams):
     if not streams:
         raise ValueError("operator needs at least one input stream")
-    return [_pairs_of(stream) for stream in streams]
+    return [_pairs(stream) for stream in streams]
 
 
 def or_merge(streams) -> PairStream:
@@ -367,8 +362,8 @@ def ordered_and(streams) -> PairStream:
 
 
 def lowpass(stream: IntervalStream, k: int) -> PairStream:
-    return PairStream(lowpass_pairs(_pairs_of(stream), k))
+    return PairStream(lowpass_pairs(_pairs(stream), k))
 
 
 def difference(minuend: IntervalStream, subtrahend: IntervalStream) -> PairStream:
-    return PairStream(difference_pairs(_pairs_of(minuend), _pairs_of(subtrahend)))
+    return PairStream(difference_pairs(_pairs(minuend), _pairs(subtrahend)))

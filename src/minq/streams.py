@@ -19,8 +19,9 @@ included) were pulled from a source, and :func:`profile` snapshots those
 counters each time a downstream operator emits an output, yielding a
 :class:`RhoProfile`: row ``p`` holds the per-input read counts at the
 moment output ``p`` appeared. This is the measurable form of laziness used
-throughout the test harness; the engine's per-document profiles (``minq
-query --show-rho``) count the pulls of its own pair iterators the same way.
+throughout the test harness, and the only read counter: the engine's
+per-document profiles (``minq query --show-rho``) run the same loop over
+one lazy counting stream per input of the query's root.
 """
 
 from dataclasses import dataclass, field
@@ -106,13 +107,18 @@ def materialize_pairs(pairs) -> list[Interval]:
 _extremes = attrgetter("left", "right")
 
 
+def _pairs(stream: IntervalStream):
+    """The pairs of an interval stream, read up to its first ``None`` and no further."""
+    return map(_extremes, iter(stream.next, None))
+
+
 def materialize(stream: IntervalStream) -> list[Interval]:
     """Drain a finite stream, enforcing the natural-order invariant.
 
     The order is checked by :func:`materialize_pairs` once the stream is
     drained, so a violation is raised then, not at the faulty pull.
     """
-    return materialize_pairs(map(_extremes, iter(stream.next, None)))
+    return materialize_pairs(_pairs(stream))
 
 
 class CountingStream(IntervalStream):
@@ -148,7 +154,12 @@ def profile(op, antichains) -> RhoProfile:
     ``op`` takes a list of streams and returns a stream; ``antichains`` is
     a list of materialized inputs.
     """
-    counters = [CountingStream(ListStream(a)) for a in antichains]
+    return _profile(op, map(ListStream, antichains))
+
+
+def _profile(op, inputs) -> RhoProfile:
+    """:func:`profile` over the streams ``inputs``, each wrapped in a :class:`CountingStream`."""
+    counters = list(map(CountingStream, inputs))
     out = op(counters)
     result = RhoProfile(m=len(counters))
     while (item := out.next()) is not None:

@@ -148,6 +148,36 @@ def test_index_of_a_directory_source_exits_two_naming_it(tmp_path):
     assert not (tmp_path / "o.ivx").exists()
 
 
+
+def refused_within(timeout, *args, cwd):
+    """``minq`` in a subprocess that must exit 2 with one line, within ``timeout`` seconds."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "minq", *args], capture_output=True, cwd=cwd, timeout=timeout
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    return proc.stderr.decode()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_index_of_a_fifo_or_device_source_exits_two_without_blocking(tmp_path):
+    # Nothing writes to the FIFO: a blocking open or read would hang.
+    os.mkfifo(tmp_path / "fifo.txt")
+    err = refused_within(10, "index", "fifo.txt", "-o", "fifo.ivx", cwd=tmp_path)
+    assert err == "minq: 'fifo.txt': not a regular file\n"
+    err = refused_within(10, "index", os.devnull, "-o", "null.ivx", cwd=tmp_path)
+    assert err == f"minq: {os.devnull!r}: not a regular file\n"
+    assert not (tmp_path / "fifo.ivx").exists() and not (tmp_path / "null.ivx").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_a_printed_documents_source_swapped_for_a_fifo_exits_two(tmp_path):
+    (tmp_path / "doc.txt").write_text("ape bee cow")
+    assert run_cli("index", "doc.txt", "-o", "idx.ivx", cwd=tmp_path).returncode == 0
+    (tmp_path / "doc.txt").unlink()
+    os.mkfifo(tmp_path / "doc.txt")
+    err = refused_within(10, "query", "idx.ivx", "bee", "--snippets", "1", cwd=tmp_path)
+    assert err == "minq: 'doc.txt': not a regular file\n"
+
 def test_malformed_index_exit_two(tmp_path):
     bad = tmp_path / "bad.ivx"
     bad.write_text("WHAT 1\n")
@@ -227,6 +257,59 @@ def test_show_rho_lines(rhyme_idx):
         rho_lines = [l for l in lines if l.startswith("\trho\t")]
         assert rho_lines == [f"\trho\t{p}\t{row}" for p, row in enumerate(rows, 1)], query
 
+
+
+def test_show_rho_lines_follow_each_printed_result(tmp_path):
+    # Only the printed documents are profiled: each result line is followed
+    # by its snippet lines, then its rho lines. The bytes are pinned.
+    texts = [
+        "Pease porridge hot, pease porridge cold,\npease porridge in the pot, nine days old.\n",
+        "Cold porridge, hot pease; and hot pease porridge again.\n",
+        "Some like it hot, some like it cold: pease porridge for all.\n",
+    ]
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"{i}.txt")
+        paths[-1].write_text(text)
+    idx = tmp_path / "p.ivx"
+    assert run_cli("index", *map(str, paths), "-o", str(idx)).returncode == 0
+    expected = {
+        (CAPTION_QUERY, "2"): [
+            "0\t6.0000\t[0..2] [1..3] [2..4] [3..5] [4..6] [5..7]",
+            "\t[0..2]\tpease porridge hot",
+            "\t[3..5]\tpease porridge cold",
+            *(f"\trho\t{p}\t{row}" for p, row in enumerate(
+                ["1 1 2", "1 2 2", "2 2 2", "2 2 3", "2 3 3", "3 3 3"], 1)),
+            "1\t2.0000\t[1..3] [5..7]",
+            "\t[1..3]\tporridge hot pease",
+            "\t[5..7]\thot pease porridge",
+            "\trho\t1\t2 2 1",
+            "\trho\t2\t4 2 2",
+        ],
+        ('"pease porridge" | hot', "1"): [
+            "0\t4.0000\t[0..1] [2..2] [3..4] [6..7]",
+            "\t[2..2]\thot",
+            "\t[0..1]\tpease porridge",
+            *(f"\trho\t{p}\t{row}" for p, row in enumerate(["1 1", "2 1", "2 2", "3 2"], 1)),
+        ],
+        ("porridge - cold", "2"): [
+            "0\t3.0000\t[1..1] [4..4] [7..7]",
+            "\t[1..1]\tporridge",
+            "\t[4..4]\tporridge",
+            "\trho\t1\t1 1",
+            "\trho\t2\t2 1",
+            "\trho\t3\t3 2",
+            "1\t2.0000\t[1..1] [7..7]",
+            "\t[1..1]\tporridge",
+            "\t[7..7]\tporridge",
+            "\trho\t1\t1 2",
+            "\trho\t2\t2 2",
+        ],
+    }
+    for (query, top), lines in expected.items():
+        proc = run_cli("query", str(idx), query, "--top", top, "--snippets", "2", "--show-rho")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == "".join(f"{line}\n" for line in lines), query
 
 def test_snippets_read_source_at_query_time(tmp_path):
     doc = tmp_path / "doc.txt"
@@ -491,9 +574,10 @@ def fifty_words(tmp_path):
     return idx, text, 16 + 4 + 4 + 16 + len(os.fsencode(text))
 
 
-def test_a_raised_offset_gap_in_the_index_file_is_stale(fifty_words):
+def test_a_raised_offset_gap_in_the_index_file_is_a_bad_index_file(fifty_words):
     # Raising one gap shifts every later offset by a word: each slice still
     # starts and ends at word starts and holds 16 words, but the wrong ones.
+    # The source is intact, so the index file is to blame.
     idx, text, column = fifty_words
     argv = ["query", str(idx), "w26 & w30", "--snippets", "1"]
     assert run_main(argv) == (0, "0\t1.0000\t[16..20]\n\t[16..20]\tw26 w27 w28 w29 w30\n", "")
@@ -502,7 +586,10 @@ def test_a_raised_offset_gap_in_the_index_file_is_stale(fifty_words):
     data[column + 2] += 4  # now word 17's
     idx.write_bytes(data)
     assert run_main(argv) == (
-        2, "", f"minq: stale source {text}: its text has changed; re-index it\n"
+        2,
+        "",
+        f"minq: bad index file: document 0: sampled word offsets do not match its source "
+        f"{text}; re-index it\n",
     )
 
 

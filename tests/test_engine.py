@@ -63,7 +63,7 @@ from helpers import (
     singletons,
     star_compose,
 )
-from minq.index import DocInfo, source_digest, words
+from minq.index import DocInfo, IndexFormatError, source_digest, words
 from minq.query import MAX_DEPTH
 
 iv = lambda l, r: Interval(l, r)
@@ -215,7 +215,8 @@ def test_query_of_every_node_type_at_the_depth_limit(rhyme_index, tmp_path):
     expected = oracle_eval(ast, rhyme_index, 0)
     assert expected
     assert evaluate(ast, rhyme_index, 0) == expected
-    assert [r.witnesses for r in search(rhyme_index, ast, with_profile=True)] == [expected]
+    assert [r.witnesses for r in search(rhyme_index, ast)] == [expected]
+    assert evaluate_with_profile(ast, rhyme_index, 0)[0] == expected
     idx = tmp_path / "rhyme.ivx"
     save_index(rhyme_index, str(idx))
     proc = subprocess.run(
@@ -345,7 +346,7 @@ def test_search_leaves_no_reference_cycles(tmp_path):
     try:
         ast = parse_query(query)
         assert search(index, ast, top=1, snippet_count=2)
-        assert search(index, ast, with_profile=True)
+        assert all(evaluate_with_profile(ast, index, doc_id)[1].rho for doc_id in (0, 1))
         dropped = weakref.ref(index)
         del index
         assert dropped() is None
@@ -487,8 +488,8 @@ def test_emptiness_checks_left_out_change_no_read(monkeypatch):
 def test_engine_looks_up_its_collaborators_when_called(rhyme_index, monkeypatch):
     # Tracing rebinds these module globals, so every name must stay bound
     # in the engine; star_compose is a None placeholder. Search plans the
-    # query once and runs every node as its pair generator, with
-    # profiles or without, so none of these names is called.
+    # query once and runs every node as its pair generator, and a profile
+    # runs the same plan, so none of these names is called.
     calls = Counter()
     names = (
         "or_merge", "and_span", "block", "ordered_and", "lowpass", "difference",
@@ -505,7 +506,7 @@ def test_engine_looks_up_its_collaborators_when_called(rhyme_index, monkeypatch)
     ast = parse_query('("pease porridge" | hot & cold | pease < hot)~12 - unicorn')
     assert search(rhyme_index, ast)
     assert calls == {}
-    assert search(rhyme_index, ast, with_profile=True)
+    assert evaluate_with_profile(ast, rhyme_index, 0)[1].rho
     assert calls == {}
 
 
@@ -575,8 +576,8 @@ def test_document_words_are_the_slice_of_the_whole_text(tmp_path_factory, text, 
 
 def test_a_shifted_sampled_offset_shows_no_wrong_words(tmp_path):
     # Each stored offset, the folded length included, moved a little either
-    # way: the digest covers the offsets, so the source must be called
-    # stale; the words must never come out wrong.
+    # way: the digest covers the offsets, and the source is intact, so the
+    # index must be called bad; the words must never come out wrong.
     rng = random.Random(1717)
     vocab = ["x", "ape", "yyyyyyyy", "ß", "İz", "w_w", "ﬁn", "\u0345", "7"]
     seps = [" ", ", ", "\n", " -- ", "\u0301 "]
@@ -597,11 +598,8 @@ def test_a_shifted_sampled_offset_shows_no_wrong_words(tmp_path):
                 index.docs[0].offsets = shifted = offsets[:]
                 shifted[k] += shift
                 for span in spans:
-                    try:
-                        found = engine.document_words(index, 0, spans=[span])
-                    except StaleSourceError:
-                        continue
-                    assert found == [full[span[0] : span[1]]], (text, k, shift, span)
+                    with pytest.raises(IndexFormatError, match="^document 0: sampled word offsets"):
+                        engine.document_words(index, 0, spans=[span])
 
 
 def test_document_words_of_a_source_longer_than_two_reads(tmp_path):
@@ -814,7 +812,7 @@ def test_one_run_lookup_agrees_with_the_text(tmp_path):
                             assert witnesses == oracle(singletons(runs[d]), singletons(runs2[d]))
 
 
-def test_top_search_is_exact_on_ties_and_profiles(tmp_path):
+def test_top_search_is_exact_on_ties(tmp_path):
     # Few words and short documents give many equal scores, so the doc-id
     # tie-break decides which documents make the cut.
     rng = random.Random(77)
@@ -829,12 +827,11 @@ def test_top_search_is_exact_on_ties_and_profiles(tmp_path):
     for _ in range(80):
         ast = random_ast(rng, vocab + ["absent"])
         s = rng.randint(0, 2)
-        full = search(index, ast, snippet_count=s, with_profile=True)
+        full = search(index, ast, snippet_count=s)
         ties += len(full) - len({r.score for r in full})
         for k in (0, 1, 3, len(full), len(full) + 2):
-            cut = search(index, ast, top=k, snippet_count=s, with_profile=True)
+            cut = search(index, ast, top=k, snippet_count=s)
             assert [result_key(r) for r in cut] == [result_key(r) for r in full[:k]]
-            assert [r.profile for r in cut] == [r.profile for r in full[:k]]
     assert ties > 100
 
 
@@ -844,13 +841,20 @@ def test_top_search_evaluates_fewer_documents(tmp_path, monkeypatch):
     corpus = [(f"d{i}.txt", "ape bee cow " * (5 if i % 10 == 0 else 1)) for i in range(40)]
     index = build_index(corpus)
     evaluated = []
-    real = engine._witnesses
+    real = engine.plan
 
-    def counting(make, doc_id):
-        evaluated.append(doc_id)
-        return real(make, doc_id)
+    def counting(node, index):
+        make = real(node, index)
+        if node is not ast:  # an operand's plan, made while planning the query
+            return make
 
-    monkeypatch.setattr(engine, "_witnesses", counting)
+        def counted(doc_id):
+            evaluated.append(doc_id)
+            return make(doc_id)
+
+        return counted
+
+    monkeypatch.setattr(engine, "plan", counting)
     for query in ("ape | bee", "ape & cow", '"ape bee"', "ape - cow"):
         ast = parse_query(query)
         docs = candidate_docs(ast, index)
