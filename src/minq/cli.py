@@ -35,6 +35,10 @@ count and digest. When the source's own word offsets give the recorded
 digest, the index file's offsets record was edited, and the error is a
 bad index file's. These errors print one ``minq: ...`` line on stderr; a
 bad index file's line ends ``; re-index it``.
+
+``minq index`` reads and decodes its sources one at a time as it builds
+the index, so it holds one source text at a time; a bad source stops the
+build before the output is opened, leaving an existing index as it was.
 """
 
 import argparse
@@ -44,6 +48,15 @@ import sys
 from .engine import evaluate_with_profile, search
 from .index import IndexFormatError, build_index, load_index, read_source, save_index
 from .query import QuerySyntaxError, parse_query
+
+
+def _decoded_source(path) -> tuple[str, str]:
+    """``(path, text)`` of a UTF-8 source; the error names its first bad byte."""
+    data = read_source(path)
+    try:
+        return path, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path!r}: byte {exc.start} is not UTF-8") from None
 
 
 def _cmd_index(args) -> int:
@@ -69,14 +82,7 @@ def _cmd_index(args) -> int:
                 continue  # read_source names it
             if os.path.samestat(source, output):  # a link to the source counts too
                 raise ValueError(f"{args.output!r} is the source file {path!r}, not an index file")
-    documents = []
-    for path in args.paths:
-        data = read_source(path)
-        try:
-            documents.append((path, data.decode("utf-8")))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path!r}: byte {exc.start} is not UTF-8") from None
-    index = build_index(documents)
+    index = build_index(map(_decoded_source, args.paths))  # one text held at a time
     save_index(index, args.output)
     print(
         f"indexed {index.doc_count()} documents, "

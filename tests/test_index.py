@@ -3,6 +3,7 @@ import hashlib
 import random
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,64 @@ def test_failed_save_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
         save_index(build_index([("b.txt", "cow")]), target)
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
+    monkeypatch.undo()
+
+    # Terms' columns are written as they are packed: a failure after two
+    # terms' columns are in the temporary file still leaves no trace.
+    pack = index_module._term_columns
+    calls = []
+
+    def fail_third(postings):
+        calls.append(postings)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return pack(postings)
+
+    monkeypatch.setattr(index_module, "_term_columns", fail_third)
+    with pytest.raises(OSError, match="disk full"):
+        save_index(build_index([("c.txt", "ape bee cow dog")]), target)
+    assert len(calls) == 3
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
+
+
+def assert_one_object_per_number(*columns):
+    """Equal ints in the columns are one object; returns how many were above the cache."""
+    held = {}
+    for column in columns:
+        for value in column:
+            assert held.setdefault(value, value) is value, value
+    return sum(value > 256 for value in held)
+
+
+def test_indexes_hold_one_int_object_per_number(tmp_path):
+    # Two documents of 600 words put cow and dog at the same positions above
+    # 256 (cow at 280 in x.txt, dog at 280 in y.txt) and start both terms'
+    # second runs at 300; 256 more documents take document ids and run
+    # numbers past the small ints that Python caches anyway.
+    documents = [("x.txt", "cow dog " * 300), ("y.txt", "dog cow " * 300)]
+    documents += [(f"{k}.txt", "cow dog") for k in range(256)]
+    built = build_index(documents)
+    target = tmp_path / "idx.ivx"
+    save_index(built, target)
+    loaded = load_index(target)
+    assert loaded == built
+    for index in (built, loaded):
+        cow, dog = index.term_postings("cow"), index.term_postings("dog")
+        assert cow.positions[140] == dog.positions[440] == 280
+        assert assert_one_object_per_number(cow.positions, dog.positions) == 599 - 256
+        assert assert_one_object_per_number(cow.entries, dog.entries) == 257 - 256
+        assert assert_one_object_per_number(cow.entries.values(), dog.entries.values()) == 1
+        assert assert_one_object_per_number(
+            cow.positions, dog.positions, cow.entries, cow.entries.values(),
+            dog.entries, dog.entries.values(),
+        ) == 599 - 256
+    # The loader takes run starts from the same table.
+    cow, dog = loaded.term_postings("cow"), loaded.term_postings("dog")
+    assert cow.starts[1] == dog.starts[1] == 300
+    assert assert_one_object_per_number(
+        cow.starts, dog.starts, cow.positions, dog.positions, cow.entries, dog.entries
+    ) == 856 - 256
 
 
 _TYPES = {1: "B", 2: "H", 4: "I"}
@@ -152,6 +211,9 @@ def one_doc(*terms, **fields):
 
 TWO_DOCS = [(3, b"x.txt"), (3, b"y.txt")]
 VALID = one_doc()
+# One document that claims 2**20 words in 64 KiB: its sampled offsets are
+# one byte each. save_index spends a byte or more on every word.
+MILLION_WORDS = ivx3([(1 << 20, b"x.txt")], [])
 
 # Name -> (file bytes, what the error must say). The header is 16 bytes,
 # and one document's table 4 + 4 + 16 bytes plus its path: the offsets
@@ -168,6 +230,10 @@ MALFORMED = {
         "byte 32: file ends inside the document digests",
     ),
     "word total mismatch": (one_doc(total=4), "byte 12: header says 4 words, documents hold 3"),
+    "more words than the file has bytes": (
+        MILLION_WORDS,
+        f"byte 12: header says 1048576 words, more than the file's {len(MILLION_WORDS)} bytes",
+    ),
     "path not UTF-8": (ivx3([(3, b"\xff.txt")], []), "byte 40: document paths not UTF-8"),
     "bad offset column width": (
         one_doc(offsets=(3, [0, 1])), "byte 45: offset column width not 1, 2 or 4"
@@ -300,6 +366,23 @@ def test_malformed_files_report_line(tmp_path, content, line):
 @pytest.mark.parametrize("name", sorted(set(MALFORMED) - set(COUNTERPARTS.values())))
 def test_malformed_ivx2_names_the_fault(tmp_path, name):
     assert_refused(tmp_path / "bad.ivx", *MALFORMED[name])
+
+
+def test_word_total_past_the_file_is_refused_in_little_memory(tmp_path):
+    # The loader's table of ints is sized from the word counts, so a file
+    # must not claim more words than it has bytes: a million here would
+    # take the load's peak to about 50 MB.
+    target = tmp_path / "big.ivx"
+    target.write_bytes(MILLION_WORDS)
+    assert len(MILLION_WORDS) < 70_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError, match="more than the file's"):
+            load_index(target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_hand_made_file_loads(tmp_path):
