@@ -82,16 +82,18 @@ def _children(node):
     return node.children
 
 
-def _union(doc_sets):
-    return set().union(*doc_sets)
+# Each rule takes its operands' documents as sorted lists (a term's own
+# list, read only) or sets, and never builds a set per operand.
+def _union(doc_lists):
+    return set().union(*doc_lists)
 
 
-def _intersection(doc_sets):
-    return set.intersection(*doc_sets)
+def _intersection(doc_lists):
+    return set(next(doc_lists)).intersection(*doc_lists)
 
 
-def _first(doc_sets):
-    return next(doc_sets)
+def _first(doc_lists):
+    return next(doc_lists)
 
 
 # Bound lists are combined two at a time by comprehensions, which cost about
@@ -112,9 +114,9 @@ def _min(a, b):
     return [x if x < y else y for x, y in zip(a, b)]
 
 
-# node type -> (its operand nodes, rule over an iterator of their doc-id
-# sets, rule over an iterator of their score-bound lists, pair generator over
-# their pair iterators).
+# node type -> (its operand nodes, rule over an iterator of their document
+# lists or sets, rule over an iterator of their score-bound lists, pair
+# generator over their pair iterators).
 _NODES = {
     Or: (_children, _union, _sums, lambda n, s: or_pairs(s, QueueCounts())),
     And: (_children, _intersection, _sums, lambda n, s: and_pairs(s, QueueCounts())),
@@ -184,7 +186,7 @@ def _root(operator, ast, counters):
     return PairStream(operator(ast, list(map(_pairs, counters))))
 
 
-def _docs(ast, index) -> set[int]:
+def _docs(ast, index):
     # Not a closure in candidate_docs: a recursive closure holds itself and
     # the index in a reference cycle, which only the cyclic collector frees.
     if isinstance(ast, Term):

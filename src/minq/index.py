@@ -4,25 +4,26 @@ Documents are plain text; tokenization case-folds the text and splits it on
 any run of non-alphanumeric characters, numbering words from 0 (:func:`words`
 is the one splitter, also used for query words and phrases and snippets).
 
-In memory each term has one :class:`TermPostings` of three parts. Its
-``positions`` list holds the term's document-local positions, document
-after document. Its ``starts`` list holds where each document's run
-begins, plus the list's length at the end. Its ``entries`` dict maps each
-document holding the term, in increasing order, to the number ``e`` of its
-run, which is ``positions[starts[e]:starts[e + 1]]``. Only this module
-reads that layout: :func:`run` (a query leaf's pairs) and
-:meth:`PositionalIndex.positions` (a list) look a run up, one dict get
-and one list slice, both done in C (``e = -1`` for a document without the
-term gives the empty slice ``positions[len:0]``), and
-:meth:`PositionalIndex.run_lengths` measures runs without slicing them.
-Built and loaded indexes share this layout, plus a document table of
-source path, word count, content digest and sampled word offsets (see
-below). Both hold one int object per number: document ids, run numbers
-and positions (and, once loaded, run starts) come from one table,
-``numbers[k] == k``. By :func:`sys.getsizeof` over its dicts, lists,
-tuples and ints (64-bit CPython 3.11), that took the loaded search-short
-benchmark index from 69.3 MB to 42.7 MB and search-long's from 29.6 MB
-to 17.1 MB. Once built (or loaded) an index is never mutated by queries,
+In memory each term has one :class:`TermPostings` of three lists. Its
+``docs`` list holds the documents holding the term, in increasing order;
+a document's run number ``e`` is its index there. Its ``positions`` list
+holds the term's document-local positions, document after document, and
+its ``starts`` list where each run begins, plus the list's length at the
+end, so run ``e`` is ``positions[starts[e]:starts[e + 1]]``. Only this
+module reads that layout: :func:`run` (a query leaf's pairs) and
+:meth:`PositionalIndex.positions` (a list) find ``e`` by one C bisection
+of ``docs`` and slice the run out (the empty slice at ``starts[e]`` for
+a document without the term), and :meth:`PositionalIndex.run_lengths`
+measures runs without slicing them. Built and loaded indexes share this
+layout, plus a document table of source path, word count, content digest
+and sampled word offsets (see below). Both hold one int object per
+number: document ids, positions and run starts come from one table,
+``numbers[k] == k``. By :func:`sys.getsizeof` over the postings dict,
+its term strings, tuples, lists and distinct ints (64-bit CPython 3.11,
+seed 7), the loaded search-short benchmark postings take 25.9 MB and the
+built ones 25.6 MB, search-long's 14.7 MB and 14.2 MB; with a dict from
+document to run number per term they took 43.8, 48.6, 18.3 and 18.1 MB.
+Once built (or loaded) an index is never mutated by queries,
 so it can be shared freely across threads. Building, saving and loading
 pause the cyclic garbage collector, which is process-wide, and restore
 the state they found; other threads meanwhile run without cyclic
@@ -92,6 +93,7 @@ import stat
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -157,12 +159,12 @@ class DocInfo:
 class TermPostings(NamedTuple):
     """One term's postings, laid out as the module docstring says. Read only."""
 
-    entries: dict[int, int]
+    docs: list[int]
     starts: list[int]
     positions: list[int]
 
 
-_ABSENT = TermPostings({}, [0], [])
+_ABSENT = TermPostings([], [0], [])
 
 
 def run(postings: TermPostings, doc_id: int):
@@ -173,9 +175,10 @@ def run(postings: TermPostings, doc_id: int):
     loader checks every run's order, and :func:`build_index` writes them
     in order.
     """
-    entries, starts, positions = postings
-    e = entries.get(doc_id, -1)
-    found = positions[starts[e] : starts[e + 1]]
+    docs, starts, positions = postings
+    e = bisect_left(docs, doc_id)
+    stop = starts[e + 1] if e < len(docs) and docs[e] == doc_id else starts[e]
+    found = positions[starts[e] : stop]
     return zip(found, found)
 
 
@@ -196,18 +199,24 @@ class PositionalIndex:
 
     def positions(self, term: str, doc_id: int) -> list[int]:
         """A new list of the term's positions in the document; empty when absent."""
-        entries, starts, positions = self.term_postings(term)
-        e = entries.get(doc_id, -1)
-        return positions[starts[e] : starts[e + 1]]
+        docs, starts, positions = self.term_postings(term)
+        e = bisect_left(docs, doc_id)
+        stop = starts[e + 1] if e < len(docs) and docs[e] == doc_id else starts[e]
+        return positions[starts[e] : stop]
 
     def run_lengths(self, term: str, docs: list[int]) -> list[int]:
         """Per document of ``docs``, the term's number of positions there."""
-        entries, starts, _ = self.term_postings(term)
-        runs = map(entries.get, docs, repeat(-1))
-        return [starts[e + 1] - starts[e] if e >= 0 else 0 for e in runs]
+        held, starts, _ = self.term_postings(term)
+        n = len(held)
+        if n <= len(docs):  # a dict over the term's documents, one get per candidate
+            lengths = dict(zip(held, map(sub, islice(starts, 1, None), starts)))
+            return list(map(lengths.get, docs, repeat(0)))
+        found = zip(map(bisect_left, repeat(held), docs), docs)  # one bisection per candidate
+        return [starts[e + 1] - starts[e] if e < n and held[e] == d else 0 for e, d in found]
 
-    def term_docs(self, term: str) -> set[int]:
-        return set(self.term_postings(term).entries)
+    def term_docs(self, term: str) -> list[int]:
+        """The term's documents, in increasing order. Read only."""
+        return self.term_postings(term).docs
 
     def __eq__(self, other):
         return (
@@ -236,7 +245,7 @@ def _collector_paused():
 def build_index(documents) -> PositionalIndex:
     """Index an iterable of (path, text) pairs in order."""
     docs, postings = [], {}
-    numbers = []  # numbers[k] == k: document ids, run numbers and positions share these ints
+    numbers = []  # numbers[k] == k: document ids, positions and run starts share these ints
     for path, text in documents:
         terms, offsets = _sampled_words(text)
         numbers += range(len(numbers), max(len(terms), len(docs) + 1))
@@ -249,11 +258,16 @@ def build_index(documents) -> PositionalIndex:
         for term, found in grouped.items():
             held = postings.get(term)
             if held is None:
-                held = postings[term] = TermPostings({}, [0], [])
-            entries, starts, positions = held
-            entries[doc_id] = numbers[len(entries)]
+                held = postings[term] = TermPostings([], [0], [])
+            ids, starts, positions = held
+            ids.append(doc_id)
+            starts.append(len(found))  # a run length until every document is in
             positions += found
-            starts.append(len(positions))
+    longest = max((len(held.positions) for held in postings.values()), default=0)
+    numbers += range(len(numbers), longest + 1)
+    number = numbers.__getitem__
+    for held in postings.values():
+        held.starts[:] = map(number, accumulate(held.starts))
     return PositionalIndex(docs, postings)
 
 
@@ -296,8 +310,7 @@ def _packed(values: list[int]) -> tuple[int, bytes]:
 
 def _term_columns(postings: TermPostings):
     """One term's three packed columns."""
-    entries, starts, positions = postings
-    docs = list(entries)
+    docs, starts, positions = postings
     before = [-1, *positions]
     deque(map(setitem, repeat(before), starts[:-1], repeat(-1)), maxlen=0)  # runs count from -1
     gaps = list(map(sub, positions, before))
@@ -354,7 +367,7 @@ def _write(index: PositionalIndex, total: int, out) -> None:
         bytes([offset_width]),
         offsets,
         _u32s(map(len, names)),
-        _u32s(len(postings.entries) for postings in held),
+        _u32s(len(postings.docs) for postings in held),
         _u32s(len(postings.positions) for postings in held),
     ])
     widths_at = out.tell()
@@ -486,7 +499,7 @@ def load_index(path) -> PositionalIndex:
         if not inside:
             raise IndexFormatError(f"term {term!r}: a position lies outside its document")
         del positions[0]
-        postings[term] = TermPostings(dict(zip(doc_ids, numbers)), starts, positions)
+        postings[term] = TermPostings(doc_ids, starts, positions)
     return PositionalIndex(docs, postings)
 
 

@@ -798,9 +798,8 @@ def reference_build(documents):
 
 def postings_of(runs):
     """The :class:`TermPostings` of a dict of doc id -> positions, in doc order."""
-    entries, starts, positions = {}, [0], []
-    for doc_id, run in runs.items():
-        entries[doc_id] = len(entries)
+    starts, positions = [0], []
+    for run in runs.values():
         positions.extend(run)
         starts.append(len(positions))
-    return TermPostings(entries, starts, positions)
+    return TermPostings(list(runs), starts, positions)

@@ -4,6 +4,7 @@ import random
 import struct
 import tempfile
 import tracemalloc
+from operator import lt
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import minq.index as index_module
 from minq import IndexFormatError, build_index, load_index, save_index, tokenize
-from minq.index import TermPostings, words
+from minq.index import TermPostings, run, words
 
 from helpers import PEASE, PORRIDGE, TEXT_CHARS, reference_build, reference_tokenize
 
@@ -37,9 +38,9 @@ def test_rhyme_postings():
     assert index.positions("hot", 0) == [2, 17, 33]
     assert index.positions("cold", 0) == [5, 21, 36]
     assert index.positions("absent", 0) == []
-    assert index.term_postings("hot") == TermPostings({0: 0}, [0, 3], [2, 17, 33])
-    assert index.term_postings("absent") == TermPostings({}, [0], [])
-    assert index.term_docs("hot") == {0}
+    assert index.term_postings("hot") == TermPostings([0], [0, 3], [2, 17, 33])
+    assert index.term_postings("absent") == TermPostings([], [0], [])
+    assert index.term_docs("hot") == [0]
     assert index.word_count(0) == 37
 
 
@@ -141,7 +142,7 @@ def test_indexes_hold_one_int_object_per_number(tmp_path):
     # Two documents of 600 words put cow and dog at the same positions above
     # 256 (cow at 280 in x.txt, dog at 280 in y.txt) and start both terms'
     # second runs at 300; 256 more documents take document ids and run
-    # numbers past the small ints that Python caches anyway.
+    # starts past the small ints that Python caches anyway.
     documents = [("x.txt", "cow dog " * 300), ("y.txt", "dog cow " * 300)]
     documents += [(f"{k}.txt", "cow dog") for k in range(256)]
     built = build_index(documents)
@@ -153,18 +154,34 @@ def test_indexes_hold_one_int_object_per_number(tmp_path):
         cow, dog = index.term_postings("cow"), index.term_postings("dog")
         assert cow.positions[140] == dog.positions[440] == 280
         assert assert_one_object_per_number(cow.positions, dog.positions) == 599 - 256
-        assert assert_one_object_per_number(cow.entries, dog.entries) == 257 - 256
-        assert assert_one_object_per_number(cow.entries.values(), dog.entries.values()) == 1
+        assert assert_one_object_per_number(cow.docs, dog.docs) == 257 - 256
+        assert assert_one_object_per_number(cow.positions, dog.positions, cow.docs, dog.docs) == (
+            599 - 256
+        )
+        # Run starts come from the same table, built or loaded.
+        assert cow.starts[1] == dog.starts[1] == 300
         assert assert_one_object_per_number(
-            cow.positions, dog.positions, cow.entries, cow.entries.values(),
-            dog.entries, dog.entries.values(),
-        ) == 599 - 256
-    # The loader takes run starts from the same table.
-    cow, dog = loaded.term_postings("cow"), loaded.term_postings("dog")
-    assert cow.starts[1] == dog.starts[1] == 300
-    assert assert_one_object_per_number(
-        cow.starts, dog.starts, cow.positions, dog.positions, cow.entries, dog.entries
-    ) == 856 - 256
+            cow.starts, dog.starts, cow.positions, dog.positions, cow.docs, dog.docs
+        ) == 856 - 256
+
+
+def test_postings_layout(tmp_path):
+    # Per term: its documents as a strictly increasing list, the same built
+    # and loaded, with one run start per document plus the end; the run
+    # number is the index in that list, so no postings hold a dict.
+    documents = random_corpus(random.Random(23), docs=12) + [(str(RHYME), RHYME.read_text())]
+    built = build_index(documents)
+    save_index(built, tmp_path / "idx.ivx")
+    loaded = load_index(tmp_path / "idx.ivx")
+    assert built.postings.keys() == loaded.postings.keys()
+    for term, held in built.postings.items():
+        for postings in (held, loaded.postings[term]):
+            assert type(postings) is TermPostings
+            assert [type(part) for part in postings] == [list, list, list]
+            assert all(type(value) is int for part in postings for value in part)
+            assert postings.docs == held.docs
+            assert all(map(lt, postings.docs, postings.docs[1:]))
+            assert len(postings.docs) + 1 == len(postings.starts)
 
 
 _TYPES = {1: "B", 2: "H", 4: "I"}
@@ -495,6 +512,39 @@ def test_build_equals_the_per_token_reference_and_round_trips(documents):
         save_index(reference, expected)
         assert target.read_bytes() == expected.read_bytes()
         assert load_index(target) == index
+
+
+_VOCAB = ("ape", "bee", "cow")
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_VOCAB), max_size=12), max_size=8),
+    st.lists(st.integers(-2, 10), max_size=12),
+)
+def test_lookups_equal_a_brute_force_reference(corpus, candidates):
+    # On the built and the loaded index, for ids held, absent, before a
+    # term's first document and past its last. Every example runs both ways
+    # of run_lengths: a dict over the term's documents (all ids at once)
+    # and a bisection per candidate (one id at a time, against a term in two
+    # documents or more).
+    built = build_index((f"d{k}.txt", " ".join(found)) for k, found in enumerate(corpus))
+    with tempfile.TemporaryDirectory() as directory:
+        target = Path(directory) / "idx.ivx"
+        save_index(built, target)
+        loaded = load_index(target)
+    ids = list(range(-2, len(corpus) + 2))
+    for index in (built, loaded):
+        for term in (*_VOCAB, "absent"):
+            where = {d: [p for p, w in enumerate(ws) if w == term] for d, ws in enumerate(corpus)}
+            expected = [where.get(d, []) for d in ids]
+            assert index.term_docs(term) == [d for d, found in where.items() if found]
+            postings = index.term_postings(term)
+            assert [index.positions(term, d) for d in ids] == expected
+            assert [list(run(postings, d)) for d in ids] == [list(zip(p, p)) for p in expected]
+            assert index.run_lengths(term, ids) == list(map(len, expected))
+            assert [index.run_lengths(term, [d]) for d in ids] == [[len(p)] for p in expected]
+            lengths = [len(where.get(d, [])) for d in candidates]
+            assert index.run_lengths(term, candidates) == lengths
 
 
 def test_missing_file_surfaces_os_error(tmp_path):
