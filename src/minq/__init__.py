@@ -14,8 +14,6 @@ from .intervals import (
     cmp_start,
     contains,
     length,
-    span,
-    strictly_before,
 )
 from .streams import (
     CountingStream,
@@ -74,7 +72,7 @@ from .engine import (
 
 __all__ = [
     "Interval", "NEG_INF", "POS_INF", "cmp_end", "cmp_start", "contains",
-    "length", "span", "strictly_before",
+    "length",
     "CountingStream", "IntervalStream", "ListStream", "OrderViolation",
     "RhoProfile", "from_positions", "materialize", "profile",
     "and_span", "block", "difference", "lowpass", "or_merge", "ordered_and",

@@ -21,6 +21,9 @@ the snippet windows.
 Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
 I/O or index-format trouble. The query is parsed before the index is read,
 so a bad query exits 1 even when the index file is missing or malformed.
+The index file is read as sources are (:func:`minq.index.read_source`), so
+one that is missing, a directory, or not a regular file (a FIFO or a device,
+refused without waiting on it) exits 2 too.
 Exit 2 also covers a negative ``--top`` or ``--snippets`` (rejected before
 evaluation, whether or not anything matches), an output path of ``minq
 index`` that names a directory, whose parent is not a directory, or that
@@ -33,8 +36,9 @@ named), and a printed document whose source file is missing, not a
 regular file, no longer UTF-8, or no longer matches its indexed word
 count and digest. When the source's own word offsets give the recorded
 digest, the index file's offsets record was edited, and the error is a
-bad index file's. These errors print one ``minq: ...`` line on stderr; a
-bad index file's line ends ``; re-index it``.
+bad index file's. These errors print one ``minq: ...`` line on stderr,
+paths quoted with ``repr`` (so a newline in one stays on the line); a bad
+index file's line ends ``; re-index it``.
 
 ``minq index`` reads and decodes its sources one at a time as it builds
 the index, so it holds one source text at a time; a bad source stops the

@@ -59,16 +59,7 @@ from .operators import (
     ordered_pairs,
 )
 from .query import And, Block, LowPass, Minus, Or, OrderedAnd, Term
-from .streams import (
-    IntervalStream,
-    ListStream,
-    PairStream,
-    _pairs,
-    _profile,
-    from_positions,
-    materialize,
-    materialize_pairs,
-)
+from .streams import IntervalStream, PairStream, _pairs, _profile, from_positions, materialize_pairs
 
 # The engine calls none of or_merge, and_span, block, ordered_and, lowpass,
 # difference, from_positions or star_compose (a placeholder); they stay bound
@@ -174,7 +165,7 @@ def evaluate_with_profile(ast, index, doc_id: int):
     root = plan(ast, index)
     operator, _, inputs = (_identity, ast, [root]) if root.func is run else root.args
     prof = _profile(partial(_root, operator, ast), [PairStream(make(doc_id)) for make in inputs])
-    prof.outputs = materialize(ListStream(prof.outputs))
+    prof.outputs = materialize_pairs(prof.outputs)
     return prof.outputs, prof
 
 
@@ -248,7 +239,8 @@ def rank(witnesses) -> float:
     the witness count, which :func:`score_bounds` bounds from above.
     """
     return float(
-        sum(min(1.0, SATURATION_LENGTH / (iv.right - iv.left + 1)) for iv in witnesses)
+        # iv[1] - iv[0]: indexing a pair is faster than its properties or unpacking it.
+        sum(min(1.0, SATURATION_LENGTH / (iv[1] - iv[0] + 1)) for iv in witnesses)
     )
 
 

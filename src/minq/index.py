@@ -80,8 +80,10 @@ raises :class:`OSError`, and one that is not a regular file
 whose word count or digest no longer matches the index, raises
 :class:`StaleSourceError`, unless the offsets recomputed from its text
 give the recorded digest: then the index's offsets record was edited,
-and :class:`IndexFormatError` names the document. ``minq index`` reads
-its sources through the same reader (:func:`read_source`).
+and :class:`IndexFormatError` names the document. :func:`load_index` and
+``minq index`` read the index file and the sources through the same
+reader (:func:`read_source`). Messages quote a source path with ``repr``,
+so one holding a newline stays on one line.
 """
 
 import contextlib
@@ -426,9 +428,11 @@ class _Reader:
 
 @_collector_paused()
 def load_index(path) -> PositionalIndex:
-    """Read an IVX3 file; :class:`IndexFormatError` if it is not a well-formed one."""
-    with open(path, "rb") as src:
-        data = src.read()
+    """Read an IVX3 file; :class:`IndexFormatError` if it is not a well-formed one.
+
+    The file is read by :func:`read_source`, so a FIFO or a device is refused.
+    """
+    data = read_source(path)
     read = _Reader(data)
     if data[:4] != _MAGIC:
         raise read.fail(f"not an IVX3 index file (it starts {data[:8]!r})")
@@ -571,7 +575,7 @@ def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StaleSourceError(
-            f"stale source {doc.path}: byte {exc.start} is not UTF-8; re-index it"
+            f"stale source {doc.path!r}: byte {exc.start} is not UTF-8; re-index it"
         ) from None
     if not changed:
         found = _window_words(text, count, doc.offsets, spans)
@@ -580,14 +584,14 @@ def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
     found, offsets = _sampled_words(text)
     if len(found) != count:
         raise StaleSourceError(
-            f"stale source {doc.path}: {len(found)} words, index has {count}; re-index it"
+            f"stale source {doc.path!r}: {len(found)} words, index has {count}; re-index it"
         )
     if changed:
         if source_digest(data, count, offsets) == doc.digest:
             raise IndexFormatError(
-                f"document {doc_id}: sampled word offsets do not match its source {doc.path}"
+                f"document {doc_id}: sampled word offsets do not match its source {doc.path!r}"
             )
-        raise StaleSourceError(f"stale source {doc.path}: its text has changed; re-index it")
+        raise StaleSourceError(f"stale source {doc.path!r}: its text has changed; re-index it")
     return [found[start:stop] for start, stop in spans]
 
 
@@ -616,10 +620,13 @@ def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | No
 def read_source(path) -> bytes:
     """The bytes of a regular file, without a buffered file object; errors name ``path``.
 
-    The file is opened without blocking, so a FIFO or a device is refused
-    (:class:`ValueError`) instead of waiting for a writer or reading
-    forever; a directory fails its read (:class:`IsADirectoryError`).
+    Every file minq reads comes through here: the index file, the sources
+    of ``minq index`` and the sources of snippets. The file is opened
+    without blocking, so a FIFO or a device is refused (:class:`ValueError`)
+    instead of waiting for a writer or reading forever; a directory fails
+    its read (:class:`IsADirectoryError`).
     """
+    path = os.fspath(path)  # errors name a pathlib path as its string
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         info = os.fstat(fd)

@@ -4,8 +4,8 @@ Positions are plain integers extended with the sentinels ``NEG_INF`` and
 ``POS_INF`` (float infinities, which order correctly against ints). An
 ``Interval`` is nonempty by construction: ``left <= right`` always holds.
 The sentinel intervals ``[-inf..-inf]`` and ``[+inf..+inf]`` are legal
-values (they serve as initial/terminal operator state) but never appear in
-streams.
+values but never appear in streams; the operators hold the sentinels as
+plain scalars.
 
 Two total orders drive the merge machinery:
 
@@ -15,10 +15,9 @@ Two total orders drive the merge machinery:
   ties broken toward the larger right extreme.
 
 All values here are immutable and freely shareable between threads.
-``Interval`` is built once per witness of a query's root, so its
-constructor writes the two slots through the slot descriptors' setters;
-``__setattr__`` still refuses every later write.
 """
+
+from operator import itemgetter
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -26,52 +25,35 @@ POS_INF = float("inf")
 Position = int | float  # a finite int, or one of the two sentinels
 
 
-class Interval:
-    """A nonempty closed interval ``[left..right]`` of word positions."""
+class Interval(tuple):
+    """A nonempty closed interval ``[left..right]`` of word positions.
 
-    __slots__ = ("left", "right")
+    It is its ``(left, right)`` pair, a :class:`tuple`: it equals, hashes
+    and sorts as that pair and unpacks into it, so sorting an antichain
+    gives its natural order. Copies and pickles rebuild it through the
+    emptiness check of :meth:`__new__`.
+    """
 
-    def __init__(self, left: Position, right: Position):
+    __slots__ = ()
+
+    def __new__(cls, left: Position, right: Position):
         if left > right:
             raise ValueError(f"empty interval [{left}..{right}]")
-        _set_left(self, left)
-        _set_right(self, right)
+        return tuple.__new__(cls, (left, right))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
+    left = property(itemgetter(0), doc="The first position.")
+    right = property(itemgetter(1), doc="The last position.")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Interval)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        return f"[{self.left}..{self.right}]"
-
-
-# The slot descriptors' setters; only Interval.__init__ writes through them.
-_set_left = Interval.left.__set__
-_set_right = Interval.right.__set__
+        return f"[{self[0]}..{self[1]}]"
 
 
 def contains(a: Interval, b: Interval) -> bool:
     """True iff ``b`` lies entirely within ``a``."""
     return a.left <= b.left and b.right <= a.right
-
-
-def span(a: Interval, b: Interval) -> Interval:
-    """The least interval containing both ``a`` and ``b``."""
-    return Interval(min(a.left, b.left), max(a.right, b.right))
-
-
-def strictly_before(a: Interval, b: Interval) -> bool:
-    """True iff every position of ``a`` precedes every position of ``b``."""
-    return a.right < b.left
 
 
 def cmp_end(a: Interval, b: Interval) -> int:

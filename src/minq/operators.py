@@ -29,8 +29,9 @@ ends.
 
 The public names ``or_merge``, ``and_span``, ``block``, ``ordered_and``,
 ``lowpass`` and ``difference`` adapt the generators to
-:class:`~minq.streams.IntervalStream` inputs and output, as a
-:class:`~minq.streams.PairStream`. The engine runs none of them.
+:class:`~minq.streams.IntervalStream` inputs, whose intervals are already
+pairs, and output, as a :class:`~minq.streams.PairStream`. The engine runs
+none of them.
 """
 
 from .intervals import NEG_INF, POS_INF

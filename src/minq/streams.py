@@ -9,10 +9,12 @@ Every operator also stops pulling an input once that input has returned
 
 The engine evaluates over ``(left, right)`` int pairs instead (see
 :mod:`minq.operators`), a term's positions read as ``(p, p)`` pairs
-(:func:`minq.index.run`): :func:`materialize_pairs` turns a root's pairs
-into intervals, checking their order, and :class:`PairStream` shows any
-pair iterator as an interval stream. :func:`from_positions` checks a
-caller's position list and streams it as singleton intervals.
+(:func:`minq.index.run`). An :class:`~minq.intervals.Interval` is such a
+pair, so a stream's intervals feed a pair generator as they come;
+:func:`materialize_pairs` checks a root's pairs and turns them into
+intervals in one C-level pass, and :class:`PairStream` shows any pair
+iterator as an interval stream. :func:`from_positions` checks a caller's
+position list and streams it as singleton intervals.
 
 :class:`CountingStream` records how many elements (the terminal ``None``
 included) were pulled from a source, and :func:`profile` snapshots those
@@ -26,8 +28,8 @@ one lazy counting stream per input of the query's root.
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import starmap
-from operator import attrgetter, lt
+from itertools import repeat, starmap
+from operator import le, lt
 
 from .intervals import Interval
 
@@ -92,24 +94,32 @@ def from_positions(positions) -> IntervalStream:
 
 
 def materialize_pairs(pairs) -> list[Interval]:
-    """The intervals of a finite iterator of ``(left, right)`` pairs, checking their order."""
+    """The intervals of a finite iterator of ``(left, right)`` pairs, checking them.
+
+    Each pair must be nonempty, and the pairs in natural order; the first
+    fault raises :class:`ValueError` (an empty interval) or
+    :class:`OrderViolation`.
+    """
     pairs = list(pairs)
-    if len(pairs) > 1:
+    if pairs:
         lefts, rights = zip(*pairs)
-        if not (all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))):
+        if not (
+            all(map(le, lefts, rights))
+            and all(map(lt, lefts, lefts[1:]))
+            and all(map(lt, rights, rights[1:]))
+        ):
             # Rescan to name the first fault.
-            for prev, item in zip(pairs, pairs[1:]):
-                if item[0] <= prev[0] or item[1] <= prev[1]:
-                    raise OrderViolation(f"{Interval(*prev)!r} followed by {Interval(*item)!r}")
-    return list(starmap(Interval, pairs))
-
-
-_extremes = attrgetter("left", "right")
+            prev = None
+            for item in starmap(Interval, pairs):
+                if prev and (item[0] <= prev[0] or item[1] <= prev[1]):
+                    raise OrderViolation(f"{prev!r} followed by {item!r}")
+                prev = item
+    return list(map(tuple.__new__, repeat(Interval), pairs))  # checked: no per-pair __new__
 
 
 def _pairs(stream: IntervalStream):
-    """The pairs of an interval stream, read up to its first ``None`` and no further."""
-    return map(_extremes, iter(stream.next, None))
+    """The intervals of a stream, which are pairs, up to its first ``None`` and no further."""
+    return iter(stream.next, None)
 
 
 def materialize(stream: IntervalStream) -> list[Interval]:

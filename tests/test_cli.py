@@ -178,6 +178,30 @@ def test_a_printed_documents_source_swapped_for_a_fifo_exits_two(tmp_path):
     err = refused_within(10, "query", "idx.ivx", "bee", "--snippets", "1", cwd=tmp_path)
     assert err == "minq: 'doc.txt': not a regular file\n"
 
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_an_index_path_that_is_no_regular_file_exits_two_without_blocking(tmp_path):
+    # The index file is read as sources are: nothing writes to the FIFO.
+    os.mkfifo(tmp_path / "idx.fifo")
+    err = refused_within(10, "query", "idx.fifo", "a", cwd=tmp_path)
+    assert err == "minq: 'idx.fifo': not a regular file\n"
+    err = refused_within(10, "query", os.devnull, "a", cwd=tmp_path)
+    assert err == f"minq: {os.devnull!r}: not a regular file\n"
+    err = refused_within(10, "query", "none.ivx", "a", cwd=tmp_path)
+    assert err == "minq: [Errno 2] No such file or directory: 'none.ivx'\n"
+    (tmp_path / "dir.ivx").mkdir()
+    err = refused_within(10, "query", "dir.ivx", "a", cwd=tmp_path)
+    assert err == "minq: [Errno 21] Is a directory: 'dir.ivx'\n"
+
+
+def test_stale_source_with_a_newline_in_its_path_is_one_line(tmp_path):
+    doc = tmp_path / "a\nb.txt"
+    doc.write_text("ape bee")
+    assert run_cli("index", "a\nb.txt", "-o", "i.ivx", cwd=tmp_path).returncode == 0
+    doc.write_text("ape cow")
+    err = refused_within(10, "query", "i.ivx", "ape", "--snippets", "1", cwd=tmp_path)
+    assert err == "minq: stale source 'a\\nb.txt': its text has changed; re-index it\n"
+
 def test_malformed_index_exit_two(tmp_path):
     bad = tmp_path / "bad.ivx"
     bad.write_text("WHAT 1\n")
@@ -378,8 +402,7 @@ def test_stale_returned_source_exit_two(two_doc_idx):
     assert proc.returncode == 2
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("minq: stale source ")
-    assert str(a) in lines[0]
+    assert len(lines) == 1 and lines[0].startswith(f"minq: stale source {str(a)!r}: ")
 
 
 def test_missing_source_outside_top_is_never_opened(two_doc_idx):
@@ -427,7 +450,7 @@ def test_source_with_two_words_swapped_is_stale(two_doc_idx):
     assert proc.returncode == 2
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
-    assert lines == [f"minq: stale source {a}: its text has changed; re-index it"]
+    assert lines == [f"minq: stale source {str(a)!r}: its text has changed; re-index it"]
 
 
 def test_source_no_longer_utf8_is_stale(two_doc_idx):
@@ -438,7 +461,7 @@ def test_source_no_longer_utf8_is_stale(two_doc_idx):
     assert proc.returncode == 2
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
-    assert lines == [f"minq: stale source {a}: byte 4 is not UTF-8; re-index it"]
+    assert lines == [f"minq: stale source {str(a)!r}: byte 4 is not UTF-8; re-index it"]
 
 
 def test_truncated_index_exits_two_at_every_offset(tmp_path):
@@ -589,7 +612,7 @@ def test_a_raised_offset_gap_in_the_index_file_is_a_bad_index_file(fifty_words):
         2,
         "",
         f"minq: bad index file: document 0: sampled word offsets do not match its source "
-        f"{text}; re-index it\n",
+        f"{str(text)!r}; re-index it\n",
     )
 
 

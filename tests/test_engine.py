@@ -1,6 +1,8 @@
+import copy
 import gc
 import io
 import itertools
+import pickle
 import random
 import re
 import subprocess
@@ -371,6 +373,27 @@ def test_evaluate_with_profile_term_root(rhyme_index):
     assert prof.rho == [(1,), (2,), (3,), (4,), (5,)]
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_results_and_profiles_copy_and_pickle(rhyme_index, clone):
+    # Results and profiles can cross a process boundary, typed as they were.
+    ast = parse_query("(hot | cold) & porridge & pease")
+    results = search(rhyme_index, ast, snippet_count=2)
+    assert results and results[0].snippets
+    _, prof = evaluate_with_profile(ast, rhyme_index, 0)
+    copied = clone(results)
+    assert copied == results
+    for result in copied:
+        assert all(type(w) is Interval for w in result.witnesses)
+        assert all(type(window) is Interval for window, _ in result.snippets)
+    copied = clone(prof)
+    assert copied == prof
+    assert all(type(w) is Interval for w in copied.outputs)
+
+
 def star_operands(ast):
     """Operand nodes of ``ast`` and its operator behind an emptiness check."""
     if isinstance(ast, Or):
@@ -699,7 +722,7 @@ def test_edit_after_the_last_snippet_window_is_stale(tmp_path):
     assert stale_run(idx, "ape & bee", "--snippets", "1") == (0, "")
     doc.write_text(text[:-3] + "eel")
     assert stale_run(idx, "ape & bee", "--snippets", "1") == (
-        2, f"minq: stale source {doc}: its text has changed; re-index it\n"
+        2, f"minq: stale source {str(doc)!r}: its text has changed; re-index it\n"
     )
 
 
@@ -710,7 +733,7 @@ def test_window_past_a_matching_sources_last_word_is_stale(tmp_path):
     index = build_index([(str(doc), "ape bee ape bee")])
     offsets = index.docs[0].offsets
     index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee", 4, offsets), offsets)
-    message = f"stale source {doc}: 2 words, index has 4; re-index it"
+    message = f"stale source {str(doc)!r}: 2 words, index has 4; re-index it"
     with pytest.raises(StaleSourceError) as caught:
         search(index, parse_query("ape & bee"), snippet_count=3)
     assert str(caught.value) == message
@@ -730,7 +753,7 @@ def test_edited_word_count_with_the_old_digest_is_stale(tmp_path):
     for count in (107, 117):
         offsets = build_index([("", "w " * count)]).docs[0].offsets  # as many as count needs
         index.docs[0] = DocInfo(str(doc), count, digest, offsets)
-        message = f"stale source {doc}: 112 words, index has {count}; re-index it"
+        message = f"stale source {str(doc)!r}: 112 words, index has {count}; re-index it"
         with pytest.raises(StaleSourceError, match=re.escape(message)):
             search(index, parse_query("ape & bee"), snippet_count=1)
     # Through an index file (a smaller count would fail the load already).

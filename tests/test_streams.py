@@ -67,6 +67,20 @@ def test_materialize_validates_order():
         assert str(pairs_error.value) == str(stream_error.value)
 
 
+def test_materialize_pairs_names_the_first_fault():
+    with pytest.raises(ValueError, match=r"^empty interval \[3\.\.1\]$") as error:
+        materialize_pairs([(3, 1)])
+    assert type(error.value) is ValueError
+    # An empty pair after an order fault: the order fault comes first.
+    with pytest.raises(OrderViolation, match=r"^\[0\.\.3\] followed by \[1\.\.2\]$"):
+        materialize_pairs([(0, 3), (1, 2), (5, 4)])
+    # An empty pair before an order fault: the empty pair comes first.
+    with pytest.raises(ValueError, match=r"^empty interval \[5\.\.4\]$"):
+        materialize_pairs([(0, 1), (5, 4), (2, 3)])
+    got = materialize_pairs([(0, 1), (2, 3)])
+    assert all(type(item) is Interval for item in got)
+
+
 @given(
     positions=st.lists(
         st.integers(min_value=0, max_value=100), unique=True, max_size=20
