@@ -36,7 +36,8 @@ named), and a printed document whose source file is missing, not a
 regular file, no longer UTF-8, or no longer matches its indexed word
 count and digest. When the source's own word offsets give the recorded
 digest, the index file's offsets record was edited, and the error is a
-bad index file's. These errors print one ``minq: ...`` line on stderr,
+bad index file's; so it is when the digest matches but a snippet window of
+the sampled offsets does not hold its words. These errors print one ``minq: ...`` line on stderr,
 paths quoted with ``repr`` (so a newline in one stays on the line); a bad
 index file's line ends ``; re-index it``.
 

@@ -22,7 +22,7 @@ witnesses (evaluation weeds them out) but never drops one with witnesses.
 Evaluation is document-at-a-time; distinct documents are independent and
 may be processed in parallel. The query path creates no reference cycles,
 so everything a query builds, and an index dropped afterwards, is freed by
-reference counting even while the cyclic collector is paused.
+reference counting alone, even with the cyclic collector off.
 
 :func:`search` without ``top`` evaluates and ranks every candidate. With
 ``top`` it evaluates candidates in decreasing order of an upper bound on
@@ -42,7 +42,7 @@ from math import inf
 from operator import neg
 
 from .index import StaleSourceError, document_words, run  # search calls document_words as a global
-from .intervals import Interval, length
+from .intervals import Interval
 from .operators import (
     QueueCounts,
     and_pairs,
@@ -219,13 +219,11 @@ def snippets(witnesses: list[Interval], k: int) -> list[Interval]:
     if k < 1:
         raise ValueError(f"snippet count must be positive, got {k}")
     chosen = []
-    for candidate in sorted(witnesses, key=lambda iv: (length(iv), iv.left)):
+    # Indexing, as in rank: the left and right properties cost a call each.
+    for candidate in sorted(witnesses, key=lambda iv: (iv[1] - iv[0], iv[0])):
         if len(chosen) == k:
             break
-        if all(
-            candidate.right < pick.left or pick.right < candidate.left
-            for pick in chosen
-        ):
+        if all(candidate[1] < pick[0] or pick[1] < candidate[0] for pick in chosen):
             chosen.append(candidate)
     return chosen
 
@@ -307,7 +305,7 @@ def search(index, ast, top: int | None = None, snippet_count: int = 0) -> list[Q
     if snippet_count:
         for result in results:
             windows = snippets(result.witnesses, snippet_count)
-            spans = [(w.left, w.right + 1) for w in windows]
+            spans = [(w[0], w[1] + 1) for w in windows]
             # By keyword: tracing proxies unpack (index, doc_id) from the positional ones.
             found = document_words(index, result.doc_id, spans=spans)
             result.snippets = list(zip(windows, found))

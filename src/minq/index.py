@@ -1,8 +1,12 @@
 """Positional inverted index, in memory and on disk as per-term columns.
 
 Documents are plain text; tokenization case-folds the text and splits it on
-any run of non-alphanumeric characters, numbering words from 0 (:func:`words`
-is the one splitter, also used for query words and phrases and snippets).
+any run of non-alphanumeric characters, numbering words from 0. Two
+splitters share one word pattern: :func:`words` splits query words and
+phrases and snippet windows, and :func:`_sampled_words` (a capturing split
+that also gives each word's start) splits a document for the build and for
+the recheck of a changed source. The tests keep them equal by comparing
+the build with a reference built one pattern match at a time.
 
 In memory each term has one :class:`TermPostings` of three lists. Its
 ``docs`` list holds the documents holding the term, in increasing order;
@@ -21,15 +25,12 @@ number: document ids, positions and run starts come from one table,
 ``numbers[k] == k``. By :func:`sys.getsizeof` over the postings dict,
 its term strings, tuples, lists and distinct ints (64-bit CPython 3.11,
 seed 7), the loaded search-short benchmark postings take 25.9 MB and the
-built ones 25.6 MB, search-long's 14.7 MB and 14.2 MB; with a dict from
-document to run number per term they took 43.8, 48.6, 18.3 and 18.1 MB.
-Once built (or loaded) an index is never mutated by queries,
-so it can be shared freely across threads. Building, saving and loading
-pause the cyclic garbage collector, which is process-wide, and restore
-the state they found; other threads meanwhile run without cyclic
-collection. The pause is safe because an index holds no reference
-cycles, and it pays: otherwise collections triggered by set-up's
-allocations walk every object already built.
+built ones 25.6 MB, search-long's 14.7 MB and 14.2 MB. Once built (or
+loaded) an index is never mutated by queries, so it can be shared freely
+across threads. Building, saving and loading leave the cyclic garbage
+collector as they find it: it is process-wide, so pausing it would pause
+it for every thread. An index holds no reference cycles, so reference
+counting alone frees a dropped one.
 
 On disk the index is IVX3, a binary file. Every number is an unsigned
 little-endian integer; ``u32[n]`` is a column of n four-byte ones:
@@ -74,7 +75,8 @@ just after a save can still lose it.
 Snippets read a document's words back from its source
 (:func:`document_words`). The source is read once, its digest checked,
 and only the slices of its text around the snippets split, found through
-the sampled word offsets that the digest certifies. One that is missing
+the sampled word offsets that the digest certifies; a slice that does not
+hold its words raises :class:`IndexFormatError`. A source that is missing
 raises :class:`OSError`, and one that is not a regular file
 :class:`ValueError`, without blocking; one that is no longer UTF-8, or
 whose word count or digest no longer matches the index, raises
@@ -87,7 +89,6 @@ so one holding a newline stays on one line.
 """
 
 import contextlib
-import gc
 import hashlib
 import os
 import re
@@ -228,22 +229,6 @@ class PositionalIndex:
         )
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Turn the cyclic garbage collector off, then restore the state found.
-
-    Why this is safe and pays is in the module docstring.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
 def build_index(documents) -> PositionalIndex:
     """Index an iterable of (path, text) pairs in order."""
     docs, postings = [], {}
@@ -323,7 +308,6 @@ def _term_columns(postings: TermPostings):
     )
 
 
-@_collector_paused()
 def save_index(index: PositionalIndex, path) -> None:
     """Write ``index`` to ``path``, replacing it whole or leaving it as it was.
 
@@ -426,7 +410,6 @@ class _Reader:
             raise self.fail(f"{what} not UTF-8", start) from None
 
 
-@_collector_paused()
 def load_index(path) -> PositionalIndex:
     """Read an IVX3 file; :class:`IndexFormatError` if it is not a well-formed one.
 
@@ -485,8 +468,18 @@ def load_index(path) -> PositionalIndex:
         at += n * cw
         gaps = _column(data, at, m, pw)
         at += m * pw
-        if not n or 0 in doc_gaps or 0 in counts or 0 in gaps or sum(counts) != m:
-            raise _fault(term, n, doc_gaps, counts, gaps, m)
+        if not n:
+            raise IndexFormatError(f"term {term!r}: no documents")
+        if 0 in doc_gaps:
+            raise IndexFormatError(f"term {term!r}: document ids not strictly increasing")
+        if 0 in counts:
+            raise IndexFormatError(f"term {term!r}: a document with no positions")
+        if 0 in gaps:
+            raise IndexFormatError(f"term {term!r}: positions not strictly increasing")
+        if sum(counts) != m:
+            raise IndexFormatError(
+                f"term {term!r}: position counts sum to {sum(counts)}, term table says {m}"
+            )
         try:
             doc_ids = list(map(doc_id, accumulate(doc_gaps)))
         except IndexError:
@@ -529,35 +522,15 @@ def _offsets(read: _Reader, word_counts: list[int]) -> list[array]:
     return list(map(array, repeat("Q"), _run_sums(gaps, sampled)))
 
 
-def _fault(term, n, doc_gaps, counts, gaps, m) -> IndexFormatError:
-    """The error for a term that failed the checks on its columns alone."""
-    if not n:
-        problem = "no documents"
-    elif 0 in doc_gaps:
-        problem = "document ids not strictly increasing"
-    elif 0 in counts:
-        problem = "a document with no positions"
-    elif 0 in gaps:
-        problem = "positions not strictly increasing"
-    else:
-        problem = f"position counts sum to {sum(counts)}, term table says {m}"
-    return IndexFormatError(f"term {term!r}: {problem}")
-
-
 def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
     """The words of a document in each half-open ``(start, stop)`` span, from its source.
 
-    The file is read once and its digest, of its bytes with the indexed
-    word count and sampled word offsets, checked before any word is split.
-    On a match the offsets are certified, and each span's words are split
-    only from the slice of the text between the offsets around it; the
-    text is case-folded whole first when its folding changes its length,
-    since the offsets index the folded text. A span past the word count,
-    or a slice that does not hold the expected number of words, voids them
-    (only a record whose digest was recomputed by hand gets there): the
-    whole text is then split and its word count checked, as it is on a
-    digest mismatch, so a source with fewer words than a span needs never
-    yields a short list.
+    A span that ends past the document's word count raises
+    :class:`ValueError` before the source is read. The file is read once
+    and its digest, of its bytes with the indexed word count and sampled
+    word offsets, checked before any word is split. On a match the words
+    come from :func:`_window_words` alone, split only from the slices of
+    the text between the certified offsets around each span.
 
     Raises :class:`StaleSourceError` if the file's bytes are no longer
     UTF-8, or its word count or digest differs from the indexed one, since
@@ -568,8 +541,13 @@ def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
     document. So a bad offset never shows wrong words.
     """
     doc = index.docs[doc_id]
-    data = read_source(doc.path)
     count = doc.word_count
+    for start, stop in spans:
+        if stop > count:
+            raise ValueError(
+                f"document {doc_id}: span ({start}, {stop}) ends past its {count} words"
+            )
+    data = read_source(doc.path)
     changed = source_digest(data, count, doc.offsets) != doc.digest
     try:
         text = data.decode("utf-8")
@@ -578,41 +556,41 @@ def document_words(index, doc_id: int, *, spans) -> list[list[str]]:
             f"stale source {doc.path!r}: byte {exc.start} is not UTF-8; re-index it"
         ) from None
     if not changed:
-        found = _window_words(text, count, doc.offsets, spans)
-        if found is not None:
-            return found
+        return _window_words(text, count, doc.offsets, spans, f"document {doc_id}")
     found, offsets = _sampled_words(text)
     if len(found) != count:
         raise StaleSourceError(
             f"stale source {doc.path!r}: {len(found)} words, index has {count}; re-index it"
         )
-    if changed:
-        if source_digest(data, count, offsets) == doc.digest:
-            raise IndexFormatError(
-                f"document {doc_id}: sampled word offsets do not match its source {doc.path!r}"
-            )
-        raise StaleSourceError(f"stale source {doc.path!r}: its text has changed; re-index it")
-    return [found[start:stop] for start, stop in spans]
+    if source_digest(data, count, offsets) == doc.digest:
+        raise IndexFormatError(
+            f"document {doc_id}: sampled word offsets do not match its source {doc.path!r}"
+        )
+    raise StaleSourceError(f"stale source {doc.path!r}: its text has changed; re-index it")
 
 
-def _window_words(text: str, count: int, offsets, spans) -> list[list[str]] | None:
+def _window_words(text: str, count: int, offsets, spans, name="document") -> list[list[str]]:
     """Each span's words, split from between its enclosing sampled offsets.
 
-    The digest certifies the offsets, so a slice holds exactly its words.
-    None if a span ends past word ``count`` or a slice holds a wrong number
-    of words, which only a record whose digest was recomputed by hand can.
+    The spans end at or before word ``count``. The text is case-folded
+    whole first when its folding changes its length, since the offsets
+    index the folded text. A match of the digest certifies the offsets,
+    the count and the text together, so each slice holds exactly its
+    words; one that does not (a record whose digest was recomputed over
+    inconsistent offsets or count) raises :class:`IndexFormatError`, naming
+    ``name``.
     """
     if offsets[-1] != len(text):  # folding changes the length: offsets index the folded text
         text = text.casefold()
     found = []
     for start, stop in spans:
-        if stop > count:
-            return None
         first, last = start // OFFSET_STRIDE, -(-stop // OFFSET_STRIDE)
         split = words(text[offsets[first] : offsets[last]])
         skip = first * OFFSET_STRIDE
         if len(split) != min(last * OFFSET_STRIDE, count) - skip:
-            return None
+            raise IndexFormatError(
+                f"{name}: its word count and sampled word offsets do not fit its text"
+            )
         found.append(split[start - skip : stop - skip])
     return found
 

@@ -726,20 +726,33 @@ def test_edit_after_the_last_snippet_window_is_stale(tmp_path):
     )
 
 
-def test_window_past_a_matching_sources_last_word_is_stale(tmp_path):
-    # The digest matches the file, but the index counts more words than it holds.
+def test_window_past_a_matching_sources_last_word_is_a_bad_record(tmp_path):
+    # The digest matches the file, but the index counts more words than it
+    # holds: a window slice comes up short, and the index file is blamed.
     doc = tmp_path / "doc.txt"
     doc.write_text("ape bee")
     index = build_index([(str(doc), "ape bee ape bee")])
     offsets = index.docs[0].offsets
     index.docs[0] = DocInfo(str(doc), 4, source_digest(b"ape bee", 4, offsets), offsets)
-    message = f"stale source {str(doc)!r}: 2 words, index has 4; re-index it"
-    with pytest.raises(StaleSourceError) as caught:
+    message = "document 0: its word count and sampled word offsets do not fit its text"
+    with pytest.raises(IndexFormatError) as caught:
         search(index, parse_query("ape & bee"), snippet_count=3)
     assert str(caught.value) == message
-    for stop in (3, 4, 9):
-        with pytest.raises(StaleSourceError, match=re.escape(message)):
+    for stop in (3, 4):
+        with pytest.raises(IndexFormatError, match=f"^{re.escape(message)}$"):
             engine.document_words(index, 0, spans=[(0, stop)])
+    # A span past the word count is the caller's error, found before any read.
+    doc.unlink()
+    past_the_end = r"^document 0: span \(0, 9\) ends past its 4 words$"
+    with pytest.raises(ValueError, match=past_the_end) as past:
+        engine.document_words(index, 0, spans=[(0, 9)])
+    assert past.type is ValueError
+    doc.write_text("ape bee")
+    idx = tmp_path / "idx.ivx"
+    save_index(index, idx)
+    assert stale_run(idx, "ape & bee", "--snippets", "3") == (
+        2, f"minq: bad index file: {message}; re-index it\n"
+    )
 
 
 def test_edited_word_count_with_the_old_digest_is_stale(tmp_path):

@@ -461,13 +461,14 @@ def test_wide_columns_round_trip(tmp_path):
     # d's first word starts 70,000 characters in: the offsets column, after
     # the paths, is four bytes wide.
     assert data[data.index(b"d.txt") + 5] == 4
-@pytest.mark.parametrize("enabled", [True, False])
-def test_build_and_load_restore_collector_state(tmp_path, enabled):
-    seen = []
 
-    def documents():
-        seen.append(gc.isenabled())
-        yield "a.txt", "ape bee ape"
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_set_up_leaves_the_collector_alone(tmp_path, monkeypatch, enabled):
+    # The cyclic collector is process-wide: set-up must not switch it, even
+    # for a while, whichever state it finds.
+    def switched():
+        raise AssertionError("the cyclic collector was switched")
 
     target = tmp_path / "idx.ivx"
     bad = tmp_path / "bad.ivx"
@@ -475,18 +476,20 @@ def test_build_and_load_restore_collector_state(tmp_path, enabled):
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        index = build_index(documents())
-        assert gc.isenabled() is enabled
-        save_index(index, target)
-        assert gc.isenabled() is enabled
-        assert load_index(target) == index
-        assert gc.isenabled() is enabled
-        with pytest.raises(IndexFormatError):
-            load_index(bad)
-        assert gc.isenabled() is enabled
+        with monkeypatch.context() as patched:
+            patched.setattr(gc, "disable", switched)
+            patched.setattr(gc, "enable", switched)
+            index = build_index([("a.txt", "ape bee ape")])
+            assert gc.isenabled() is enabled
+            save_index(index, target)
+            assert gc.isenabled() is enabled
+            assert load_index(target) == index
+            assert gc.isenabled() is enabled
+            with pytest.raises(IndexFormatError):
+                load_index(bad)
+            assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [False]
 
 
 # The tokenizer's characters of interest, plus any other encodable one.
