@@ -18,12 +18,16 @@ printed document's source is read back as
 bytes, word count and sampled word offsets) checked, and split only around
 the snippet windows.
 
-Exit status: 0 on success (matches or not), 1 on a query syntax error, 2 on
-I/O or index-format trouble. The query is parsed before the index is read,
-so a bad query exits 1 even when the index file is missing or malformed.
-The index file is read as sources are (:func:`minq.index.read_source`), so
-one that is missing, a directory, or not a regular file (a FIFO or a device,
-refused without waiting on it) exits 2 too.
+Exit status: 0 on success (matches or not, and for ``-h``/``--help``), 1 on
+a query syntax error, 2 on a command line the parser refuses or on I/O or
+index-format trouble. A query that starts with ``-`` goes after ``--``
+(``minq query i.ivx -- '-a'``); without it, the parser takes it for an
+option, and its one-line error says to put ``--`` before it. The query is
+parsed before the index is read, so a bad query exits 1 even when the
+index file is missing or malformed. The index file is read as sources
+are (:func:`minq.index.read_source`), so one that is missing, a directory,
+or not a regular file (a FIFO or a device, refused without waiting on it)
+exits 2 too.
 Exit 2 also covers a negative ``--top`` or ``--snippets`` (rejected before
 evaluation, whether or not anything matches), an output path of ``minq
 index`` that names a directory, whose parent is not a directory, or that
@@ -37,9 +41,11 @@ regular file, no longer UTF-8, or no longer matches its indexed word
 count and digest. When the source's own word offsets give the recorded
 digest, the index file's offsets record was edited, and the error is a
 bad index file's; so it is when the digest matches but a snippet window of
-the sampled offsets does not hold its words. These errors print one ``minq: ...`` line on stderr,
-paths quoted with ``repr`` (so a newline in one stays on the line); a bad
-index file's line ends ``; re-index it``.
+the sampled offsets does not hold its words. Since the index file's footer
+catches any edit, an edited offsets record is reachable only in a file
+whose footer was recomputed after the edit. These errors print one
+``minq: ...`` line on stderr, paths quoted with ``repr`` (so a newline in
+one stays on the line); a bad index file's line ends ``; re-index it``.
 
 ``minq index`` reads and decodes its sources one at a time as it builds
 the index, so it holds one source text at a time; a bad source stops the
@@ -114,10 +120,34 @@ def _cmd_query(args) -> int:
     return 0
 
 
+class _ArgvError(Exception):
+    """A command line the parser refuses; the message is argparse's."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises :class:`_ArgvError` where argparse prints usage and exits."""
+
+    def error(self, message):
+        raise _ArgvError(message)
+
+
+_QUERY_OPTIONS = ("--top", "--snippets", "--show-rho")
+
+
+def _dashed_query(argv: list[str]) -> str | None:
+    """The first argument of ``minq query`` before any ``--`` that starts with ``-``
+    but is no option: a query the parser took for one."""
+    if argv[:1] != ["query"]:
+        return None
+    for arg in argv[1 : argv.index("--") if "--" in argv else None]:
+        if arg.startswith("-") and arg != "-" and arg.partition("=")[0] not in _QUERY_OPTIONS:
+            return arg
+    return None
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="minq", description="Minimal-interval proximity search."
-    )
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _Parser(prog="minq", description="Minimal-interval proximity search.")
     commands = parser.add_subparsers(dest="command", required=True)
 
     index_cmd = commands.add_parser("index", help="index plain-text files")
@@ -137,7 +167,15 @@ def main(argv=None) -> int:
         help="print per-output read counts of the root operator",
     )
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _ArgvError as exc:
+        query = _dashed_query(argv)
+        hint = f" (to search for {query!r}, put -- before it)" if query else ""
+        print(f"minq: {exc}{hint}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # -h or --help, once the help is printed
+        return exc.code
     try:
         if args.command == "index":
             return _cmd_index(args)

@@ -1,4 +1,4 @@
-"""Positional inverted index, in memory and on disk as per-term columns.
+"""Positional inverted index, in memory and on disk as compressed columns.
 
 Documents are plain text; tokenization case-folds the text and splits it on
 any run of non-alphanumeric characters, numbering words from 0. Two
@@ -24,27 +24,41 @@ and sampled word offsets (see below). Both hold one int object per
 number: document ids, positions and run starts come from one table,
 ``numbers[k] == k``. By :func:`sys.getsizeof` over the postings dict,
 its term strings, tuples, lists and distinct ints (64-bit CPython 3.11,
-seed 7), the loaded search-short benchmark postings take 25.9 MB and the
-built ones 25.6 MB, search-long's 14.7 MB and 14.2 MB. Once built (or
+seed 7), the loaded search-short benchmark postings take 25.8 MB and the
+built ones 25.6 MB, search-long's 14.6 MB and 14.2 MB. Once built (or
 loaded) an index is never mutated by queries, so it can be shared freely
 across threads. Building, saving and loading leave the cyclic garbage
 collector as they find it: it is process-wide, so pausing it would pause
 it for every thread. An index holds no reference cycles, so reference
 counting alone frees a dropped one.
 
-On disk the index is IVX3, a binary file. Every number is an unsigned
-little-endian integer; ``u32[n]`` is a column of n four-byte ones:
+On disk the index is IVX4, a binary file of a header, eight streams and
+a footer. Every number is an unsigned little-endian integer:
 
-    header      b"IVX3", u32 doc count D, u32 term count T, u32 total words
-    doc table   u32[D] word counts, u32[D] path byte lengths,
-                D 16-byte digests, the D paths (UTF-8, concatenated)
-    offsets     u8 column width, then per document its sampled word
-                offsets and its folded text's length, as gaps
-    term table  u32[T] term byte lengths, u32[T] document counts,
-                u32[T] position counts, three u8[T] column widths,
-                the T terms (UTF-8, sorted, concatenated)
-    postings    per term, in term order: its doc-id gaps, its position
-                count per document, its position gaps
+    header      b"IVX4", u32 doc count D, u32 term count T, u32 total words
+    streams     each a u32 byte length, then that many bytes of one zlib
+                stream (level 1); once inflated they hold, in order:
+      document table    the D 16-byte digests, then u32s: the D word
+                        counts, then the D path byte lengths
+      document paths    the D paths (UTF-8, concatenated)
+      sampled word offsets
+                        u32s: per document, its sampled word offsets and
+                        its folded text's length, as gaps
+      term table        u32s: the T term byte lengths, then the T document
+                        counts, then the T position counts
+      terms             the T terms (UTF-8, sorted, concatenated)
+      document id gaps  u32s: per term, in term order, its doc-id gaps
+      run lengths       u32s: per term, its position count per document
+      position gaps     u32s: per term, its position gaps
+    footer      u32 CRC-32 of every byte before it
+
+A stream's u32s are stored in blocks of 65,536 numbers (the last one
+shorter), each block as its four byte planes: the lowest byte of each of
+its numbers, then the next byte of each, and so on (the byte shuffle of
+Blosc). Gaps and counts are mostly small, so the higher planes are long
+runs of zeros that deflate to almost nothing, and one width serves every
+number. The inflated size of each stream follows from the header and the
+streams before it, so only the deflated size is stored.
 
 Positions are numbered per document, from 0. A gap is the difference from
 the previous value, so every gap is at least 1: a term's first doc-id gap
@@ -52,25 +66,35 @@ is counted from -1, and the first position gap of each of its documents
 from -1 too. A document's sampled offsets are the starts of its words 0,
 K, 2K, ... (K = :data:`OFFSET_STRIDE`) in its case-folded text, followed
 by that text's length; there are ``ceil(n / K) + 1`` of them for a
-document of n words, and its first gap is counted from 0. Each of a
-term's three columns, and the offsets column, takes the narrowest width
-of 1, 2 or 4 bytes that holds its largest value, as the matching width
-says. The digest is a 16-byte BLAKE2b of the document's text encoded as
-UTF-8 (for ``minq index``, the source file's bytes) followed by its
-sampled offsets as u64s, personalised with its word count as 16 bytes
-(all little-endian), so a match certifies the text, the count and the
-offsets at once. Files in an earlier format (IVX1 text, IVX2) fail to load
-at their first bytes.
+document of n words, and its first gap is counted from 0. The digest is a
+16-byte BLAKE2b of the document's text encoded as UTF-8 (for ``minq
+index``, the source file's bytes) followed by its sampled offsets as u64s,
+personalised with its word count as 16 bytes (all little-endian), so a
+match certifies the text, the count and the offsets at once. Files in an
+earlier format (IVX1 text, IVX2, IVX3) fail to load at their first bytes.
 
-Loading checks every column with C-level passes, so any file it accepts
-is a well-formed index, and it does Python-level work per term, not per
-document of a term. Its table of ints is sized from counts the file has
-been checked to hold, and a header word total above the file's length is
-refused, so the table stays proportional to the file. A save writes each
-term's columns as it packs them and replaces the file whole (temporary
-file, then rename), so a reader never sees a partial index and a failed
-save leaves the old one in place. The file is not fsynced: a power loss
-just after a save can still lose it.
+Loading checks the footer before it inflates anything, so a file changed
+anywhere after it was saved is refused whole: a CRC-32 catches every
+error burst of 32 bits or fewer, so every edit of one byte. It then
+inflates each stream to the size the counts before it give, and no
+further, and refuses one that holds fewer bytes, more, or is followed by
+more. Each check of the postings runs once per column over all terms,
+as C-level passes (zero gaps, count sums, each run's last position
+against its document's words), and a failed one inflates its stream
+again to name the term; any file the loader accepts is a well-formed
+index. Every word of every document is one position of one term, so the
+term table's position counts must sum to the header's word total, which
+is checked before the offsets are decoded. The table of ints is sized
+from the word counts, so it stays proportional to what the streams hold:
+every 16 words of a document took a sampled offset. Each postings stream
+is inflated a block of numbers at a time, four bytes a number, while the
+lists are built from it, so no column is ever held whole.
+
+A save makes and deflates one stream at a time, a block of numbers at a
+time, writes each stream as soon as it is deflated, and replaces the file
+whole (temporary file, then rename), so a reader never sees a partial
+index and a failed save leaves the old one in place. The file is not
+fsynced: a power loss just after a save can still lose it.
 
 Snippets read a document's words back from its source
 (:func:`document_words`). The source is read once, its digest checked,
@@ -82,7 +106,8 @@ raises :class:`OSError`, and one that is not a regular file
 whose word count or digest no longer matches the index, raises
 :class:`StaleSourceError`, unless the offsets recomputed from its text
 give the recorded digest: then the index's offsets record was edited,
-and :class:`IndexFormatError` names the document. :func:`load_index` and
+and :class:`IndexFormatError` names the document. Such an edit loads only
+if the footer was recomputed after it; the footer catches any other. :func:`load_index` and
 ``minq index`` read the index file and the sources through the same
 reader (:func:`read_source`). Messages quote a source path with ``repr``,
 so one holding a newline stays on one line.
@@ -95,13 +120,14 @@ import re
 import stat
 import struct
 import sys
+import zlib
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count, islice, repeat
-from operator import add, lt, mul, setitem, sub
+from operator import le, lt, setitem, sub
 from typing import NamedTuple
 
 _WORD = re.compile(r"[^\W_]+")
@@ -110,10 +136,19 @@ _SPLIT = re.compile(f"({_WORD.pattern})")  # separators and words, alternating
 OFFSET_STRIDE = 16  # a document keeps the start of every 16th word
 
 _HEADER = struct.Struct("<4sIII")
-_MAGIC = b"IVX3"
+_U32 = struct.Struct("<I")  # a stream's byte length, and the footer
+_MAGIC = b"IVX4"
+_STREAMS = (
+    "document table", "document paths", "sampled word offsets", "term table", "terms",
+    "document id gaps", "run lengths", "position gaps",
+)
+_BLOCK = 1 << 16  # numbers per block of byte planes
+_CHUNK = 1 << 16  # deflated bytes fed to zlib at a time
+_LEVEL = 1  # zlib's fastest: level 6 saves search-short's index 5% smaller, 26% slower
 _DIGEST_SIZE = 16
+_ZERO = bytes(4)  # a u32 of 0
 _LIMIT = 1 << 32  # every stored number is below this
-_TYPECODES = {1: "B", 2: "H", 4: "I" if array("I").itemsize == 4 else "L"}
+_TYPECODE = "I" if array("I").itemsize == 4 else "L"
 _SWAP = sys.byteorder == "big"
 
 
@@ -269,58 +304,59 @@ def _sampled_words(text: str) -> tuple[list[str], array]:
     return parts[1::2], offsets
 
 
-def _run_sums(steps: list[int], lengths):
-    """Running sums of ``steps`` that start over at each run, one iterator per run.
+def _slices(column, lengths):
+    """Consecutive pieces of ``column``, ``lengths[k]`` items each, one iterator per piece.
 
-    Run e is the next ``lengths[e]`` steps, so a run of gaps gives the
-    values it encodes; all of it runs in C.
+    Each piece must be used up before the next is taken; all of it runs in C.
     """
-    return map(accumulate, map(islice, repeat(iter(steps)), lengths))
+    return map(islice, repeat(iter(column)), lengths)
 
 
-def _u32s(values) -> bytes:
-    column = array(_TYPECODES[4], values)
-    if _SWAP:
-        column.byteswap()
-    return column.tobytes()
+def _run_sums(steps, lengths):
+    """Running sums of ``steps`` that start over at each run of ``lengths`` steps."""
+    return map(accumulate, _slices(steps, lengths))
 
 
-def _packed(values: list[int]) -> tuple[int, bytes]:
-    """(width, bytes): ``values`` little-endian in the narrowest width that holds them."""
-    raw = _u32s(values)
-    if raw[2::4].strip(b"\0") or raw[3::4].strip(b"\0"):
-        return 4, raw
-    if raw[1::4].strip(b"\0"):
-        return 2, memoryview(raw).cast("H")[::2].tobytes()
-    return 1, raw[::4]
+def _planes(values):
+    """``values`` as little-endian u32s, each block of :data:`_BLOCK` as its four byte planes.
+
+    A plane holds one byte of each number of its block, lowest byte first.
+    """
+    values = iter(values)
+    while block := array(_TYPECODE, islice(values, _BLOCK)):
+        if _SWAP:
+            block.byteswap()
+        raw = block.tobytes()
+        yield from (raw[k::4] for k in range(4))
 
 
-def _term_columns(postings: TermPostings):
-    """One term's three packed columns."""
-    docs, starts, positions = postings
+def _deflated(pieces) -> list[bytes]:
+    """The concatenated ``pieces`` as one zlib stream, after its u32 byte length."""
+    deflate = zlib.compressobj(_LEVEL)
+    packed = [*map(deflate.compress, pieces), deflate.flush()]
+    return [_U32.pack(sum(map(len, packed))), *packed]
+
+
+def _position_gaps(postings: TermPostings):
+    """A term's position gaps, each document's first counted from -1."""
+    _, starts, positions = postings
     before = [-1, *positions]
-    deque(map(setitem, repeat(before), starts[:-1], repeat(-1)), maxlen=0)  # runs count from -1
-    gaps = list(map(sub, positions, before))
-    return (
-        _packed(list(map(sub, docs, chain((-1,), docs)))),
-        _packed(list(map(sub, islice(starts, 1, None), starts))),
-        _packed(gaps),
-    )
+    deque(map(setitem, repeat(before), starts[:-1], repeat(-1)), maxlen=0)
+    return map(sub, positions, before)
 
 
 def save_index(index: PositionalIndex, path) -> None:
     """Write ``index`` to ``path``, replacing it whole or leaving it as it was.
 
     Only the size check runs before the file is opened. The index is
-    written under a temporary name in the same directory, each term's
-    columns as soon as they are packed, and renamed into place; the
-    column widths, known only then, are patched in last. Raises
-    :class:`ValueError` for an index of 2**32 or more words, which IVX3
+    written under a temporary name in the same directory, each stream as
+    soon as it is deflated, and renamed into place. Raises
+    :class:`ValueError` for an index of 2**32 or more words, which IVX4
     cannot count.
     """
     total = sum(doc.word_count for doc in index.docs)
     if total >= _LIMIT:
-        raise ValueError("index too large for IVX3: 2**32 words or more")
+        raise ValueError("index too large for IVX4: 2**32 words or more")
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
@@ -334,47 +370,127 @@ def save_index(index: PositionalIndex, path) -> None:
 
 
 def _write(index: PositionalIndex, total: int, out) -> None:
-    """The IVX3 bytes of ``index``, which holds ``total`` words, into ``out``."""
+    """The IVX4 bytes of ``index``, which holds ``total`` words, into ``out``."""
+    header = _HEADER.pack(_MAGIC, len(index.docs), len(index.postings), total)
+    crc = 0
+    for chunk in chain([header], chain.from_iterable(map(_deflated, _streams(index)))):
+        crc = zlib.crc32(chunk, crc)
+        out.write(chunk)
+    out.write(_U32.pack(crc))
+
+
+def _streams(index: PositionalIndex):
+    """The contents of each stream, in file order, as iterables of byte strings."""
     docs = index.docs
     paths = [doc.path.encode("utf-8") for doc in docs]
-    offset_gaps = []
-    for doc in docs:
-        offset_gaps += map(sub, doc.offsets, chain((0,), doc.offsets))
-    offset_width, offsets = _packed(offset_gaps)
+    word_counts = (doc.word_count for doc in docs)
+    digests = b"".join(doc.digest for doc in docs)
+    yield chain([digests], _planes(chain(word_counts, map(len, paths))))
+    yield [b"".join(paths)]
+    yield _planes(chain.from_iterable(map(sub, d.offsets, chain((0,), d.offsets)) for d in docs))
     terms = sorted(index.postings)
     names = [term.encode("utf-8") for term in terms]
     held = [index.postings[term] for term in terms]
-    out.writelines([
-        _HEADER.pack(_MAGIC, len(docs), len(terms), total),
-        _u32s(doc.word_count for doc in docs),
-        _u32s(map(len, paths)),
-        *(doc.digest for doc in docs),
-        *paths,
-        bytes([offset_width]),
-        offsets,
-        _u32s(map(len, names)),
-        _u32s(len(postings.docs) for postings in held),
-        _u32s(len(postings.positions) for postings in held),
-    ])
-    widths_at = out.tell()
-    out.write(bytes(3 * len(terms)))  # patched below, once every column is packed
-    out.writelines(names)
-    widths = [bytearray(), bytearray(), bytearray()]
-    for postings in held:
-        for column_widths, (width, packed) in zip(widths, _term_columns(postings)):
-            column_widths.append(width)
-            out.write(packed)
-    out.seek(widths_at)
-    out.writelines(widths)
+    doc_counts = (len(postings.docs) for postings in held)
+    sizes = (len(postings.positions) for postings in held)
+    yield _planes(chain(map(len, names), doc_counts, sizes))
+    yield [b"".join(names)]
+    yield _planes(chain.from_iterable(map(sub, ids, chain((-1,), ids)) for ids, _, _ in held))
+    yield _planes(_run_lengths(postings.starts for postings in held))
+    yield _planes(chain.from_iterable(map(_position_gaps, held)))
 
 
-def _column(data: bytes, start: int, count: int, width: int) -> list[int]:
-    if width == 1:
-        return list(data[start : start + count])
-    column = array(_TYPECODES[width], data[start : start + count * width])
-    if _SWAP:
-        column.byteswap()
-    return column.tolist()
+def _plane_sizes(count: int):
+    """The byte size of each plane of a stream of ``count`` u32s, in order."""
+    for at in range(0, count, _BLOCK):
+        yield from repeat(min(_BLOCK, count - at), 4)
+
+
+def _unshuffled(planes):
+    """Each block's u32s, from its four byte planes, as a read-only view.
+
+    The next block's first plane is taken before a block is given out, so
+    the checks at the end of the planes run before the last block is used.
+    """
+    low = next(planes, None)
+    while low is not None:
+        block = bytearray(4 * len(low))
+        for k, plane in enumerate((low, next(planes), next(planes), next(planes))):
+            block[3 - k if _SWAP else k :: 4] = plane
+        low = next(planes, None)
+        yield memoryview(block).cast(_TYPECODE)
+
+
+class _Stream(NamedTuple):
+    """One stream of an index file: where its frame starts, its deflated bytes, its name."""
+
+    start: int
+    packed: memoryview
+    what: str
+
+    def fail(self, message: str) -> IndexFormatError:
+        return IndexFormatError(f"byte {self.start}: {message}")
+
+    def inflate(self, size: int, pieces=None):
+        """The stream's ``size`` bytes, in pieces of the sizes ``pieces`` gives, by default one.
+
+        Each piece is inflated when it is asked for, from deflated bytes fed
+        to zlib :data:`_CHUNK` at a time, and never past the stream's
+        ``size``; the checks of the stream's end run once the last piece is
+        taken.
+        """
+        what, held, packed = self.what, 0, self.packed
+        chunks = (packed[at : at + _CHUNK] for at in range(0, len(packed), _CHUNK))
+        inflater = zlib.decompressobj()
+
+        def more(limit):
+            """Up to ``limit`` more bytes; none at the end of the stream or its input."""
+            while not inflater.eof:
+                data = inflater.unconsumed_tail or next(chunks, None)
+                if data is None:
+                    break
+                if found := inflater.decompress(data, limit):
+                    return found
+            return b""
+
+        try:
+            for piece_size in [size] if pieces is None else pieces:
+                piece = b""
+                while len(piece) < piece_size and (found := more(piece_size - len(piece))):
+                    piece += found
+                held += len(piece)
+                if len(piece) < piece_size:
+                    break
+                yield piece
+            else:
+                held += len(more(1))  # a byte more shows a stream too long
+        except zlib.error as exc:
+            raise self.fail(f"the {what} stream does not inflate: {exc}") from None
+        if held > size:
+            raise self.fail(f"the {what} stream inflates past its {size} bytes")
+        if not inflater.eof:
+            raise self.fail(f"the {what} stream is cut short")
+        if held < size:
+            raise self.fail(f"the {what} stream holds {held} of its {size} bytes")
+        if extra := len(inflater.unused_data) + sum(map(len, chunks)):
+            raise self.fail(f"{extra} bytes follow the end of the {what} stream")
+
+    def blocks(self, count: int):
+        """The stream's ``count`` u32s, a block of :data:`_BLOCK` at a time."""
+        return _unshuffled(self.inflate(4 * count, _plane_sizes(count)))
+
+    def numbers(self, count: int) -> list[int]:
+        """The stream's ``count`` u32s, as a list."""
+        return list(chain.from_iterable(self.blocks(count)))
+
+    def strings(self, sizes: list[int]) -> list[str]:
+        """The stream's ``len(sizes)`` UTF-8 strings of the given byte sizes."""
+        (raw,) = self.inflate(sum(sizes))
+        stops = list(accumulate(sizes, initial=0))
+        try:
+            return list(map(bytes.decode, map(raw.__getitem__, map(slice, stops, stops[1:]))))
+        except UnicodeDecodeError:
+            raise self.fail(f"{self.what} not UTF-8") from None
 
 
 class _Reader:
@@ -383,6 +499,7 @@ class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.at = 0
+        self.end = len(data)
 
     def fail(self, message: str, at: int | None = None) -> IndexFormatError:
         return IndexFormatError(f"byte {self.at if at is None else at}: {message}")
@@ -390,125 +507,192 @@ class _Reader:
     def take(self, size: int, what: str) -> int:
         """Start of the next ``size`` bytes, which hold ``what``."""
         start, self.at = self.at, self.at + size
-        if self.at > len(self.data):
+        if self.at > self.end:
             raise self.fail(f"file ends inside the {what}", start)
         return start
 
-    def column(self, count: int, width: int, what: str) -> list[int]:
-        return _column(self.data, self.take(count * width, what), count, width)
+    def seal(self) -> None:
+        """Check the footer, the CRC-32 of every byte before it, and end reads there."""
+        self.end -= _U32.size
+        if self.end < self.at:
+            raise self.fail("file ends inside the footer", self.at)
+        (stored,) = _U32.unpack_from(self.data, self.end)
+        found = zlib.crc32(memoryview(self.data)[: self.end])
+        if found != stored:
+            raise self.fail(
+                f"footer says CRC-32 {stored:08x}, the bytes before it give {found:08x}", self.end
+            )
 
-    def pieces(self, sizes: list[int], what: str) -> list[bytes]:
-        """``len(sizes)`` consecutive byte strings of the given sizes."""
-        stops = list(accumulate(sizes, initial=self.take(sum(sizes), what)))
-        return list(map(self.data.__getitem__, map(slice, stops, islice(stops, 1, None))))
-
-    def strings(self, sizes: list[int], what: str) -> list[str]:
-        start = self.at
-        try:
-            return list(map(bytes.decode, self.pieces(sizes, what)))
-        except UnicodeDecodeError:
-            raise self.fail(f"{what} not UTF-8", start) from None
+    def streams(self) -> list[_Stream]:
+        """Each stream, up to the footer."""
+        streams = []
+        for what in _STREAMS:
+            start = self.take(_U32.size, f"{what} stream's length")
+            (size,) = _U32.unpack_from(self.data, start)
+            packed = memoryview(self.data)[self.take(size, f"{what} stream") : self.at]
+            streams.append(_Stream(start, packed, what))
+        if self.at < self.end:
+            raise self.fail(f"{self.end - self.at} trailing bytes")
+        return streams
 
 
 def load_index(path) -> PositionalIndex:
-    """Read an IVX3 file; :class:`IndexFormatError` if it is not a well-formed one.
+    """Read an IVX4 file; :class:`IndexFormatError` if it is not a well-formed one.
 
     The file is read by :func:`read_source`, so a FIFO or a device is refused.
     """
-    data = read_source(path)
+    docs, terms, doc_counts, sizes, streams = _tables(read_source(path))
+    return PositionalIndex(docs, _postings(docs, terms, doc_counts, sizes, *streams))
+
+
+def _tables(data: bytes):
+    """The documents, the terms, their counts and the three postings streams of a file."""
     read = _Reader(data)
     if data[:4] != _MAGIC:
-        raise read.fail(f"not an IVX3 index file (it starts {data[:8]!r})")
+        raise read.fail(f"not an IVX4 index file (it starts {data[:8]!r})")
     _, doc_count, term_count, total = _HEADER.unpack_from(data, read.take(_HEADER.size, "header"))
-    word_counts = read.column(doc_count, 4, "document word counts")
-    path_sizes = read.column(doc_count, 4, "document path lengths")
-    digests = read.pieces([_DIGEST_SIZE] * doc_count, "document digests")
-    paths = read.strings(path_sizes, "document paths")
+    read.seal()
+    table, paths, offsets, term_table, names, *postings = read.streams()
+
+    size = _DIGEST_SIZE * doc_count
+    pieces = table.inflate(size + 8 * doc_count, chain([size], _plane_sizes(2 * doc_count)))
+    raw = next(pieces)
+    numbers = list(chain.from_iterable(_unshuffled(pieces)))
+    word_counts, path_sizes = numbers[:doc_count], numbers[doc_count:]
+    digests = [raw[k : k + _DIGEST_SIZE] for k in range(0, len(raw), _DIGEST_SIZE)]
+    paths = paths.strings(path_sizes)
     if sum(word_counts) != total:
         raise read.fail(f"header says {total} words, documents hold {sum(word_counts)}", 12)
-    if total > len(data):  # save_index stores every word as a position of a byte or more
-        raise read.fail(f"header says {total} words, more than the file's {len(data)} bytes", 12)
-    offsets = _offsets(read, word_counts)
-    docs = list(map(DocInfo, paths, word_counts, digests, offsets))
 
-    term_sizes = read.column(term_count, 4, "term lengths")
-    doc_counts = read.column(term_count, 4, "term document counts")
-    sizes = read.column(term_count, 4, "term position counts")
-    widths = [read.column(term_count, 1, "column widths") for _ in range(3)]
-    if not set(chain.from_iterable(widths)) <= _TYPECODES.keys():
-        raise read.fail("column width not 1, 2 or 4", read.at - 3 * term_count)
+    numbers = term_table.numbers(3 * term_count)
+    term_sizes = numbers[:term_count]
+    doc_counts = numbers[term_count : 2 * term_count]
+    sizes = numbers[2 * term_count :]
+    # Each word of each document is one position of one term. Checked
+    # before the offsets are decoded, so a file claiming more words than
+    # its streams hold is refused before anything is sized from its counts.
+    if sum(sizes) != total:
+        raise read.fail(f"header says {total} words, term position counts sum to {sum(sizes)}", 12)
     if 0 in term_sizes:
-        raise read.fail("empty term", read.at)
-    terms = read.strings(term_sizes, "terms")
+        raise names.fail("empty term")
+    terms = names.strings(term_sizes)
     if not all(map(lt, terms, islice(terms, 1, None))):
         later = next(b for a, b in zip(terms, terms[1:]) if a >= b)
         raise IndexFormatError(f"term {later!r}: duplicate or out of order")
-    at = read.at
-    end = at + sum(map(mul, doc_counts, map(add, *widths[:2]))) + sum(map(mul, sizes, widths[2]))
-    if end > len(data):
-        raise read.fail("file ends inside the postings", len(data))
-    if end < len(data):
-        raise read.fail(f"{len(data) - end} trailing bytes", end)
+    docs = list(map(DocInfo, paths, word_counts, digests, _offsets(offsets, word_counts)))
+    return docs, terms, doc_counts, sizes, postings
 
+
+def _zero_at(column: memoryview) -> int:
+    """The index of the first 0 in a column of u32s, or -1.
+
+    A 0 is four zero bytes at a multiple of 4: one C-level search finds
+    it, plus one more for each run of four zero bytes across two numbers.
+    """
+    data = column.obj
+    at = data.find(_ZERO)
+    while at > 0 and at % 4:
+        at = data.find(_ZERO, at + 1)
+    return at if at < 0 else at // 4
+
+
+def _postings(docs, terms, doc_counts, sizes, doc_gaps, counts, gaps):
+    """Each term's :class:`TermPostings`, from the three postings streams.
+
+    Each stream (doc-id gaps, run lengths, position gaps) is inflated a
+    block at a time while the lists are built from it, so no column is
+    ever held whole, and each check covers the whole column at once. A
+    failed check inflates the stream again to name the term.
+    """
+
+    def column(stream, lengths, problem):
+        """The stream's u32s as one iterator, term t holding ``lengths[t]``; a 0 is ``problem``.
+
+        Each call inflates the stream anew, a block at a time.
+        """
+
+        def blocks():
+            at = 0
+            for block in stream.blocks(sum(lengths)):
+                if (k := _zero_at(block)) >= 0:
+                    term = terms[bisect_right(list(accumulate(lengths)), at + k)]
+                    raise IndexFormatError(f"term {term!r}: {problem}")
+                at += len(block)
+                yield block
+
+        return chain.from_iterable(blocks())
+
+    if 0 in doc_counts:
+        raise IndexFormatError(f"term {terms[doc_counts.index(0)]!r}: no documents")
     # Every int kept below is taken from one table, one object per number.
-    # Its size is bounded by the file's: each document took 24 bytes or
-    # more, each of a term's sizes[t] positions a byte or more, and the
-    # word total is at most the file's length.
-    numbers = list(range(max(doc_count, max(sizes, default=0), max(word_counts, default=0)) + 1))
-    number = numbers.__getitem__
+    # Its size is bounded by what the streams held: each document took 24
+    # bytes of the document table, and every 16 of its words a sampled
+    # offset; the term table's position counts sum to those words.
+    word_counts = [doc.word_count for doc in docs]
+    numbers = list(range(max(len(docs), max(sizes, default=0), max(word_counts, default=0)) + 1))
     # Doc ids and positions are sums of gaps counted from -1: these give s - 1
-    # for a sum s, or IndexError past the last document or every document's words.
-    doc_id = [-1, *numbers[:doc_count]].__getitem__
+    # for a sum s, or IndexError past the last document or the table's end.
+    doc_id = [-1, *numbers[: len(docs)]].__getitem__
     less_one = [-1, *numbers].__getitem__
-    postings = {}
-    for term, n, m, dw, cw, pw in zip(terms, doc_counts, sizes, *widths):
-        doc_gaps = _column(data, at, n, dw)
-        at += n * dw
-        counts = _column(data, at, n, cw)
-        at += n * cw
-        gaps = _column(data, at, m, pw)
-        at += m * pw
-        if not n:
-            raise IndexFormatError(f"term {term!r}: no documents")
-        if 0 in doc_gaps:
-            raise IndexFormatError(f"term {term!r}: document ids not strictly increasing")
-        if 0 in counts:
-            raise IndexFormatError(f"term {term!r}: a document with no positions")
-        if 0 in gaps:
-            raise IndexFormatError(f"term {term!r}: positions not strictly increasing")
-        if sum(counts) != m:
-            raise IndexFormatError(
-                f"term {term!r}: position counts sum to {sum(counts)}, term table says {m}"
-            )
-        try:
-            doc_ids = list(map(doc_id, accumulate(doc_gaps)))
-        except IndexError:
-            last = sum(doc_gaps) - 1
-            raise IndexFormatError(f"term {term!r}: unknown document id {last}") from None
-        starts = list(map(number, accumulate(counts, initial=0)))
-        sums = chain((0,), chain.from_iterable(_run_sums(gaps, counts)))  # 0 gives a leading -1
-        try:
-            positions = list(map(less_one, sums))  # positions[k + 1] is the k-th
-            lasts = map(positions.__getitem__, islice(starts, 1, None))
-            inside = all(map(lt, lasts, map(word_counts.__getitem__, doc_ids)))
-        except IndexError:
-            inside = False
-        if not inside:
-            raise IndexFormatError(f"term {term!r}: a position lies outside its document")
-        del positions[0]
-        postings[term] = TermPostings(doc_ids, starts, positions)
-    return PositionalIndex(docs, postings)
+
+    doc_gap_column = partial(column, doc_gaps, doc_counts, "document ids not strictly increasing")
+    count_column = partial(column, counts, doc_counts, "a document with no positions")
+    gap_column = partial(column, gaps, sizes, "positions not strictly increasing")
+    try:
+        ids = list(map(list, map(map, repeat(doc_id), _run_sums(doc_gap_column(), doc_counts))))
+    except IndexError:
+        sums = list(map(sum, _slices(doc_gap_column(), doc_counts)))
+        t = next(t for t, found in enumerate(sums) if found > len(docs))
+        raise IndexFormatError(f"term {terms[t]!r}: unknown document id {sums[t] - 1}") from None
+    try:
+        starts = map(partial(accumulate, initial=0), _slices(count_column(), doc_counts))
+        starts = list(map(list, map(map, repeat(numbers.__getitem__), starts)))
+        sums = [ends[-1] for ends in starts]
+    except IndexError:  # a sum past the table is past its term's position count too
+        sums = list(map(sum, _slices(count_column(), doc_counts)))
+    if sums != sizes:
+        t = next(t for t, (found, m) in enumerate(zip(sums, sizes)) if found != m)
+        raise IndexFormatError(
+            f"term {terms[t]!r}: position counts sum to {sums[t]}, term table says {sizes[t]}"
+        )
+    try:
+        runs = _run_sums(gap_column(), _run_lengths(starts))  # one per (term, document)
+        positions = map(chain.from_iterable, _slices(runs, doc_counts))
+        positions = list(map(list, map(map, repeat(less_one), positions)))
+    except IndexError:
+        ends = map(sum, _slices(gap_column(), _run_lengths(starts)))
+        raise _position_fault(terms, ids, map(sub, ends, repeat(1)), word_counts) from None
+
+    def lasts():
+        """Each run's last position, term after term."""
+        return chain.from_iterable(
+            map(held.__getitem__, map(less_one, islice(ends, 1, None)))
+            for held, ends in zip(positions, starts)
+        )
+
+    if not all(map(lt, lasts(), map(word_counts.__getitem__, chain.from_iterable(ids)))):
+        raise _position_fault(terms, ids, lasts(), word_counts)
+    return dict(zip(terms, map(TermPostings, ids, starts, positions)))
 
 
-def _offsets(read: _Reader, word_counts: list[int]) -> list[array]:
-    """Each document's sampled word offsets, from the column after the doc table."""
-    (width,) = read.column(1, 1, "offset column width")
-    if width not in _TYPECODES:
-        raise read.fail("offset column width not 1, 2 or 4", read.at - 1)
+def _run_lengths(starts):
+    """Each run's length, term after term, from the terms' run starts."""
+    return chain.from_iterable(map(sub, islice(ends, 1, None), ends) for ends in starts)
+
+
+def _position_fault(terms, ids, lasts, word_counts) -> IndexFormatError:
+    """The fault of the first term with a run whose last position is past its document's words."""
+    for term, held in zip(terms, ids):
+        if not all(map(lt, islice(lasts, len(held)), map(word_counts.__getitem__, held))):
+            return IndexFormatError(f"term {term!r}: a position lies outside its document")
+    raise AssertionError("every run ends inside its document")
+
+
+def _offsets(stream: _Stream, word_counts: list[int]) -> list[array]:
+    """Each document's sampled word offsets, from their stream."""
     sampled = [-(-n // OFFSET_STRIDE) + 1 for n in word_counts]
     bounds = list(accumulate(sampled, initial=0))
-    at = read.at
-    gaps = read.column(bounds[-1], width, "sampled word offsets")
+    gaps = stream.numbers(bounds[-1])
     firsts = bounds[:-1]
     zeros = gaps.count(0)  # only a document's first offset may equal the one before
     if zeros and zeros != list(map(gaps.__getitem__, firsts)).count(0):
@@ -518,7 +702,7 @@ def _offsets(read: _Reader, word_counts: list[int]) -> list[array]:
             problem = "a sampled word offset at or past its text's length"
         else:
             problem = "sampled word offsets not increasing"
-        raise read.fail(f"document {doc}: {problem}", at + k * width)
+        raise stream.fail(f"document {doc}: {problem}")
     return list(map(array, repeat("Q"), _run_sums(gaps, sampled)))
 
 

@@ -4,6 +4,8 @@ per-token reference index build."""
 
 import random
 import re
+import struct
+import zlib
 from array import array
 
 from minq import (
@@ -803,3 +805,58 @@ def postings_of(runs):
         positions.extend(run)
         starts.append(len(positions))
     return TermPostings(list(runs), starts, positions)
+
+
+# IVX4 files taken apart and put back together, written here from the
+# format's description rather than with minq.index, so that the tests check
+# the format and not the code against itself.
+IVX4_BLOCK = 1 << 16  # numbers per block of byte planes
+
+
+def u32_planes(values) -> bytes:
+    """u32s as an IVX4 stream holds them: per block, its four little-endian byte planes."""
+    out = []
+    for at in range(0, len(values), IVX4_BLOCK):
+        block = values[at : at + IVX4_BLOCK]
+        raw = struct.pack(f"<{len(block)}I", *block)
+        out += [raw[k::4] for k in range(4)]
+    return b"".join(out)
+
+
+def u32s_from_planes(data: bytes) -> list[int]:
+    """The u32s of a stream of byte planes; the inverse of :func:`u32_planes`."""
+    values = []
+    for at in range(0, len(data), 4 * IVX4_BLOCK):
+        block = data[at : at + 4 * IVX4_BLOCK]
+        n = len(block) // 4
+        values += [sum(block[k * n + i] << 8 * k for k in range(4)) for i in range(n)]
+    return values
+
+
+def ivx4_sealed(body: bytes) -> bytes:
+    """``body`` (a header and frames) with its CRC-32 footer."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def ivx4_frame(packed: bytes) -> bytes:
+    """A deflated stream after its u32 byte length."""
+    return struct.pack("<I", len(packed)) + packed
+
+
+def ivx4_file(header: bytes, streams) -> bytes:
+    """A sealed IVX4 file of a 16-byte header and the streams' inflated bytes."""
+    return ivx4_sealed(header + b"".join(ivx4_frame(zlib.compress(s, 1)) for s in streams))
+
+
+def ivx4_streams(data: bytes) -> tuple[bytes, list[bytes]]:
+    """The header and inflated streams of an IVX4 file; its footer and framing must hold."""
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+    at, streams = 16, []
+    while at < len(data) - 4:
+        (size,) = struct.unpack_from("<I", data, at)
+        inflater = zlib.decompressobj()
+        streams.append(inflater.decompress(data[at + 4 : at + 4 + size]))
+        assert inflater.eof and not inflater.unused_data
+        at += 4 + size
+    assert at == len(data) - 4 and len(streams) == 8
+    return data[:16], streams

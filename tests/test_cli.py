@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from minq import build_index, cli, load_index, save_index
 
+from helpers import ivx4_file, ivx4_streams, u32_planes, u32s_from_planes
+
 DATA = Path(__file__).parent / "data"
 RHYME = DATA / "rhyme.txt"
 GOLDEN = DATA / "golden_query.txt"
@@ -208,7 +210,7 @@ def test_malformed_index_exit_two(tmp_path):
     proc = run_cli("query", str(bad), "a")
     assert proc.returncode == 2
     assert proc.stderr.decode() == (
-        "minq: bad index file: byte 0: not an IVX3 index file (it starts b'WHAT 1\\n'); "
+        "minq: bad index file: byte 0: not an IVX4 index file (it starts b'WHAT 1\\n'); "
         "re-index it\n"
     )
 
@@ -220,8 +222,21 @@ def test_ivx2_index_exit_two_asking_to_reindex(tmp_path):
     proc = run_cli("query", str(old), "a")
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.decode() == (
-        "minq: bad index file: byte 0: not an IVX3 index file "
+        "minq: bad index file: byte 0: not an IVX4 index file "
         "(it starts b'IVX2\\x00\\x00\\x00\\x00'); re-index it\n"
+    )
+
+
+def test_ivx3_index_exit_two_asking_to_reindex(tmp_path):
+    # The previous binary format: an empty IVX3 index, its header and the
+    # offsets column's width byte.
+    old = tmp_path / "old.ivx"
+    old.write_bytes(b"IVX3" + bytes(12) + b"\x01")
+    proc = run_cli("query", str(old), "a")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == (
+        "minq: bad index file: byte 0: not an IVX4 index file "
+        "(it starts b'IVX3\\x00\\x00\\x00\\x00'); re-index it\n"
     )
 
 
@@ -234,7 +249,7 @@ def test_text_format_index_exit_two_with_one_line(rhyme_idx):
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("minq: bad index file: byte 0: not an IVX3 index file")
+    assert lines[0].startswith("minq: bad index file: byte 0: not an IVX4 index file")
     assert lines[0].endswith("; re-index it")
 
 
@@ -536,14 +551,54 @@ def test_query_text_and_options_exit_0_1_or_2(rhyme_index_file, query, top, snip
         argv += ["--snippets", str(snippets)]
     if show_rho:
         argv.append("--show-rho")
-    try:
-        code, out, err = run_main(argv)
-    except SystemExit as exc:
-        # argparse takes a query starting with an option-like "-" as an
-        # unknown option and exits 2 with its usage message
-        assert exc.code == 2 and query.startswith("-")
-        return
-    assert_exit_contract(code, out, err)
+    assert_exit_contract(*run_main(argv))
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["a", "--top", "x"], "minq: argument --top: invalid int value: 'x'"),
+        (["a", "--snippets"], "minq: argument --snippets: expected one argument"),
+        (
+            ["-hot"],
+            "minq: argument -h/--help: ignored explicit argument 'ot' "
+            "(to search for '-hot', put -- before it)",
+        ),
+        (
+            ["--hot", "--top", "1"],
+            "minq: the following arguments are required: query "
+            "(to search for '--hot', put -- before it)",
+        ),
+        (["a", "b"], "minq: unrecognized arguments: b"),
+        ([], "minq: the following arguments are required: query"),
+    ],
+)
+def test_argv_errors_are_one_line_exit_two(rhyme_index_file, args, message):
+    assert run_main(["query", str(rhyme_index_file), *args]) == (2, "", message + "\n")
+
+
+def test_a_query_after_dashes_may_start_with_a_dash(rhyme_index_file):
+    # After --, "-hot" is the query: its leading "-" is a syntax error.
+    code, out, err = run_main(["query", str(rhyme_index_file), "--", "-hot"])
+    assert (code, out) == (1, "")
+    assert err.startswith("minq: query error: ")
+    code, out, err = run_main(["query", str(rhyme_index_file), "--top", "1", "--", "hot"])
+    assert (code, err) == (0, "")
+    assert out.startswith("0\t")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["query", "-h"], ["index", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv):
+    code, out, err = run_main(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: minq")
+
+
+def test_no_command_exits_two_with_one_line():
+    assert run_main([]) == (2, "", "minq: the following arguments are required: command\n")
+    code, out, err = run_main(["frob"])
+    assert (code, out) == (2, "")
+    assert err.startswith("minq: argument command: invalid choice: 'frob'")
 
 
 # Binary edits: a byte set to any value, raised or lowered by a small power
@@ -573,41 +628,71 @@ def edit_bytes(data, edits):
     return bytes(data)
 
 
+def assert_bad_index_file(code, out, err):
+    """Exit 2 with one ``minq: bad index file:`` line and nothing on stdout."""
+    assert_exit_contract(code, out, err)
+    assert code == 2 and err.startswith("minq: bad index file: "), err
+
+
 @settings(max_examples=200, deadline=None)
 @given(edits=INDEX_EDITS)
 def test_mutated_index_file_exits_0_1_or_2(rhyme_index_file, edits):
+    # The footer's CRC-32 covers every byte before it: an edit that leaves
+    # the bytes unchanged loads, any other is a bad index file.
+    data = rhyme_index_file.read_bytes()
+    edited = edit_bytes(data, edits)
     mutated = rhyme_index_file.with_name("mutated.ivx")
-    mutated.write_bytes(edit_bytes(rhyme_index_file.read_bytes(), edits))
+    mutated.write_bytes(edited)
     argv = ["query", str(mutated), "pease & porridge", "--snippets", "2", "--show-rho"]
-    assert_exit_contract(*run_main(argv))
+    if edited == data:
+        assert_exit_contract(*run_main(argv))
+    else:
+        assert_bad_index_file(*run_main(argv))
+
+
+def test_every_raised_byte_of_the_rhyme_index_is_a_bad_index_file(rhyme_index_file):
+    # Each byte raised by 1 and by 2: a CRC-32 catches every error burst of
+    # 32 bits or fewer, so no single-byte edit loads, let alone prints.
+    data = rhyme_index_file.read_bytes()
+    mutated = rhyme_index_file.with_name("raised.ivx")
+    argv = ["query", str(mutated), CAPTION_QUERY, "--snippets", "3"]
+    for at in range(len(data)):
+        for delta in (1, 2):
+            mutated.write_bytes(data[:at] + bytes([(data[at] + delta) % 256]) + data[at + 1 :])
+            assert_bad_index_file(*run_main(argv))
 
 
 @pytest.fixture()
 def fifty_words(tmp_path):
-    """An index of ``w10 ... w59``, its source and where its offsets column starts.
+    """An index of ``w10 ... w59`` and its source.
 
     The words are 4 bytes apart, so the sampled offsets are 0, 64, 128 and
-    192, then the length 200: gaps 0, 64, 64, 64 and 8, one byte each.
+    192, then the length 200: gaps 0, 64, 64, 64 and 8.
     """
     text = tmp_path / "w.txt"
     text.write_text(" ".join(f"w{i}" for i in range(10, 60)) + "\n")
     idx = tmp_path / "w.ivx"
     assert run_main(["index", str(text), "-o", str(idx)])[0] == 0
-    # After the header, word count, path length, digest and path.
-    return idx, text, 16 + 4 + 4 + 16 + len(os.fsencode(text))
+    return idx, text
+
+
+OFFSETS = 2  # the sampled word offsets' stream, after the document table and paths
 
 
 def test_a_raised_offset_gap_in_the_index_file_is_a_bad_index_file(fifty_words):
     # Raising one gap shifts every later offset by a word: each slice still
     # starts and ends at word starts and holds 16 words, but the wrong ones.
-    # The source is intact, so the index file is to blame.
-    idx, text, column = fifty_words
+    # The edit is made inside the stream and the footer recomputed, so the
+    # file loads; the source is intact, so the index file is to blame.
+    idx, text = fifty_words
     argv = ["query", str(idx), "w26 & w30", "--snippets", "1"]
     assert run_main(argv) == (0, "0\t1.0000\t[16..20]\n\t[16..20]\tw26 w27 w28 w29 w30\n", "")
-    data = bytearray(idx.read_bytes())
-    assert data[column + 2] == 64  # the gap up to word 16's start
-    data[column + 2] += 4  # now word 17's
-    idx.write_bytes(data)
+    header, streams = ivx4_streams(idx.read_bytes())
+    gaps = u32s_from_planes(streams[OFFSETS])
+    assert gaps[2] == 64  # the gap up to word 16's start
+    gaps[2] += 4  # now word 17's
+    streams[OFFSETS] = u32_planes(gaps)
+    idx.write_bytes(ivx4_file(header, streams))
     assert run_main(argv) == (
         2,
         "",
@@ -617,14 +702,18 @@ def test_a_raised_offset_gap_in_the_index_file_is_a_bad_index_file(fifty_words):
 
 
 def test_offsets_column_edits_print_the_same_words_or_exit_two(fifty_words):
-    idx, _, column = fifty_words
-    data = idx.read_bytes()
+    # Every byte of the inflated offsets stream raised by 1 to 8, resealed.
+    idx, _ = fifty_words
+    header, streams = ivx4_streams(idx.read_bytes())
     queries = [["w26 & w30", "--snippets", "1"], ["w11 | w58", "--snippets", "3"]]
     expected = [run_main(["query", str(idx), *query]) for query in queries]
     edited = idx.with_name("edited.ivx")
-    for at in range(column, column + 6):  # the width byte, then five gaps
+    column = streams[OFFSETS]
+    assert len(column) == 4 * 5  # five gaps in four byte planes
+    for at in range(len(column)):
         for delta in range(1, 9):
-            edited.write_bytes(data[:at] + bytes([data[at] + delta]) + data[at + 1 :])
+            streams[OFFSETS] = column[:at] + bytes([(column[at] + delta) % 256]) + column[at + 1 :]
+            edited.write_bytes(ivx4_file(header, streams))
             for query, unedited in zip(queries, expected):
                 code, out, err = run_main(["query", str(edited), *query])
                 if code:
@@ -632,6 +721,26 @@ def test_offsets_column_edits_print_the_same_words_or_exit_two(fifty_words):
                     assert_exit_contract(code, out, err)
                 else:
                     assert (code, out, err) == unedited, (at, delta)
+
+
+def test_an_edited_digest_is_a_bad_index_file_not_a_stale_source(fifty_words):
+    # The digest sits in the document table's stream. Any bit of that stream
+    # flipped, as stored or before deflating, fails the footer's check, so
+    # the intact source is never blamed.
+    idx, _ = fifty_words
+    data = idx.read_bytes()
+    header, streams = ivx4_streams(data)
+    argv = ["query", str(idx), "w26 & w30", "--snippets", "1"]
+    frame = 4 + int.from_bytes(data[16:20], "little")  # the first, right after the header
+    for at in range(16, 16 + frame):
+        for bit in range(8):
+            idx.write_bytes(data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1 :])
+            assert_bad_index_file(*run_main(argv))
+    flipped = bytes([streams[0][0] ^ 1]) + streams[0][1:]  # the first bit of the digest
+    idx.write_bytes(ivx4_file(header, [flipped, *streams[1:]])[:-4] + data[-4:])
+    code, out, err = run_main(argv)
+    assert_bad_index_file(code, out, err)
+    assert "footer says CRC-32" in err and "stale" not in err
 
 
 SOURCES = st.sampled_from(["text", "missing", "directory", "undecodable", "line break"])

@@ -769,13 +769,17 @@ def test_edited_word_count_with_the_old_digest_is_stale(tmp_path):
         message = f"stale source {str(doc)!r}: 112 words, index has {count}; re-index it"
         with pytest.raises(StaleSourceError, match=re.escape(message)):
             search(index, parse_query("ape & bee"), snippet_count=1)
-    # Through an index file (a smaller count would fail the load already).
+    # Through an index file the load refuses it first: every word of a
+    # document is one position of a term, and these 117 words hold 112.
     idx = tmp_path / "idx.ivx"
     save_index(index, idx)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["query", str(idx), "ape & bee", "--snippets", "1"])
-    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"minq: {message}\n")
+    message = "byte 12: header says 117 words, term position counts sum to 112"
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", f"minq: bad index file: {message}; re-index it\n"
+    )
 
 
 def test_search_rejects_negative_counts_before_evaluating(monkeypatch):

@@ -4,17 +4,29 @@ import random
 import struct
 import tempfile
 import tracemalloc
+import zlib
 from operator import lt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import minq.index as index_module
 from minq import IndexFormatError, build_index, load_index, save_index, tokenize
 from minq.index import TermPostings, run, words
 
-from helpers import PEASE, PORRIDGE, TEXT_CHARS, reference_build, reference_tokenize
+from helpers import (
+    PEASE,
+    PORRIDGE,
+    TEXT_CHARS,
+    ivx4_frame,
+    ivx4_file,
+    ivx4_sealed,
+    ivx4_streams,
+    reference_build,
+    reference_tokenize,
+    u32_planes,
+)
 
 RHYME = Path(__file__).parent / "data" / "rhyme.txt"
 
@@ -84,7 +96,7 @@ def test_path_with_spaces_round_trips(tmp_path):
 @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
 def test_path_with_line_break_rejected_before_writing(tmp_path, brk):
     # The text format held one document per line and refused such paths
-    # before writing. IVX3 stores every path length-prefixed, so any path
+    # before writing. IVX4 stores every path length-prefixed, so any path
     # round-trips and the old file is replaced.
     path = f"a{brk}b.txt"
     target = tmp_path / "idx.ivx"
@@ -110,18 +122,18 @@ def test_failed_save_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
     monkeypatch.undo()
 
-    # Terms' columns are written as they are packed: a failure after two
-    # terms' columns are in the temporary file still leaves no trace.
-    pack = index_module._term_columns
+    # Streams are written as they are deflated: a failure after two streams
+    # are in the temporary file still leaves no trace.
+    deflate = index_module._deflated
     calls = []
 
-    def fail_third(postings):
-        calls.append(postings)
+    def fail_third(pieces):
+        calls.append(pieces)
         if len(calls) == 3:
             raise OSError("disk full")
-        return pack(postings)
+        return deflate(pieces)
 
-    monkeypatch.setattr(index_module, "_term_columns", fail_third)
+    monkeypatch.setattr(index_module, "_deflated", fail_third)
     with pytest.raises(OSError, match="disk full"):
         save_index(build_index([("c.txt", "ape bee cow dog")]), target)
     assert len(calls) == 3
@@ -184,132 +196,177 @@ def test_postings_layout(tmp_path):
             assert len(postings.docs) + 1 == len(postings.starts)
 
 
-_TYPES = {1: "B", 2: "H", 4: "I"}
-
-
-def ivx3(docs, terms, total=None, doc_count=None, offsets=None):
-    """IVX3 bytes put together field by field, for files save_index never writes.
+def ivx4(
+    docs, terms, total=None, doc_count=None, offsets=None, inflated=(), deflated=(), frames=None
+):
+    """IVX4 bytes put together field by field, for files save_index never writes.
 
     ``docs`` holds (word count, path bytes) pairs; ``terms`` holds (term
-    bytes, the three column widths, doc-id gaps, counts, position gaps);
-    ``offsets`` is the offsets column's (width, gaps), by default a first
-    gap of 0 and then gaps of 1 for each document. A width other than 1, 2
-    or 4 is written as it is, over one-byte values.
+    bytes, doc-id gaps, counts, position gaps); ``offsets`` is the offsets
+    stream's gaps, by default a first gap of 0 and then gaps of 1 for each
+    document. ``inflated`` and ``deflated`` map a stream's number (0 to 7,
+    in file order) to an edit of its bytes before and after deflating, and
+    ``frames`` edits the framed streams together. The footer is computed
+    last, so every fault after it is reached.
     """
     if offsets is None:
-        offsets = (1, [gap for words, _ in docs for gap in [0] + [1] * -(-words // 16)])
-
-    def column(width, values):
-        return struct.pack(f"<{len(values)}{_TYPES.get(width, 'B')}", *values)
-
-    header = (
+        offsets = [gap for words, _ in docs for gap in [0] + [1] * -(-words // 16)]
+    header = struct.pack(
+        "<4sIII",
+        b"IVX4",
         len(docs) if doc_count is None else doc_count,
         len(terms),
         sum(words for words, _ in docs) if total is None else total,
     )
-    parts = [b"IVX3", column(4, header)]
-    parts += [column(4, [words for words, _ in docs]), column(4, [len(path) for _, path in docs])]
-    parts += [bytes(16) * len(docs), *(path for _, path in docs)]
-    parts += [bytes([offsets[0]]), column(*offsets)]
-    parts += [column(4, [len(term) for term, *_ in terms])]
-    parts += [column(4, [len(doc_gaps) for _, _, doc_gaps, _, _ in terms])]
-    parts += [column(4, [len(gaps) for *_, gaps in terms])]
-    parts += [bytes(widths[k] for _, widths, *_ in terms) for k in range(3)]
-    parts += [term for term, *_ in terms]
-    for _, widths, *columns in terms:
-        parts += [column(width, values) for width, values in zip(widths, columns)]
-    return b"".join(parts)
+    streams = [
+        bytes(16) * len(docs)
+        + u32_planes([words for words, _ in docs] + [len(path) for _, path in docs]),
+        b"".join(path for _, path in docs),
+        u32_planes(offsets),
+        u32_planes(
+            [len(term) for term, *_ in terms]
+            + [len(doc_gaps) for _, doc_gaps, _, _ in terms]
+            + [len(gaps) for *_, gaps in terms]
+        ),
+        b"".join(term for term, *_ in terms),
+        *(u32_planes([v for term in terms for v in term[k]]) for k in (1, 2, 3)),
+    ]
+    inflated, deflated = dict(inflated), dict(deflated)
+    packed = [
+        deflated.get(k, bytes)(zlib.compress(inflated.get(k, bytes)(stream), 1))
+        for k, stream in enumerate(streams)
+    ]
+    body = b"".join(map(ivx4_frame, packed))
+    return ivx4_sealed(header + (frames(body) if frames else body))
+
+
+# x.txt of three words, "b a a": a at 1 and 2, b at 0.
+A_AND_B = [(b"a", [1], [2], [2, 1]), (b"b", [1], [1], [1])]
 
 
 def one_doc(*terms, **fields):
-    """One three-word document, x.txt, holding ``terms``; by default a at 1 and 2."""
-    return ivx3([(3, b"x.txt")], terms or [(b"a", (1, 1, 1), [1], [2], [2, 1])], **fields)
+    """One three-word document, x.txt, holding ``terms``; by default a and b as above."""
+    return ivx4([(3, b"x.txt")], list(terms) or A_AND_B, **fields)
 
 
-TWO_DOCS = [(3, b"x.txt"), (3, b"y.txt")]
+def every_word(*word_counts):
+    """Term a at every word of documents of these word counts, each holding a word."""
+    return [(b"a", [1] * len(word_counts), list(word_counts), [1] * sum(word_counts))]
+
+
+TWO_DOCS = [(1, b"x.txt"), (1, b"y.txt")]
 VALID = one_doc()
-# One document that claims 2**20 words in 64 KiB: its sampled offsets are
-# one byte each. save_index spends a byte or more on every word.
-MILLION_WORDS = ivx3([(1 << 20, b"x.txt")], [])
+# One document that claims 2**20 words in a few hundred bytes: its sampled
+# offsets, 65,537 gaps of 0 and 1, deflate to almost nothing.
+MILLION_WORDS = ivx4([(1 << 20, b"x.txt")], [])
+FOOTER = len(VALID) - 4
 
 # Name -> (file bytes, what the error must say). The header is 16 bytes,
-# and one document's table 4 + 4 + 16 bytes plus its path: the offsets
-# column of x.txt starts at byte 45 with its width.
+# and the document table's stream starts at byte 16. Offsets past it
+# depend on what zlib makes of the streams before, so only the header's
+# and the footer's are named here.
 MALFORMED = {
-    "empty file": (b"", "byte 0: not an IVX3 index file"),
-    "bad magic": (b"NOPE" + VALID[4:], "byte 0: not an IVX3 index file"),
+    "empty file": (b"", "byte 0: not an IVX4 index file"),
+    "bad magic": (b"NOPE" + VALID[4:], "byte 0: not an IVX4 index file"),
     "short header": (VALID[:6], "byte 0: file ends inside the header"),
+    "no room for the footer": (VALID[:18], "byte 16: file ends inside the footer"),
+    "wrong footer": (
+        VALID[:-1] + bytes([VALID[-1] ^ 1]), f"byte {FOOTER}: footer says CRC-32 "
+    ),
+    "edited stream byte": (
+        VALID[:24] + bytes([VALID[24] ^ 0x80]) + VALID[25:], f"byte {FOOTER}: footer says CRC-32 "
+    ),
     "document count past the end": (
-        one_doc(doc_count=0xFFFFFFFF), "byte 16: file ends inside the document word counts"
+        one_doc(doc_count=0xFFFFFFFF),
+        "byte 16: the document table stream holds 24 of its 103079215080 bytes",
     ),
     "more documents than the file holds": (
-        ivx3([(3, b"x.txt")], [], doc_count=2),
-        "byte 32: file ends inside the document digests",
+        ivx4([(3, b"x.txt")], [], doc_count=2),
+        "byte 16: the document table stream holds 24 of its 48 bytes",
     ),
     "word total mismatch": (one_doc(total=4), "byte 12: header says 4 words, documents hold 3"),
     "more words than the file has bytes": (
-        MILLION_WORDS,
-        f"byte 12: header says 1048576 words, more than the file's {len(MILLION_WORDS)} bytes",
+        MILLION_WORDS, "byte 12: header says 1048576 words, term position counts sum to 0"
     ),
-    "path not UTF-8": (ivx3([(3, b"\xff.txt")], []), "byte 40: document paths not UTF-8"),
-    "bad offset column width": (
-        one_doc(offsets=(3, [0, 1])), "byte 45: offset column width not 1, 2 or 4"
-    ),
+    "path not UTF-8": (ivx4([(3, b"\xff.txt")], A_AND_B), "document paths not UTF-8"),
     "truncated offsets": (
-        ivx3([(17, b"x.txt")], [], offsets=(1, [0, 1])),
-        "byte 46: file ends inside the sampled word offsets",
+        ivx4([(17, b"x.txt")], every_word(17), offsets=[0, 1]),
+        "the sampled word offsets stream holds 8 of its 12 bytes",
     ),
     "zero offset gap after a first word": (
-        ivx3([(17, b"x.txt")], [], offsets=(1, [0, 0, 5])),
-        "byte 47: document 0: sampled word offsets not increasing",
+        ivx4([(17, b"x.txt")], every_word(17), offsets=[0, 0, 5]),
+        "document 0: sampled word offsets not increasing",
     ),
     "sampled offset at the text's length": (
-        ivx3([(3, b"x.txt"), (17, b"y.txt")], [], offsets=(1, [2, 5, 0, 4, 0])),
-        "byte 79: document 1: a sampled word offset at or past its text's length",
+        ivx4([(3, b"x.txt"), (17, b"y.txt")], every_word(3, 17), offsets=[2, 5, 0, 4, 0]),
+        "document 1: a sampled word offset at or past its text's length",
     ),
-    "bad column width": (one_doc((b"a", (3, 1, 1), [1], [2], [2, 1])), "column width not 1, 2 or 4"),
-    "empty term": (one_doc((b"", (1, 1, 1), [1], [2], [2, 1])), "empty term"),
+    "empty term": (one_doc((b"", [1], [3], [1, 1, 1])), "empty term"),
     "unsorted terms": (
-        one_doc((b"b", (1, 1, 1), [1], [1], [2]), (b"a", (1, 1, 1), [1], [1], [3])),
+        one_doc((b"b", [1], [1], [1]), (b"a", [1], [2], [2, 1])),
         "term 'a': duplicate or out of order",
     ),
     "duplicate terms": (
-        one_doc((b"a", (1, 1, 1), [1], [1], [2]), (b"a", (1, 1, 1), [1], [1], [3])),
+        one_doc((b"a", [1], [1], [1]), (b"a", [1], [2], [2, 1])),
         "term 'a': duplicate or out of order",
     ),
-    "no documents": (one_doc((b"a", (1, 1, 1), [], [], [])), "term 'a': no documents"),
+    "no documents": (one_doc((b"a", [], [], [1, 1, 1])), "term 'a': no documents"),
     "unknown document": (
-        one_doc((b"a", (1, 1, 1), [6], [1], [1])), "term 'a': unknown document id 5"
+        one_doc((b"a", [6], [3], [1, 1, 1])), "term 'a': unknown document id 5"
     ),
     "zero document gap": (
-        ivx3(TWO_DOCS, [(b"a", (1, 1, 1), [1, 0], [1, 1], [2, 1])]),
+        ivx4(TWO_DOCS, [(b"a", [1, 0], [1, 1], [1, 1])]),
         "term 'a': document ids not strictly increasing",
     ),
     "zero count": (
-        one_doc((b"a", (1, 1, 1), [1], [0], [])), "term 'a': a document with no positions"
+        one_doc((b"a", [1], [0], [1, 1, 1])), "term 'a': a document with no positions"
     ),
     "zero position gap": (
-        one_doc((b"a", (1, 1, 1), [1], [2], [2, 0])), "term 'a': positions not strictly increasing"
+        one_doc((b"a", [1], [3], [1, 1, 0])), "term 'a': positions not strictly increasing"
     ),
     "count mismatch": (
-        one_doc((b"a", (1, 1, 1), [1], [3], [2, 1])),
-        "term 'a': position counts sum to 3, term table says 2",
+        one_doc((b"a", [1], [4], [1, 1, 1])),
+        "term 'a': position counts sum to 4, term table says 3",
     ),
     "position past its document's words": (
-        one_doc((b"a", (1, 1, 1), [1], [2], [2, 2])),
+        one_doc((b"a", [1], [3], [1, 1, 2])),
         "term 'a': a position lies outside its document",
     ),
     # Each document's first position gap counts from -1, so 0 is position -1.
     "position before its document's first word": (
-        ivx3(TWO_DOCS, [(b"a", (1, 1, 1), [2], [1], [0])]),
+        ivx4([(1, b"x.txt")], [(b"a", [1], [1], [0])]),
         "term 'a': positions not strictly increasing",
     ),
     "position in a later document": (
-        ivx3(TWO_DOCS, [(b"a", (1, 1, 1), [1], [2], [2, 3])]),
+        ivx4(TWO_DOCS, [(b"a", [1], [2], [1, 1])]),
         "term 'a': a position lies outside its document",
     ),
-    "truncated postings": (VALID[:-1], f"byte {len(VALID) - 1}: file ends inside the postings"),
-    "trailing bytes": (VALID + b"\0", f"byte {len(VALID)}: 1 trailing bytes"),
+    # The last stream's deflated bytes lose their last byte; its frame
+    # says so, and the footer is recomputed.
+    "truncated postings": (
+        one_doc(deflated={7: lambda packed: packed[:-1]}), "the position gaps stream is cut short"
+    ),
+    "trailing bytes": (
+        one_doc(frames=lambda body: body + b"\0"), f"byte {FOOTER}: 1 trailing bytes"
+    ),
+    "stream past the footer": (
+        one_doc(frames=lambda body: body[:-1]), "file ends inside the position gaps stream"
+    ),
+    "stream not zlib": (
+        one_doc(deflated={0: lambda packed: b"\xff" + packed[1:]}),
+        "byte 16: the document table stream does not inflate",
+    ),
+    "short stream": (
+        one_doc(inflated={4: lambda raw: raw[:-1]}), "the terms stream holds 1 of its 2 bytes"
+    ),
+    "stream past its counts": (
+        one_doc(inflated={1: lambda raw: raw + b"!"}),
+        "the document paths stream inflates past its 5 bytes",
+    ),
+    "bytes after a stream's end": (
+        one_doc(deflated={4: lambda packed: packed + b"\0"}),
+        "1 bytes follow the end of the terms stream",
+    ),
 }
 
 # The binary fault that stands for each malformed text file below.
@@ -322,7 +379,7 @@ COUNTERPARTS = {
     "IVX1 1\nD 0 3 x.txt\nT a\nP 0 2 1\n": "zero position gap",
     "IVX1 1\nD 0 3 x.txt\nT a\nP 0 9\n": "position past its document's words",
     "IVX1 1\nD 0 3 x.txt\nT a\nP 1 0\n": "unknown document",
-    "IVX1 1\nD 0 3 x.txt\nZ what\n": "bad column width",
+    "IVX1 1\nD 0 3 x.txt\nZ what\n": "stream not zlib",
     "IVX1 2\nD 0 3 x.txt\n": "more documents than the file holds",
     "IVX1 1\nD 0 3 x.txt\nT a\nP\n": "no documents",
     "IVX1 1\nD 0 3 x.txt\nT a\nP 0\n": "zero count",
@@ -376,7 +433,7 @@ def test_malformed_files_report_line(tmp_path, content, line):
     # binary counterpart of each fault is refused naming a byte or a term.
     assert 1 <= line <= content.count("\n") + 1
     target = tmp_path / "bad.ivx"
-    assert_refused(target, content.encode(), "byte 0: not an IVX3 index file")
+    assert_refused(target, content.encode(), "byte 0: not an IVX4 index file")
     assert_refused(target, *MALFORMED[COUNTERPARTS[content]])
 
 
@@ -387,14 +444,15 @@ def test_malformed_ivx2_names_the_fault(tmp_path, name):
 
 def test_word_total_past_the_file_is_refused_in_little_memory(tmp_path):
     # The loader's table of ints is sized from the word counts, so a file
-    # must not claim more words than it has bytes: a million here would
-    # take the load's peak to about 50 MB.
+    # must not claim more words than its streams hold: a million here would
+    # take the load's peak to about 50 MB. Every word is one position of
+    # one term, so the term table's counts must sum to the header's total.
     target = tmp_path / "big.ivx"
     target.write_bytes(MILLION_WORDS)
     assert len(MILLION_WORDS) < 70_000
     tracemalloc.start()
     try:
-        with pytest.raises(IndexFormatError, match="more than the file's"):
+        with pytest.raises(IndexFormatError, match="term position counts sum to 0"):
             load_index(target)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -412,9 +470,14 @@ def test_hand_made_file_loads(tmp_path):
 
 
 def test_two_document_index_bytes(tmp_path):
-    # Pins the layout and the byte order: every number is little-endian.
+    # Pins the layout and the byte order: every number is little-endian,
+    # and a stream of numbers holds them as byte planes, lowest byte first.
+    # The deflated bytes are not pinned (zlib builds differ), only the
+    # framing: each stream is a u32 length and then that many bytes of one
+    # zlib stream, and the footer is the CRC-32 of all before it.
     target = tmp_path / "idx.ivx"
     save_index(build_index([("a.txt", "ape bee ape"), ("b.txt", "bee")]), target)
+    header, streams = ivx4_streams(target.read_bytes())
     # BLAKE2b-128 of the bytes and then the sampled offsets as little-endian
     # u64s, personalised with the word count.
     digest = lambda text, n, offsets: hashlib.blake2b(
@@ -422,28 +485,28 @@ def test_two_document_index_bytes(tmp_path):
         digest_size=16,
         person=n.to_bytes(16, "little"),
     ).digest()
-    assert target.read_bytes() == b"".join([
-        b"IVX3", bytes.fromhex("02000000 02000000 04000000"),  # docs, terms, words
-        bytes.fromhex("03000000 01000000"),  # word counts
-        bytes.fromhex("05000000 05000000"),  # path lengths
-        digest(b"ape bee ape", 3, [0, 11]), digest(b"bee", 1, [0, 3]),
-        b"a.txt", b"b.txt",
-        bytes.fromhex("01 000b 0003"),  # offsets: width, then word 0 at 0 and the length
-        bytes.fromhex("03000000 03000000"),  # term lengths
-        bytes.fromhex("01000000 02000000"),  # documents per term
-        bytes.fromhex("02000000 02000000"),  # positions per term
-        bytes.fromhex("0101 0101 0101"),  # widths of doc gaps, counts, position gaps
-        b"ape", b"bee",
-        bytes.fromhex("01 02 0102"),  # ape: doc 0, two positions, at 0 and 2
-        bytes.fromhex("0101 0101 0201"),  # bee: docs 0 and 1, at 1 and 0 in each
-    ])
+    assert header == b"IVX4" + bytes.fromhex("02000000 02000000 04000000")  # docs, terms, words
+    assert streams == [
+        # the digests, then word counts 3 and 1 and path lengths 5 and 5:
+        # their low bytes, then the three higher planes
+        digest(b"ape bee ape", 3, [0, 11]) + digest(b"bee", 1, [0, 3])
+        + bytes.fromhex("03010505 00000000 00000000 00000000"),
+        b"a.txtb.txt",
+        bytes.fromhex("000b0003") + bytes(12),  # offsets: word 0 at 0, then the length
+        bytes.fromhex("030301020202") + bytes(18),  # term lengths, documents, positions
+        b"apebee",
+        bytes.fromhex("010101") + bytes(9),  # doc-id gaps: ape in 0, bee in 0 and 1
+        bytes.fromhex("020101") + bytes(9),  # positions per document
+        bytes.fromhex("01020201") + bytes(12),  # ape at 0 and 2, bee at 1 and at 0
+    ]
 
 
 def test_wide_columns_round_trip(tmp_path):
-    # Counts and gaps past one and two bytes take two- and four-byte columns.
+    # Counts and gaps past one and two bytes fill the higher byte planes.
     # Positions count from each document's start, so a position gap is wide
     # only inside one document: mid's 300 words apart in b, rare's 70,000 in
-    # c. Across documents (rare from a to d) gaps stay narrow.
+    # c, whose 70,002 positions also take the position gaps past one block
+    # of 65,536 numbers. d's first word starts 70,000 characters in.
     index = build_index([
         ("a.txt", "rare"),
         ("b.txt", "mid " + "pad " * 299 + "mid"),
@@ -453,14 +516,14 @@ def test_wide_columns_round_trip(tmp_path):
     target = tmp_path / "idx.ivx"
     save_index(index, target)
     assert load_index(target) == index
-    # The width columns sit just before the terms: doc gaps, then counts,
-    # then position gaps, each for filler, mid, pad and rare.
-    data = target.read_bytes()
-    widths = data.index(b"fillermidpadrare") - 3 * 4
-    assert data[widths : widths + 12] == bytes([1] * 4 + [4, 1, 2, 1] + [1, 2, 1, 4])
-    # d's first word starts 70,000 characters in: the offsets column, after
-    # the paths, is four bytes wide.
-    assert data[data.index(b"d.txt") + 5] == 4
+
+
+@given(st.lists(st.sampled_from([0, 1, 255, 256, 1 << 16, 1 << 24, (1 << 32) - 1]), max_size=12))
+def test_the_first_zero_of_a_column_is_found_at_a_number(values):
+    # The loader finds a 0 as four zero bytes at a multiple of 4: zero bytes
+    # across two numbers, as in 1 then 256, are no 0.
+    column = memoryview(bytearray(struct.pack(f"={len(values)}I", *values))).cast("I")
+    assert index_module._zero_at(column) == (values.index(0) if 0 in values else -1)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -553,3 +616,57 @@ def test_lookups_equal_a_brute_force_reference(corpus, candidates):
 def test_missing_file_surfaces_os_error(tmp_path):
     with pytest.raises(OSError):
         load_index(tmp_path / "nowhere.ivx")
+
+
+_EDITED = build_index(
+    [("a.txt", "ape bee ape cow " * 5), ("b.txt", "bee dog " * 20), ("c.txt", "")]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            # a stream (the postings' three most often), or the header
+            st.sampled_from([*range(9), 5, 6, 7, 7, 7]),
+            st.integers(0, 1 << 16),
+            st.sampled_from(["add", "delete", "insert"]),
+            st.sampled_from([1, 2, 16, 128, 254, 255]),  # 254 and 255 lower a byte
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_resealed_edits_load_whole_or_are_refused(edits):
+    # The footer hides every raw edit from the checks behind it, so here the
+    # streams are edited inflated, deflated again and the footer recomputed.
+    # The loader must then refuse the file or give a well-formed index.
+    with tempfile.TemporaryDirectory() as directory:
+        target = Path(directory) / "idx.ivx"
+        save_index(_EDITED, target)
+        header, streams = ivx4_streams(target.read_bytes())
+        parts = [bytearray(part) for part in (*streams, header)]
+        for part, at, kind, value in edits:
+            edited = parts[part]
+            at %= len(edited) + 1
+            if kind == "insert":
+                edited.insert(at, value)
+            elif at < len(edited):
+                if kind == "delete":
+                    del edited[at]
+                else:
+                    edited[at] = (edited[at] + value) % 256
+        *streams, header = map(bytes, parts)
+        target.write_bytes(ivx4_file(header[:16].ljust(16, b"\0"), streams))
+        try:
+            index = load_index(target)
+        except IndexFormatError as exc:
+            assert len(str(exc).splitlines()) == 1
+            return
+    for docs, starts, positions in index.postings.values():
+        assert docs and all(map(lt, docs, docs[1:])) and docs[-1] < index.doc_count()
+        assert starts[0] == 0 and len(starts) == len(docs) + 1 and starts[-1] == len(positions)
+        for doc, start, stop in zip(docs, starts, starts[1:]):
+            run = positions[start:stop]
+            assert run and run[0] >= 0 and all(map(lt, run, run[1:]))
+            assert run[-1] < index.word_count(doc)
