@@ -73,8 +73,8 @@ def _children(node):
     return node.children
 
 
-# Each rule takes its operands' documents as sorted lists (a term's own
-# list, read only) or sets, and never builds a set per operand.
+# Each rule takes its operands' documents as sorted sequences (a term's own
+# array, read only) or sets, and never builds a set per operand.
 def _union(doc_lists):
     return set().union(*doc_lists)
 

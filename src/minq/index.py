@@ -8,29 +8,33 @@ that also gives each word's start) splits a document for the build and for
 the recheck of a changed source. The tests keep them equal by comparing
 the build with a reference built one pattern match at a time.
 
-In memory each term has one :class:`TermPostings` of three lists. Its
-``docs`` list holds the documents holding the term, in increasing order;
-a document's run number ``e`` is its index there. Its ``positions`` list
-holds the term's document-local positions, document after document, and
-its ``starts`` list where each run begins, plus the list's length at the
-end, so run ``e`` is ``positions[starts[e]:starts[e + 1]]``. Only this
-module reads that layout: :func:`run` (a query leaf's pairs) and
+In memory each term has one :class:`TermPostings` of three arrays of u32s
+(``array("I")``). Its ``docs`` array holds the documents holding the term,
+in increasing order; a document's run number ``e`` is its index there. Its
+``positions`` array holds the term's document-local positions, document
+after document, and its ``starts`` array where each run begins, plus the
+array's length at the end, so run ``e`` is
+``positions[starts[e]:starts[e + 1]]``. Only this module reads that
+layout: :func:`run` (a query leaf's pairs) and
 :meth:`PositionalIndex.positions` (a list) find ``e`` by one C bisection
-of ``docs`` and slice the run out (the empty slice at ``starts[e]`` for
-a document without the term), and :meth:`PositionalIndex.run_lengths`
-measures runs without slicing them. Built and loaded indexes share this
-layout, plus a document table of source path, word count, content digest
-and sampled word offsets (see below). Both hold one int object per
-number: document ids, positions and run starts come from one table,
-``numbers[k] == k``. By :func:`sys.getsizeof` over the postings dict,
-its term strings, tuples, lists and distinct ints (64-bit CPython 3.11,
-seed 7), the loaded search-short benchmark postings take 25.8 MB and the
-built ones 25.6 MB, search-long's 14.6 MB and 14.2 MB. Once built (or
-loaded) an index is never mutated by queries, so it can be shared freely
-across threads. Building, saving and loading leave the cyclic garbage
-collector as they find it: it is process-wide, so pausing it would pause
-it for every thread. An index holds no reference cycles, so reference
-counting alone frees a dropped one.
+of ``docs`` and slice the run out as a list (the empty slice at
+``starts[e]`` for a document without the term), and
+:meth:`PositionalIndex.run_lengths` measures runs without slicing them.
+Built and loaded indexes share this layout, plus a document table of
+source path, word count, content digest and sampled word offsets (see
+below). An array holds its numbers unboxed, four bytes each, and no int
+object: by :func:`sys.getsizeof` over the postings dict, its term
+strings, tuples and arrays (64-bit CPython 3.11, seed 7), the built
+search-short benchmark postings take 16.8 MB (documents 4.3 MB, run
+starts 4.4 MB, positions 5.3 MB) and search-long's 10.9 MB, loaded ones
+the same to within 0.1 MB. Nor does an array hold anything for the cyclic
+garbage collector to walk, so its collections during set-up visit one
+object per column, not one per number. Once built (or loaded) an index is
+never mutated by queries, so it can be shared freely across threads.
+Building, saving and loading leave the collector as they find it: it is
+process-wide, so pausing it would pause it for every thread. An index
+holds no reference cycles, so reference counting alone frees a dropped
+one.
 
 On disk the index is IVX4, a binary file of a header, eight streams and
 a footer. Every number is an unsigned little-endian integer:
@@ -84,11 +88,12 @@ against its document's words), and a failed one inflates its stream
 again to name the term; any file the loader accepts is a well-formed
 index. Every word of every document is one position of one term, so the
 term table's position counts must sum to the header's word total, which
-is checked before the offsets are decoded. The table of ints is sized
-from the word counts, so it stays proportional to what the streams hold:
-every 16 words of a document took a sampled offset. Each postings stream
-is inflated a block of numbers at a time, four bytes a number, while the
-lists are built from it, so no column is ever held whole.
+is checked before the offsets are decoded. The table of ints that bounds
+the document ids and positions is sized from the document count and the
+word counts, so it stays proportional to what the streams hold: every 16
+words of a document took a sampled offset. Each postings stream is
+inflated a block of numbers at a time, four bytes a number, while the
+arrays are built from it, so no column is ever held whole.
 
 A save makes and deflates one stream at a time, a block of numbers at a
 time, writes each stream as soon as it is deflated, and replaces the file
@@ -127,7 +132,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count, islice, repeat
-from operator import le, lt, setitem, sub
+from operator import lt, setitem, sub
 from typing import NamedTuple
 
 _WORD = re.compile(r"[^\W_]+")
@@ -150,6 +155,7 @@ _ZERO = bytes(4)  # a u32 of 0
 _LIMIT = 1 << 32  # every stored number is below this
 _TYPECODE = "I" if array("I").itemsize == 4 else "L"
 _SWAP = sys.byteorder == "big"
+_u32s = partial(array, _TYPECODE)  # an array of u32s, from an iterable if given
 
 
 class IndexFormatError(ValueError):
@@ -186,7 +192,7 @@ def source_digest(data: bytes, word_count: int, offsets: array) -> bytes:
     return digest.digest()
 
 
-@dataclass
+@dataclass(slots=True)
 class DocInfo:
     path: str
     word_count: int
@@ -195,14 +201,14 @@ class DocInfo:
 
 
 class TermPostings(NamedTuple):
-    """One term's postings, laid out as the module docstring says. Read only."""
+    """One term's postings: three u32 arrays, laid out as the module docstring says. Read only."""
 
-    docs: list[int]
-    starts: list[int]
-    positions: list[int]
+    docs: array
+    starts: array
+    positions: array
 
 
-_ABSENT = TermPostings([], [0], [])
+_ABSENT = TermPostings(_u32s(), _u32s([0]), _u32s())
 
 
 def run(postings: TermPostings, doc_id: int):
@@ -216,7 +222,7 @@ def run(postings: TermPostings, doc_id: int):
     docs, starts, positions = postings
     e = bisect_left(docs, doc_id)
     stop = starts[e + 1] if e < len(docs) and docs[e] == doc_id else starts[e]
-    found = positions[starts[e] : stop]
+    found = positions[starts[e] : stop].tolist()  # zipping the array would box each number twice
     return zip(found, found)
 
 
@@ -240,7 +246,7 @@ class PositionalIndex:
         docs, starts, positions = self.term_postings(term)
         e = bisect_left(docs, doc_id)
         stop = starts[e + 1] if e < len(docs) and docs[e] == doc_id else starts[e]
-        return positions[starts[e] : stop]
+        return positions[starts[e] : stop].tolist()
 
     def run_lengths(self, term: str, docs: list[int]) -> list[int]:
         """Per document of ``docs``, the term's number of positions there."""
@@ -252,7 +258,7 @@ class PositionalIndex:
         found = zip(map(bisect_left, repeat(held), docs), docs)  # one bisection per candidate
         return [starts[e + 1] - starts[e] if e < n and held[e] == d else 0 for e, d in found]
 
-    def term_docs(self, term: str) -> list[int]:
+    def term_docs(self, term: str) -> array:
         """The term's documents, in increasing order. Read only."""
         return self.term_postings(term).docs
 
@@ -267,11 +273,11 @@ class PositionalIndex:
 def build_index(documents) -> PositionalIndex:
     """Index an iterable of (path, text) pairs in order."""
     docs, postings = [], {}
-    numbers = []  # numbers[k] == k: document ids, positions and run starts share these ints
+    numbers = []  # numbers[k] == k: a document's positions, without an int made per word
     for path, text in documents:
         terms, offsets = _sampled_words(text)
-        numbers += range(len(numbers), max(len(terms), len(docs) + 1))
-        doc_id = numbers[len(docs)]
+        numbers += range(len(numbers), len(terms))
+        doc_id = len(docs)
         digest = source_digest(text.encode("utf-8"), len(terms), offsets)
         docs.append(DocInfo(path, len(terms), digest, offsets))
         grouped = {}
@@ -280,16 +286,13 @@ def build_index(documents) -> PositionalIndex:
         for term, found in grouped.items():
             held = postings.get(term)
             if held is None:
-                held = postings[term] = TermPostings([], [0], [])
+                held = postings[term] = TermPostings(_u32s(), _u32s([0]), _u32s())
             ids, starts, positions = held
             ids.append(doc_id)
             starts.append(len(found))  # a run length until every document is in
-            positions += found
-    longest = max((len(held.positions) for held in postings.values()), default=0)
-    numbers += range(len(numbers), longest + 1)
-    number = numbers.__getitem__
+            positions.fromlist(found)
     for held in postings.values():
-        held.starts[:] = map(number, accumulate(held.starts))
+        held.starts[:] = _u32s(accumulate(held.starts))
     return PositionalIndex(docs, postings)
 
 
@@ -323,7 +326,7 @@ def _planes(values):
     A plane holds one byte of each number of its block, lowest byte first.
     """
     values = iter(values)
-    while block := array(_TYPECODE, islice(values, _BLOCK)):
+    while block := _u32s(islice(values, _BLOCK)):
         if _SWAP:
             block.byteswap()
         raw = block.tobytes()
@@ -389,12 +392,11 @@ def _streams(index: PositionalIndex):
     yield [b"".join(paths)]
     yield _planes(chain.from_iterable(map(sub, d.offsets, chain((0,), d.offsets)) for d in docs))
     terms = sorted(index.postings)
-    names = [term.encode("utf-8") for term in terms]
     held = [index.postings[term] for term in terms]
     doc_counts = (len(postings.docs) for postings in held)
     sizes = (len(postings.positions) for postings in held)
-    yield _planes(chain(map(len, names), doc_counts, sizes))
-    yield [b"".join(names)]
+    yield _planes(chain(map(len, map(str.encode, terms)), doc_counts, sizes))
+    yield ["".join(terms).encode("utf-8")]
     yield _planes(chain.from_iterable(map(sub, ids, chain((-1,), ids)) for ids, _, _ in held))
     yield _planes(_run_lengths(postings.starts for postings in held))
     yield _planes(chain.from_iterable(map(_position_gaps, held)))
@@ -600,7 +602,7 @@ def _postings(docs, terms, doc_counts, sizes, doc_gaps, counts, gaps):
     """Each term's :class:`TermPostings`, from the three postings streams.
 
     Each stream (doc-id gaps, run lengths, position gaps) is inflated a
-    block at a time while the lists are built from it, so no column is
+    block at a time while the arrays are built from it, so no column is
     ever held whole, and each check covers the whole column at once. A
     failed check inflates the stream again to name the term.
     """
@@ -624,31 +626,30 @@ def _postings(docs, terms, doc_counts, sizes, doc_gaps, counts, gaps):
 
     if 0 in doc_counts:
         raise IndexFormatError(f"term {terms[doc_counts.index(0)]!r}: no documents")
-    # Every int kept below is taken from one table, one object per number.
-    # Its size is bounded by what the streams held: each document took 24
-    # bytes of the document table, and every 16 of its words a sampled
-    # offset; the term table's position counts sum to those words.
+    # Doc ids and positions are sums of gaps counted from -1: these tables
+    # give s - 1 for a sum s, or IndexError past the last document or past
+    # the longest document's words. Their size is bounded by what the
+    # streams held: each document took 24 bytes of the document table, and
+    # every 16 of its words a sampled offset.
     word_counts = [doc.word_count for doc in docs]
-    numbers = list(range(max(len(docs), max(sizes, default=0), max(word_counts, default=0)) + 1))
-    # Doc ids and positions are sums of gaps counted from -1: these give s - 1
-    # for a sum s, or IndexError past the last document or the table's end.
-    doc_id = [-1, *numbers[: len(docs)]].__getitem__
-    less_one = [-1, *numbers].__getitem__
+    table = list(range(-1, max(len(docs), max(word_counts, default=0)) + 1))
+    doc_id = table[: len(docs) + 1].__getitem__
+    less_one = table.__getitem__
 
     doc_gap_column = partial(column, doc_gaps, doc_counts, "document ids not strictly increasing")
     count_column = partial(column, counts, doc_counts, "a document with no positions")
     gap_column = partial(column, gaps, sizes, "positions not strictly increasing")
     try:
-        ids = list(map(list, map(map, repeat(doc_id), _run_sums(doc_gap_column(), doc_counts))))
+        ids = list(map(_u32s, map(map, repeat(doc_id), _run_sums(doc_gap_column(), doc_counts))))
     except IndexError:
         sums = list(map(sum, _slices(doc_gap_column(), doc_counts)))
         t = next(t for t, found in enumerate(sums) if found > len(docs))
         raise IndexFormatError(f"term {terms[t]!r}: unknown document id {sums[t] - 1}") from None
     try:
         starts = map(partial(accumulate, initial=0), _slices(count_column(), doc_counts))
-        starts = list(map(list, map(map, repeat(numbers.__getitem__), starts)))
+        starts = list(map(_u32s, starts))
         sums = [ends[-1] for ends in starts]
-    except IndexError:  # a sum past the table is past its term's position count too
+    except OverflowError:  # a sum of 2**32 or more is past its term's position count too
         sums = list(map(sum, _slices(count_column(), doc_counts)))
     if sums != sizes:
         t = next(t for t, (found, m) in enumerate(zip(sums, sizes)) if found != m)
@@ -658,7 +659,7 @@ def _postings(docs, terms, doc_counts, sizes, doc_gaps, counts, gaps):
     try:
         runs = _run_sums(gap_column(), _run_lengths(starts))  # one per (term, document)
         positions = map(chain.from_iterable, _slices(runs, doc_counts))
-        positions = list(map(list, map(map, repeat(less_one), positions)))
+        positions = list(map(_u32s, map(map, repeat(less_one), positions)))
     except IndexError:
         ends = map(sum, _slices(gap_column(), _run_lengths(starts)))
         raise _position_fault(terms, ids, map(sub, ends, repeat(1)), word_counts) from None
@@ -666,7 +667,7 @@ def _postings(docs, terms, doc_counts, sizes, doc_gaps, counts, gaps):
     def lasts():
         """Each run's last position, term after term."""
         return chain.from_iterable(
-            map(held.__getitem__, map(less_one, islice(ends, 1, None)))
+            map(held.__getitem__, map(sub, islice(ends, 1, None), repeat(1)))
             for held, ends in zip(positions, starts)
         )
 

@@ -798,13 +798,18 @@ def reference_build(documents):
     return PositionalIndex(docs, {term: postings_of(runs) for term, runs in by_term.items()})
 
 
+def u32s(values=()) -> array:
+    """An array of unsigned ints, as :class:`TermPostings` columns are compared."""
+    return array("I", values)
+
+
 def postings_of(runs):
     """The :class:`TermPostings` of a dict of doc id -> positions, in doc order."""
     starts, positions = [0], []
     for run in runs.values():
         positions.extend(run)
         starts.append(len(positions))
-    return TermPostings(list(runs), starts, positions)
+    return TermPostings(u32s(runs), u32s(starts), u32s(positions))
 
 
 # IVX4 files taken apart and put back together, written here from the

@@ -452,10 +452,15 @@ def count_position_reads(index, leaves):
             self.counted = True
             return CountedIterator(self, leaves)
 
+    class Run(list):
+        def tolist(self):
+            return Positions(self)
+
     class Runs(list):
-        # The engine takes each document's positions as a slice of the term's.
+        # The engine takes each document's positions as a slice of the term's
+        # array, made a list by tolist().
         def __getitem__(self, where):
-            return Positions(super().__getitem__(where))
+            return Run(super().__getitem__(where))
 
     real = index.term_postings
     index.term_postings = lambda term: real(term)._replace(positions=Runs(real(term).positions))

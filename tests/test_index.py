@@ -5,6 +5,7 @@ import struct
 import tempfile
 import tracemalloc
 import zlib
+from array import array
 from operator import lt
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from helpers import (
     reference_build,
     reference_tokenize,
     u32_planes,
+    u32s,
 )
 
 RHYME = Path(__file__).parent / "data" / "rhyme.txt"
@@ -50,9 +52,9 @@ def test_rhyme_postings():
     assert index.positions("hot", 0) == [2, 17, 33]
     assert index.positions("cold", 0) == [5, 21, 36]
     assert index.positions("absent", 0) == []
-    assert index.term_postings("hot") == TermPostings([0], [0, 3], [2, 17, 33])
-    assert index.term_postings("absent") == TermPostings([], [0], [])
-    assert index.term_docs("hot") == [0]
+    assert index.term_postings("hot") == TermPostings(u32s([0]), u32s([0, 3]), u32s([2, 17, 33]))
+    assert index.term_postings("absent") == TermPostings(u32s(), u32s([0]), u32s())
+    assert index.term_docs("hot") == u32s([0])
     assert index.word_count(0) == 37
 
 
@@ -141,20 +143,14 @@ def test_failed_save_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["idx.ivx"]
 
 
-def assert_one_object_per_number(*columns):
-    """Equal ints in the columns are one object; returns how many were above the cache."""
-    held = {}
-    for column in columns:
-        for value in column:
-            assert held.setdefault(value, value) is value, value
-    return sum(value > 256 for value in held)
-
-
-def test_indexes_hold_one_int_object_per_number(tmp_path):
-    # Two documents of 600 words put cow and dog at the same positions above
-    # 256 (cow at 280 in x.txt, dog at 280 in y.txt) and start both terms'
-    # second runs at 300; 256 more documents take document ids and run
-    # starts past the small ints that Python caches anyway.
+def test_postings_columns_are_u32_arrays_the_collector_never_walks(tmp_path):
+    # Every column of every term, built and loaded, is an array of 4-byte
+    # unsigned ints: no int object per number, and no number among what the
+    # cyclic collector visits. CPython tracks an array (gc.is_tracked says
+    # so), but its only referent is its type, so a collection visits one
+    # object per column. Two
+    # documents of 600 words and 256 more take positions, document ids and
+    # run starts past one byte.
     documents = [("x.txt", "cow dog " * 300), ("y.txt", "dog cow " * 300)]
     documents += [(f"{k}.txt", "cow dog") for k in range(256)]
     built = build_index(documents)
@@ -163,24 +159,19 @@ def test_indexes_hold_one_int_object_per_number(tmp_path):
     loaded = load_index(target)
     assert loaded == built
     for index in (built, loaded):
-        cow, dog = index.term_postings("cow"), index.term_postings("dog")
-        assert cow.positions[140] == dog.positions[440] == 280
-        assert assert_one_object_per_number(cow.positions, dog.positions) == 599 - 256
-        assert assert_one_object_per_number(cow.docs, dog.docs) == 257 - 256
-        assert assert_one_object_per_number(cow.positions, dog.positions, cow.docs, dog.docs) == (
-            599 - 256
-        )
-        # Run starts come from the same table, built or loaded.
-        assert cow.starts[1] == dog.starts[1] == 300
-        assert assert_one_object_per_number(
-            cow.starts, dog.starts, cow.positions, dog.positions, cow.docs, dog.docs
-        ) == 856 - 256
+        cow = index.term_postings("cow")
+        assert (cow.positions[140], cow.starts[1], cow.docs[-1]) == (280, 300, 257)
+        for postings in (*index.postings.values(), index.term_postings("absent")):
+            for column in postings:
+                assert type(column) is array and column.typecode in "IL"
+                assert column.itemsize == 4
+                assert all(isinstance(held, type) for held in gc.get_referents(column))
 
 
 def test_postings_layout(tmp_path):
-    # Per term: its documents as a strictly increasing list, the same built
+    # Per term: its documents strictly increasing, the same built
     # and loaded, with one run start per document plus the end; the run
-    # number is the index in that list, so no postings hold a dict.
+    # number is the index in that array, so no postings hold a dict.
     documents = random_corpus(random.Random(23), docs=12) + [(str(RHYME), RHYME.read_text())]
     built = build_index(documents)
     save_index(built, tmp_path / "idx.ivx")
@@ -189,8 +180,6 @@ def test_postings_layout(tmp_path):
     for term, held in built.postings.items():
         for postings in (held, loaded.postings[term]):
             assert type(postings) is TermPostings
-            assert [type(part) for part in postings] == [list, list, list]
-            assert all(type(value) is int for part in postings for value in part)
             assert postings.docs == held.docs
             assert all(map(lt, postings.docs, postings.docs[1:]))
             assert len(postings.docs) + 1 == len(postings.starts)
@@ -327,6 +316,11 @@ MALFORMED = {
     "count mismatch": (
         one_doc((b"a", [1], [4], [1, 1, 1])),
         "term 'a': position counts sum to 4, term table says 3",
+    ),
+    # Run starts are u32s: a sum past them is refused as a count mismatch.
+    "count sum past 2**32": (
+        ivx4(TWO_DOCS, [(b"a", [1, 1], [0xFFFFFFFF, 3], [1, 1])]),
+        "term 'a': position counts sum to 4294967298, term table says 2",
     ),
     "position past its document's words": (
         one_doc((b"a", [1], [3], [1, 1, 2])),
@@ -501,6 +495,17 @@ def test_two_document_index_bytes(tmp_path):
     ]
 
 
+def test_rhyme_index_digest(tmp_path):
+    # The whole file, pinned through its inflated streams: the deflated
+    # bytes depend on the zlib build, the inflated ones only on minq.
+    target = tmp_path / "rhyme.ivx"
+    save_index(build_index([("rhyme.txt", RHYME.read_text(encoding="utf-8"))]), target)
+    header, streams = ivx4_streams(target.read_bytes())
+    assert hashlib.sha256(header + b"".join(streams)).hexdigest() == (
+        "44ca654214569507056282b24acd1d10268acf1c38db2e3e0e06b5c42618ffb6"
+    )
+
+
 def test_wide_columns_round_trip(tmp_path):
     # Counts and gaps past one and two bytes fill the higher byte planes.
     # Positions count from each document's start, so a position gap is wide
@@ -603,7 +608,7 @@ def test_lookups_equal_a_brute_force_reference(corpus, candidates):
         for term in (*_VOCAB, "absent"):
             where = {d: [p for p, w in enumerate(ws) if w == term] for d, ws in enumerate(corpus)}
             expected = [where.get(d, []) for d in ids]
-            assert index.term_docs(term) == [d for d, found in where.items() if found]
+            assert index.term_docs(term) == u32s(d for d, found in where.items() if found)
             postings = index.term_postings(term)
             assert [index.positions(term, d) for d in ids] == expected
             assert [list(run(postings, d)) for d in ids] == [list(zip(p, p)) for p in expected]
